@@ -4,9 +4,12 @@ Routes implemented here, each independently testable against the others:
 
   * direct series with an analytic factorial-tail bound,
   * closed form e^x * Q_p(x, lam) at non-positive integer orders,
-  * repeated-integral recursion from e_0 = e^t,
+  * nested-integral recursion from e_0 = e^t, written as p repeated tail
+    integrations g_{q+1}(tau) = int_tau^inf g_q of
+    g_q(sigma) = e^(-lam sigma) e_q(x e^-sigma) (the log-variable Volterra
+    form) on one cached Chebyshev grid,
   * Hankel contour integral (separate branch-weighted form at positive
-    integer orders),
+    integer orders) on Gauss-Legendre panels from a memoized rule table,
   * Taylor shift in the lam variable and the geometric generating sum,
   * large-lam asymptotic expansion and the leading large-x behaviour.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .quadrature import _level_nodes
+from .quadrature import chebyshev_tail_rule, gauss_legendre
 from .result import (
     ContourResolutionError,
     ConvergenceError,
@@ -242,25 +245,79 @@ def eval_negint(p: int, lam, x) -> complex:
 # recursion route
 # ---------------------------------------------------------------------------
 
-_CHUNK = 2_000_000
+_PANEL_DEGREES = (8, 16, 32, 64, 128)
+_MAX_PANELS = 1024
 
 
-def _unit_nodes(level: int):
-    """tanh-sinh nodes/weights on (0, 1), exact tiny offsets at the 0 end."""
-    off_a, off_b, w = _level_nodes(level, previous_only_odd=False)
-    u = np.where(off_a <= off_b, 0.5 * off_a, 1.0 - 0.5 * off_b)
-    keep = (u > 0.0) & (u < 1.0)
-    return u[keep], 0.5 * w[keep]
+def _recursion_cutoff(p: int, lam: complex, x: complex, target: float, t_max: float):
+    """Cut-off T for the tail integrations and the bound on what it drops.
+
+    For sigma >= T, |e_q(x e^-sigma)| <= C_q = |lam|^-q + expm1(|x| e^-T)
+    (|n + lam| > 1 for n >= 1), so R_q = int_T^inf |g_q| <= C_q e^(-a T) / a
+    with a = Re lam. Dropping (T, inf) at every level moves g_p(0) by at
+    most sum_q R_q T^(p-1-q) / (p-1-q)!. T climbs a 1.1 ladder from 1/a
+    until that bound is <= target; returns (T, bound). Raises
+    ConvergenceError once T passes t_max.
+    """
+    a = lam.real
+    T = 1.0 / a
+    while T <= t_max:
+        spill = math.expm1(abs(x) * math.exp(-T))
+        try:
+            bound = sum(
+                (abs(lam) ** -q + spill) * T ** (p - 1 - q) / math.factorial(p - 1 - q)
+                for q in range(p)
+            ) * math.exp(-a * T) / a
+        except OverflowError:
+            bound = math.inf
+        if bound <= target:
+            return T, bound
+        T *= 1.1
+    raise ConvergenceError(
+        f"recursion route at p = {p}, lam = {lam} needs a cut-off beyond "
+        f"T = {t_max:.4g} (more than {_MAX_PANELS} panels)"
+    )
+
+
+def _tail_integrate(values, matrix, h):
+    """int_sigma^T of a function sampled on equal panels of length h.
+
+    values[k, j] sits at sigma = (k + (1 + t_j) / 2) h for the Chebyshev
+    points t_j of `matrix` (chebyshev_tail_rule); the result has the same
+    layout. Inside a panel the cumulative rule integrates up to the
+    panel's right end; the totals of the panels to the right follow as a
+    running sum.
+    """
+    local = (0.5 * h) * (values @ matrix.T)
+    right = np.cumsum(local[::-1, -1])[::-1]
+    local[:-1] += right[1:, None]
+    return local
 
 
 def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
-    """e_p(x, lam) by p nested integrations of e_{q+1} = x^-lam int t^(lam-1) e_q.
+    """e_p(x, lam) by p repeated tail integrations from e_0 = e^t.
 
-    Each level is normalized onto (0,1): e_{q+1}(x) = int_0^1 u^(lam-1)
-    e_q(x u) du, the straight segment from 0 to x with principal-branch
-    powers. Every recursion depth shares one tanh-sinh rule, evaluated on
-    the full product grid with numpy; the rule's level is raised until two
-    successive resolutions agree.
+    With g_q(sigma) = e^(-lam sigma) e_q(x e^-sigma), the nested integral
+    e_{q+1}(x e^-tau) = int_0^inf e^(-lam t) e_q(x e^-(tau+t)) dt reads
+    g_{q+1}(tau) = int_tau^inf g_q(sigma) dsigma, starting from
+    g_0(sigma) = e^(-lam sigma) exp(x e^-sigma); then e_p(x, lam) = g_p(0).
+
+    Every level lives on one grid over [0, T]: equal panels of length at
+    most min(2, 2/|lam|), each carrying the cached Chebyshev
+    cumulative-integration matrix of `quadrature.chebyshev_tail_rule`, so
+    a level is one matrix product plus a running sum of panel totals.
+    Panels keep rounding local: one rule over all of [0, T] spreads the
+    rounding of the large values near sigma = 0 over the whole interval,
+    and the p - 1 integrations that follow multiply it by up to
+    T^(p-1)/(p-1)!. The panel degree doubles from 8 to 128 until two
+    resolutions agree.
+
+    abs_err_estimate is the last difference between resolutions, plus the
+    bound on the integrals dropped beyond T, plus a rounding floor.
+    `work` counts e_0 evaluations on the shared grid, summed over the
+    resolutions tried. Raises ConvergenceError when Re lam is so small
+    that [0, T] needs more than 1024 panels, or when the largest degree
+    still disagrees with the one before.
     """
     if p < 1:
         raise DomainError("recursion route needs p >= 1")
@@ -269,39 +326,43 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
     if x == 0:
         raise DomainError("recursion route needs x != 0")
 
+    per_unit = max(0.5, abs(lam) / 2.0)  # panels per unit of sigma
+    T, dropped = _recursion_cutoff(p, lam, x, 0.1 * tol, _MAX_PANELS / per_unit)
+    panels = math.ceil(T * per_unit)
+    h = T / panels
+    starts = np.arange(panels)[:, None]
+
     work = 0
-
-    def level_value(level):
-        nonlocal work
-        u, w = _unit_nodes(level)
-        wu = w * np.exp((lam - 1.0) * np.log(u))
-
-        def e_rec(q, pts):
-            nonlocal work
-            if q == 0:
-                work += pts.size
-                return np.exp(pts)
-            out = np.empty(pts.shape, dtype=complex)
-            step = max(1, _CHUNK // max(1, u.size))
-            for i in range(0, pts.size, step):
-                block = pts[i : i + step]
-                grid = block[:, None] * u[None, :]
-                vals = e_rec(q - 1, grid.ravel()).reshape(grid.shape)
-                out[i : i + step] = vals @ wu
-            return out
-
-        return complex(e_rec(p, np.array([x], dtype=complex))[0])
-
     prev = None
-    err = math.inf
-    for level in range(4, 8 if p <= 2 else 7):
-        val = level_value(level)
+    diff = math.inf
+    for m in _PANEL_DEGREES:
+        t, matrix = chebyshev_tail_rule(m)
+        sigma = h * (starts + 0.5 * (1.0 + t))
+        arg = -lam * sigma + x * np.exp(-sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g0 = np.exp(arg)
+        if not np.all(np.isfinite(g0)):
+            raise ConvergenceError(f"e_0 overflows binary64 on the grid at x = {x}")
+        work += g0.size
+        g = g0
+        for _ in range(p):
+            g = _tail_integrate(g, matrix, h)
+        val = complex(g[0, -1])
         if prev is not None:
-            err = abs(val - prev)
-            if err <= max(tol, tol * abs(val)):
-                return EvalResult(val, err, work, "recursion")
+            diff = abs(val - prev)
+            if diff <= max(tol, tol * abs(val)):
+                # rounding floor: each e_0 value is off by ~eps |arg| relative,
+                # each level adds a few eps of the integral of |g|
+                scale = np.abs(g0) * (1.0 + np.abs(arg))
+                for _ in range(p):
+                    scale = _tail_integrate(scale, matrix, h)
+                floor = 4.0 * (p + 1) * _EPS * float(scale[0, -1])
+                return EvalResult(val, diff + dropped + floor, work, "recursion")
         prev = val
-    raise ConvergenceError(f"recursion route stalled at error {err:g} (tol {tol:g})")
+    raise ConvergenceError(
+        f"recursion route did not converge by panel degree {_PANEL_DEGREES[-1]}: "
+        f"last estimate {prev:.12g}, last difference {diff:g} (tol {tol:g})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +386,43 @@ class HankelContourSpec:
             raise ValueError("node counts must be >= 8")
 
 
+def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
+    """Bound on what cutting both rays at |z| = T drops from the contour
+    integral of z^(s-1) e^(lam z) e^(x e^z) [Log z], before the prefactor.
+
+    On the rays z = -u: |e^(lam z)| = e^(-Re lam u), |e^(x e^z)| <=
+    e^(|x| e^-T), |z^(s-1)| <= u^(Re s - 1) e^(pi |Im s|), and at positive
+    integer s the log weight adds |Log z| <= log u + pi; the u-integral is
+    taken as T / Re lam times the integrand at T. The factor 1/pi of two
+    rays over 2 pi is left out as margin.
+    """
+    bound = (
+        math.exp(-lam.real * T + abs(x) * math.exp(-T) + math.pi * abs(s.imag))
+        * max(T, 1.0) ** max(s.real - 1.0, 0.0)
+        * (T / lam.real)
+    )
+    if s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real):
+        bound *= math.log(T) + math.pi
+    return bound
+
+
 def default_contour(s, lam, x, tol: float = 1e-10) -> HankelContourSpec:
-    """epsilon = 1 and a truncation chosen so the discarded ray tail,
-    bounded via |e^(lam z)| <= e^(-Re lam * T) * e^(|x| e^(-T)), sits
-    below the error target."""
+    """epsilon = 1 and a truncation chosen so the discarded ray tail
+    (`_ray_tail_bound`) sits below the error target."""
     s, lam, x = complex(s), complex(lam), complex(x)
     T = max(30.0, abs(x) + abs(lam) + 30.0)
-    while True:
-        tail = (
-            math.exp(-lam.real * T + abs(x) * math.exp(-T))
-            * max(T, 1.0) ** max(s.real - 1.0, 0.0)
-            * (T / lam.real)
-        )
-        if tail <= 0.05 * tol or T > 1e5:
-            break
+    while _ray_tail_bound(s, lam, x, T) > 0.05 * tol and T <= 1e5:
         T *= 1.3
     return HankelContourSpec(epsilon=1.0, truncation=T)
 
 
 def _gauss_panel(f, a, b, n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre sum of f over [a, b] from the memoized rule
+    table; returns (integral, integral of |f| by the same rule)."""
+    nodes, weights = gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    t = mid + half * nodes
-    return complex(half * np.sum(f(t) * weights))
+    terms = f(mid + half * nodes) * weights
+    return complex(half * np.sum(terms)), float(half * np.sum(np.abs(terms)))
 
 
 def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
@@ -355,7 +430,10 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
 
     Rays carry arg z = -pi (lower) and +pi (upper); the circle runs theta
     from -pi to pi, all on the principal branch. Node counts double until
-    two refinements agree.
+    two refinements agree. Returns (value, last difference, rounding
+    floor, nodes used); the floor is 16 eps times the integral of the
+    integrand's modulus, the level at which cancellation on the circle
+    leaves the sum.
     """
     eps, T = contour.epsilon, contour.truncation
     vmax = math.log(T / eps)
@@ -379,19 +457,26 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
 
     n_ray, n_circ = contour.nodes_ray, contour.nodes_circle
     prev = None
+    diff = math.inf
     work = 0
-    for _ in range(8):
-        rays = _gauss_panel(ray_integrand, 0.0, vmax, n_ray)
-        circ = _gauss_panel(circle_integrand, -math.pi, math.pi, n_circ)
+    for doubling in range(8):
+        if doubling:
+            n_ray *= 2
+            n_circ *= 2
+        rays, rays_abs = _gauss_panel(ray_integrand, 0.0, vmax, n_ray)
+        circ, circ_abs = _gauss_panel(circle_integrand, -math.pi, math.pi, n_circ)
         total = (rays + circ) / (2j * math.pi)
+        floor = 16.0 * _EPS * (rays_abs + circ_abs) / (2.0 * math.pi)
         work += n_ray + n_circ
-        if prev is not None and abs(total - prev) <= max(tol, tol * abs(total)):
-            return total, abs(total - prev), work
+        if prev is not None:
+            diff = abs(total - prev)
+            if diff <= max(tol, tol * abs(total)):
+                return total, diff, floor, work
         prev = total
-        n_ray *= 2
-        n_circ *= 2
     raise ContourResolutionError(
-        f"contour refinements stalled; last difference {abs(total - prev):g}"
+        f"contour refinements stalled at {n_ray} ray + {n_circ} circle nodes: "
+        f"last estimate {total:.12g}, last difference {diff:g}, "
+        f"rounding floor {floor:g} (tol {tol:g})"
     )
 
 
@@ -404,7 +489,7 @@ def hankel_contour_integral(s, lam, kernel, contour=None, tol: float = 1e-10) ->
         raise DomainError("positive integer order needs the log-weighted form")
     if contour is None:
         contour = default_contour(s, lam, 0.0, tol)
-    raw, _, _ = _hankel_raw(s - 1.0, lam, kernel, contour, log_weight=False, tol=tol)
+    raw = _hankel_raw(s - 1.0, lam, kernel, contour, log_weight=False, tol=tol)[0]
     return gamma_fn(1.0 - s) * raw
 
 
@@ -433,14 +518,18 @@ def eval_hankel(s, lam, x, contour: HankelContourSpec | None = None, tol: float 
 
     if is_pos_int:
         m = int(s.real)
-        raw, diff, work = _hankel_raw(
+        raw, diff, floor, work = _hankel_raw(
             float(m - 1), lam, kernel, contour, log_weight=True, tol=tol
         )
-        value = raw * (-1.0) ** m / math.factorial(m - 1)
+        prefactor = (-1.0) ** m / math.factorial(m - 1)
     else:
-        raw, diff, work = _hankel_raw(s - 1.0, lam, kernel, contour, log_weight=False, tol=tol)
-        value = gamma_fn(1.0 - s) * raw
-        diff *= abs(gamma_fn(1.0 - s))
+        raw, diff, floor, work = _hankel_raw(
+            s - 1.0, lam, kernel, contour, log_weight=False, tol=tol
+        )
+        prefactor = gamma_fn(1.0 - s)
+    value = prefactor * raw
+    dropped = _ray_tail_bound(s, lam, x, contour.truncation)
+    diff, floor, dropped = (abs(prefactor) * e for e in (diff, floor, dropped))
 
     # consistency: real parameters must give a real value
     if s.imag == 0.0 and lam.imag == 0.0 and x.imag == 0.0:
@@ -449,7 +538,7 @@ def eval_hankel(s, lam, x, contour: HankelContourSpec | None = None, tol: float 
             raise ContourResolutionError(
                 f"ray contributions inconsistent: spurious imaginary part {value.imag:g}"
             )
-    return EvalResult(value, diff + 1e-15 * abs(value), work, "hankel")
+    return EvalResult(value, diff + floor + dropped, work, "hankel")
 
 
 # ---------------------------------------------------------------------------

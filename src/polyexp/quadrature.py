@@ -1,5 +1,10 @@
 """Quadrature engines.
 
+Two memoized rule tables, each built lazily on first use and handed out
+as read-only arrays: Gauss-Legendre nodes and weights (the Hankel
+contour panels) and the Chebyshev cumulative-integration matrix of the
+Clenshaw-Curtis rule (the recursion route's tail integrations).
+
 A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
 able to absorb integrable endpoint singularities, plus the semi-infinite
 driver used by the transform layer: double-exponential core on
@@ -12,6 +17,7 @@ truncation point is far enough out on its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,6 +28,81 @@ from .result import EvalResult, QuadratureError
 
 _HALF_PI = math.pi / 2.0
 _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _legendre_pair(n: int, x):
+    """(P_n(x), P_(n-1)(x)) by the three-term recurrence, n >= 1."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return cur, prev
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton iteration on P_n, evaluated by the three-term recurrence and
+    started from Tricomi's asymptotic roots, on the non-negative half;
+    the other half is its mirror image. Each sweep costs O(n^2) and
+    three or four sweeps suffice, so no n x n eigen-solve is needed and
+    n = 8192 builds in well under a second.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
+    for _ in range(20):
+        p_n, p_prev = _legendre_pair(n, x)
+        step = p_n * (1.0 - x) * (1.0 + x) / (n * (p_prev - x * p_n))
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    p_n, p_prev = _legendre_pair(n, x)
+    # w = 2 / ((1 - x^2) P_n'(x)^2), (1 - x^2) P_n'(x) = n (P_(n-1)(x) - x P_n(x))
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (p_prev - x * p_n)) ** 2
+    mid = n % 2
+    if mid:
+        x[-1] = 0.0  # the middle root
+    nodes = np.concatenate([-x, x[::-1][mid:]])
+    weights = np.concatenate([w, w[::-1][mid:]])
+    return _read_only(nodes, weights)
+
+
+@functools.lru_cache(maxsize=32)
+def chebyshev_tail_rule(m: int):
+    """Chebyshev points t_j = cos(j pi / m), j = 0..m (t_0 = 1, t_m = -1),
+    and the matrix S with (S f)_j = integral from t_j to 1 of the degree-m
+    interpolant of f at those points: the cumulative form of the
+    Clenshaw-Curtis rule (Numer. Math. 2, 1960). Row m holds the
+    Clenshaw-Curtis weights of the whole interval.
+
+    S = A D in closed form: D maps values to Chebyshev coefficients
+    (a DCT-I) and A[j, k] = integral from t_j to 1 of T_k.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    theta = math.pi * np.arange(m + 1) / m
+    t = np.cos(theta)
+    k = np.arange(2, m + 1)
+    a = np.empty((m + 1, m + 1))
+    a[:, 0] = 1.0 - t
+    a[:, 1] = 0.5 * (1.0 - t * t)
+    # T_k integrates to T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)) for k >= 2
+    a[:, 2:] = (1.0 - np.cos(np.outer(theta, k + 1))) / (2.0 * (k + 1)) - (
+        1.0 - np.cos(np.outer(theta, k - 1))
+    ) / (2.0 * (k - 1))
+    half_ends = np.ones(m + 1)
+    half_ends[[0, -1]] = 0.5
+    jk = np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)
+    d = (2.0 / m) * half_ends[:, None] * half_ends[None, :] * np.cos(math.pi * jk / m)
+    return _read_only(t, a @ d)
 
 
 def _level_nodes(level: int, previous_only_odd: bool):

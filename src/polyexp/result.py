@@ -10,7 +10,9 @@ class EvalResult:
     """Numeric value with an absolute-error estimate and bookkeeping.
 
     `work` counts series terms or quadrature nodes, whichever the producing
-    route consumed. `method` is the route tag; the core evaluation routes
+    route consumed; for the recursion route it counts evaluations of
+    e_0 on the shared grid, summed over the resolutions tried. `method`
+    is the route tag; the core evaluation routes
     use {series, closed_form, incgamma, ein, recursion, hankel,
     taylor_shift, asymptotic}, the transform layer uses quadrature tags.
     """

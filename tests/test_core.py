@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import time
 
 import pytest
 
@@ -24,10 +26,23 @@ from polyexp.core import (
     taylor_shift,
 )
 from polyexp.exact import phi_poly
-from polyexp.quadrature import tanh_sinh
+from polyexp.quadrature import gauss_legendre, tanh_sinh
 from polyexp.result import ContourResolutionError, ConvergenceError, DomainError, PoleError
 
 E = math.e
+
+
+def _mp_polyexp(s, lam, x):
+    """e_s(x, lam) from the defining series in mpmath at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s, lam, x = mp.mpc(s), mp.mpc(lam), mp.mpc(x)
+        total, term, n = mp.mpf(0), mp.mpf(1), 0
+        while n <= 2 * abs(x) + 10 or abs(term) > mp.mpf(10) ** -45:
+            total += term / (n + lam) ** s
+            n += 1
+            term *= x / n
+        return complex(total)
 
 
 # -- gamma -------------------------------------------------------------------
@@ -214,6 +229,42 @@ def test_recursion_rejects_x_zero():
         eval_via_recursion(1, 1, 0)
 
 
+def test_recursion_work_counts_grid_evaluations():
+    eval_via_recursion(3, 1, 1)  # fills the rule table
+    start = time.perf_counter()
+    res = eval_via_recursion(3, 1, 1)
+    elapsed = time.perf_counter() - start
+    assert res.work <= 2000
+    assert elapsed < 0.05
+
+
+def test_recursion_tiny_re_lam_raises_typed_error():
+    with pytest.raises(ConvergenceError, match="panels"):
+        eval_via_recursion(2, 1e-3, 1)
+
+
+_RECURSION_X = (-3.0, -1.2, 0.4, 1.5, 3.0, 3j, 2 - 2j, -1.5 + 1j)
+
+
+@pytest.mark.parametrize("p", range(1, 5))
+@pytest.mark.parametrize("lam", (0.3, 1.7, 0.5 + 0.5j, 3.0))
+def test_recursion_against_mpmath(p, lam):
+    tol = 1e-10
+    for x in _RECURSION_X:
+        res = eval_via_recursion(p, lam, x, tol=tol)
+        truth = _mp_polyexp(p, lam, x)
+        err = abs(res.value - truth)
+        assert err <= res.abs_err_estimate, (x, err, res.abs_err_estimate)
+        assert err <= tol * max(1.0, abs(truth)), (x, err)
+
+
+def test_estimates_cover_rounding_level_error():
+    s, lam, x = 2, 1.1151580434556896, -1.483537377268177
+    truth = _mp_polyexp(s, lam, x)
+    for res in (eval_via_recursion(s, lam, x), eval_hankel(s, lam, x)):
+        assert abs(res.value - truth) <= res.abs_err_estimate, res
+
+
 # -- Hankel -------------------------------------------------------------------------
 
 
@@ -237,6 +288,30 @@ def test_hankel_integer_log_form_matches_recursion():
 def test_hankel_near_integer_refused():
     with pytest.raises(ContourResolutionError):
         eval_hankel(2 + 1e-9, 1, 1)
+
+
+def test_hankel_reuses_rule_table():
+    eval_hankel(2.5, 1, 2.7)
+    before = gauss_legendre.cache_info()
+    eval_hankel(2.5, 1, 2.7)
+    after = gauss_legendre.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+@pytest.mark.parametrize("x", (8.0, 10.0))
+def test_hankel_large_x_ends_promptly(x):
+    # the unit circle carries e^(x e^z) up to e^(x e), far above the answer
+    start = time.perf_counter()
+    try:
+        res = eval_hankel(2.5, 1, x)
+    except ContourResolutionError as exc:
+        last = re.search(r"last difference ([^,]+),", str(exc))
+        assert last and float(last.group(1)) > 0.0, str(exc)
+    else:
+        truth = _mp_polyexp(2.5, 1, x)
+        assert abs(res.value - truth) <= 1e-9 * max(1.0, abs(truth))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_contour_spec_validation():

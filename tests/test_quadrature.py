@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from polyexp.quadrature import IntegrandHandle, QuadratureSpec, quad_semiinfinite, tanh_sinh
+from polyexp.quadrature import (
+    IntegrandHandle,
+    QuadratureSpec,
+    chebyshev_tail_rule,
+    gauss_legendre,
+    quad_semiinfinite,
+    tanh_sinh,
+)
 
 
 def test_finite_smooth():
@@ -95,3 +102,62 @@ def test_handle_validation():
         QuadratureSpec(target_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_refinements=31)
+
+
+# -- memoized rule tables -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7, 8, 16, 31, 32, 64, 100, 127, 128, 255, 256))
+def test_gauss_legendre_matches_leggauss(n):
+    nodes, weights = gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+
+
+def test_gauss_legendre_end_weights_against_mpmath():
+    # at n = 246 leggauss's end weights are off by 2e-14 (1.6e-10 relative);
+    # the Newton-built table stays at rounding level there
+    mp = pytest.importorskip("mpmath")
+    n = 246
+    nodes, weights = gauss_legendre(n)
+    with mp.workdps(40):
+        for j in list(range(6)) + [n // 2]:
+            t = mp.mpf(float(nodes[j]))
+            for _ in range(4):
+                prev, cur = mp.mpf(1), t
+                for k in range(2, n + 1):
+                    prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
+                t -= cur * (1 - t * t) / (n * (prev - t * cur))
+            prev, cur = mp.mpf(1), t
+            for k in range(2, n + 1):
+                prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
+            w = 2 * (1 - t * t) / (n * prev) ** 2
+            assert abs(nodes[j] - float(t)) <= 2e-16
+            assert abs(weights[j] - float(w)) <= 1e-15
+
+
+def test_gauss_legendre_large_n_integrates_polynomials():
+    nodes, weights = gauss_legendre(2048)
+    assert abs(weights.sum() - 2.0) < 1e-13
+    assert abs(np.dot(weights, nodes**10) - 2.0 / 11.0) < 1e-13
+
+
+def test_chebyshev_tail_rule_integrates_polynomials():
+    m = 16
+    t, matrix = chebyshev_tail_rule(m)
+    assert t[0] == 1.0 and t[-1] == -1.0
+    for k in (0, 1, 5, m):
+        exact = (1.0 - t ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(matrix @ t**k - exact)) < 1e-14
+    # the last row is the Clenshaw-Curtis rule: positive weights summing to 2
+    assert np.all(matrix[-1, :] > 0.0) and abs(matrix[-1, :].sum() - 2.0) < 1e-14
+
+
+def test_rule_tables_are_read_only_and_memoized():
+    tables = (*gauss_legendre(64), *chebyshev_tail_rule(32))
+    for array in tables:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert gauss_legendre(64)[0] is tables[0]
+    assert chebyshev_tail_rule(32)[1] is tables[3]
