@@ -10,7 +10,6 @@ big-rational arithmetic.
 """
 
 from .exact import (
-    BigRational,
     BivariatePoly,
     ExactPoly,
     bernoulli,
@@ -33,6 +32,7 @@ from .core import (
     eval_negint,
     eval_series,
     eval_via_recursion,
+    evaluate,
     gamma_fn,
     generating_sum,
     lower_inc_gamma,
@@ -87,12 +87,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # exact layer
-    "BigRational", "ExactPoly", "BivariatePoly", "bernoulli", "stirling2",
+    "ExactPoly", "BivariatePoly", "bernoulli", "stirling2",
     "phi_poly", "q_poly", "euler_poly", "faulhaber_poly", "exp_moment",
     "phi_antiderivative", "h_neg_closed_poly",
     # evaluation routes
     "EvalResult", "HankelContourSpec", "gamma_fn", "lower_inc_gamma", "ein",
-    "eval_series", "eval_negint", "eval_via_recursion", "eval_hankel",
+    "evaluate", "eval_series", "eval_negint", "eval_via_recursion", "eval_hankel",
     "taylor_shift", "generating_sum", "asymptotic_lambda", "asymptotic_x_leading",
     # quadrature + transforms
     "QuadratureSpec", "IntegrandHandle", "quad_semiinfinite", "tanh_sinh",

@@ -170,8 +170,8 @@ def _routes_for(s, lam, x):
     routes = {"series": core.eval_series(s, lam, x, tol=1e-13).value}
     s_c = complex(s)
     if s_c.imag == 0 and s_c.real <= 0 and s_c.real == int(s_c.real):
-        routes["negint"] = core.eval_negint(int(-s_c.real), lam, x)
-    if s_c.imag == 0 and s_c.real >= 1 and s_c.real == int(s_c.real) and x != 0:
+        routes["negint"] = core.eval_negint(int(-s_c.real), lam, x).value
+    if s_c.imag == 0 and s_c.real >= 1 and s_c.real == int(s_c.real):
         routes["recursion"] = core.eval_via_recursion(int(s_c.real), lam, x, tol=1e-10).value
     routes["hankel"] = core.eval_hankel(s, lam, x, tol=1e-10).value
     if s == 1.0 and complex(x).imag == 0 and complex(x).real < 0:

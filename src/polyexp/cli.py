@@ -17,27 +17,17 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import checks, core, mellin, series, transforms
 from .result import ParseError, PolyexpError
 from .mellin import PoleRegionError
 
-SUBCOMMANDS = ("eval", "zeta", "eta", "lerch", "mellin", "series", "check", "table")
-
-
-@dataclass
-class CommandConfig:
-    subcommand: str
-    parameters: dict = field(default_factory=dict)
-    output_format: str = "json"
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+def _positive_float(text: str) -> float:
+    """argparse type of --tolerance: a float > 0 (argparse exits 2 otherwise)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def parse_complex(text: str) -> complex:
@@ -103,37 +93,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--method", default="auto", choices=["auto", "series", "hankel", "recursion", "negint"]
     )
-    p_eval.add_argument("--tolerance", type=float, default=1e-12)
+    p_eval.add_argument("--tolerance", type=_positive_float, default=1e-12)
 
     p_zeta = sub.add_parser("zeta", help="Riemann zeta via the transform routes")
     p_zeta.add_argument("--s", required=True)
     p_zeta.add_argument("--method", default="eta", choices=["eta", "laplace"])
-    p_zeta.add_argument("--tolerance", type=float, default=1e-10)
+    p_zeta.add_argument("--tolerance", type=_positive_float, default=1e-10)
 
     p_eta = sub.add_parser("eta", help="alternating zeta eta(s, lambda)")
     p_eta.add_argument("--s", required=True)
     p_eta.add_argument("--lambda", dest="lam", default="1")
-    p_eta.add_argument("--tolerance", type=float, default=1e-10)
+    p_eta.add_argument("--tolerance", type=_positive_float, default=1e-10)
 
     p_lerch = sub.add_parser("lerch", help="Lerch transcendent Phi(x, s, lambda)")
     p_lerch.add_argument("--x", required=True)
     p_lerch.add_argument("--s", required=True)
     p_lerch.add_argument("--lambda", dest="lam", default="1")
-    p_lerch.add_argument("--tolerance", type=float, default=1e-10)
+    p_lerch.add_argument("--tolerance", type=_positive_float, default=1e-10)
 
     p_mellin = sub.add_parser("mellin", help="evaluate (1/2 pi i) int x^-s R(s) Gamma(s) ds")
     p_mellin.add_argument("--rational", required=True)
     p_mellin.add_argument("--x", type=float, required=True)
     p_mellin.add_argument("--c", type=float, required=True)
     p_mellin.add_argument("--verify", action="store_true")
-    p_mellin.add_argument("--tolerance", type=float, default=1e-9)
+    p_mellin.add_argument("--tolerance", type=_positive_float, default=1e-9)
 
     p_series = sub.add_parser("series", help="h_s(x, lambda, w) prefix series")
     p_series.add_argument("--s", required=True)
     p_series.add_argument("--lambda", dest="lam", default="1")
     p_series.add_argument("--w", default="1")
     p_series.add_argument("--x", required=True)
-    p_series.add_argument("--tolerance", type=float, default=1e-12)
+    p_series.add_argument("--tolerance", type=_positive_float, default=1e-12)
 
     p_check = sub.add_parser("check", help="run identity suites")
     p_check.add_argument(
@@ -147,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--lambda-range", dest="lambda_range", default="1:1:1")
     p_table.add_argument("--w", default="1")
     p_table.add_argument("--format", default="csv", choices=["csv", "json"])
-    p_table.add_argument("--tolerance", type=float, default=1e-10)
+    p_table.add_argument("--tolerance", type=_positive_float, default=1e-10)
     return parser
 
 
@@ -158,9 +148,8 @@ def _cmd_eval(args) -> str:
     tol = args.tolerance
     method = args.method
     if method == "auto":
-        is_nonpos_int = s.imag == 0 and s.real <= 0 and s.real == int(s.real)
-        method = "negint" if is_nonpos_int else "series"
-    if method == "series":
+        res = core.evaluate(s, lam, x, tol=tol)
+    elif method == "series":
         res = core.eval_series(s, lam, x, tol=tol)
     elif method == "hankel":
         res = core.eval_hankel(s, lam, x, tol=max(tol, 1e-11))
@@ -171,9 +160,7 @@ def _cmd_eval(args) -> str:
     else:  # negint
         if not (s.imag == 0 and s.real <= 0 and s.real == int(s.real)):
             raise PolyexpError("negint route needs a non-positive integer s")
-        p = int(-s.real)
-        value = core.eval_negint(p, lam, x)
-        res = core.EvalResult(value, 1e-15 * abs(value), p + 1, "closed_form")
+        res = core.eval_negint(int(-s.real), lam, x)
     return _result_json(res)
 
 
@@ -245,7 +232,7 @@ def _table_rows(args):
         for s in s_grid:
             for x in x_grid:
                 for lam in lam_grid:
-                    res = core.eval_series(s, lam, x, tol=min(tol, 1e-10))
+                    res = core.evaluate(s, lam, x, tol=min(tol, 1e-10))
                     yield header, [s, lam, x, res.value.real, res.value.imag, res.abs_err_estimate]
     else:  # h
         header = ["s", "lambda", "w", "x", "value_re", "value_im", "abs_err"]
@@ -306,12 +293,6 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        CommandConfig(
-            subcommand=args.subcommand,
-            parameters=vars(args),
-            output_format=getattr(args, "format", "json"),
-            tolerance=getattr(args, "tolerance", 1e-12),
-        )
         if args.subcommand == "eval":
             print(_cmd_eval(args))
         elif args.subcommand == "zeta":

@@ -4,6 +4,8 @@ Routes implemented here, each independently testable against the others:
 
   * direct series with an analytic factorial-tail bound,
   * closed form e^x * Q_p(x, lam) at non-positive integer orders,
+  * the positive integral of t^(s-1) e^(-lam t) e^(x e^-t) at large x < 0
+    (`evaluate` chooses among these three by a stated region map),
   * nested-integral recursion from e_0 = e^t, written as p repeated tail
     integrations g_{q+1}(tau) = int_tau^inf g_q of
     g_q(sigma) = e^(-lam sigma) e_q(x e^-sigma) (the log-variable Volterra
@@ -25,19 +27,19 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact
-from .quadrature import chebyshev_tail_rule, gauss_legendre
+from .quadrature import chebyshev_tail_rule, gauss_legendre, tanh_sinh
 from .result import (
     ContourResolutionError,
     ConvergenceError,
     DomainError,
     EvalResult,
     PoleError,
+    QuadratureError,
 )
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "rising_factorial",
     "lower_inc_gamma",
     "ein",
+    "evaluate",
     "eval_series",
     "series_tail_bound",
     "exp_weighted_series",
@@ -63,12 +66,8 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 DEFAULT_TOL = 1e-12
-
-
-def _series_cap(max_terms=None) -> int:
-    if max_terms is not None:
-        return int(max_terms)
-    return int(os.environ.get("POLYEXP_MAX_TERMS", "10000"))
+_MAX_TERMS = 10000  # series term cap unless the caller passes max_terms
+_INTEGRAL_X = 10.0  # evaluate: the positive integral for real x < -_INTEGRAL_X
 
 
 def _require_lam(lam: complex):
@@ -109,7 +108,10 @@ def gamma_fn(z: complex) -> complex:
     for i, c in enumerate(_LANCZOS[1:], start=1):
         acc += c / (z + i)
     t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    # t^(z+1/2) alone overflows near z = 171 before e^-t scales it down; two
+    # half powers keep pow's accuracy, which one exp((z+1/2) log t - t) loses
+    half = t ** (0.5 * z + 0.25)
+    return math.sqrt(2.0 * math.pi) * half * cmath.exp(-t) * half * acc
 
 
 def rising_factorial(s: complex, m: int) -> complex:
@@ -135,9 +137,8 @@ def series_tail_bound(s: complex, lam: complex, x: complex, n: int) -> float:
     """
     s, lam, x = complex(s), complex(lam), complex(x)
     g = math.exp(abs(s.imag) * math.pi / 2.0)
-    lead = abs(x) ** (n + 1) / math.factorial(min(n + 1, 170))
-    if n + 1 > 170:  # avoid factorial overflow; continue the quotient in logs
-        lead = math.exp((n + 1) * math.log(abs(x)) - math.lgamma(n + 2)) if x != 0 else 0.0
+    # in logs: |x|^(n+1) and (n+1)! overflow separately long before their quotient
+    lead = math.exp((n + 1) * math.log(abs(x)) - math.lgamma(n + 2)) if x != 0 else 0.0
     power = max(1.0, (n + 1 + lam.real) ** (-s.real))
     return lead * power * 2.0 * g
 
@@ -153,7 +154,7 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResu
     _require_lam(lam)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    cap = _series_cap(max_terms)
+    cap = _MAX_TERMS if max_terms is None else int(max_terms)
 
     acc = 0.0 + 0.0j
     sum_abs = 0.0
@@ -201,9 +202,8 @@ def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         # closed form e^((z-1)t) Q_p(z t, lam): the windowed sum would lose
         # everything to cancellation once (n+lam)^p amplifies the terms
-        p = int(-s.real)
-        value = cmath.exp((z - 1.0) * t) * complex(exact.q_poly(p)(z * t, lam))
-        return value, 8.0 * _EPS * abs(value) * (p + 1), p + 1
+        res = _closed_form(int(-s.real), lam, z * t, (z - 1.0) * t)
+        return res.value, res.abs_err_estimate, res.work
     m = t * abs(z)
     half_width = 12.0 * math.sqrt(m) + 60.0
     n_lo = int(max(0, math.floor(m - half_width)))
@@ -232,13 +232,84 @@ def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
 # ---------------------------------------------------------------------------
 
 
-def eval_negint(p: int, lam, x) -> complex:
+def _closed_form(p: int, lam: complex, y: complex, exponent: complex) -> EvalResult:
+    """e^exponent * Q_p(y, lam) with the exact polynomial evaluated in
+    binary64; the estimate 8 eps (p+1) |value| is its rounding level."""
+    value = cmath.exp(exponent) * complex(exact.q_poly(p)(y, lam))
+    return EvalResult(value, 8.0 * _EPS * (p + 1) * abs(value), p + 1, "closed_form")
+
+
+def eval_negint(p: int, lam, x) -> EvalResult:
     """e_{-p}(x, lam) = e^x * Q_p(x, lam), exact polynomial evaluated in binary64."""
     if p < 0:
         raise DomainError("p must be >= 0")
     lam, x = complex(lam), complex(x)
     _require_lam(lam)
-    return cmath.exp(x) * complex(exact.q_poly(p)(x, lam))
+    return _closed_form(p, lam, x, x)
+
+
+def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> EvalResult:
+    """e_s(-X, lam), X = big_x > 0, Re s > 0, from the positive integral
+    Gamma(s) e_s(-X, lam) = int_0^inf t^(s-1) e^(-lam t) e^(-X e^-t) dt.
+
+    |e^(-lam t) e^(-X e^-t)| peaks on t >= 0 at t_p = max(0, log(X/a)),
+    a = Re lam, where X e^-t_p = r = min(a, X); that peak value goes in
+    front, so the integrand is t^(s-1) exp(lam (t_p - t) - r expm1(t_p - t))
+    for any size of X and lam. The rule runs in t, keeping the t^(s-1)
+    singularity exactly on t = 0; below t_p - log(1490/a + 2) the
+    integrand is under e^-745 of its peak.
+    """
+    a = lam.real
+    t_peak = max(0.0, math.log(big_x / a))
+    r = min(a, big_x)
+    rate = a if lam.imag == 0.0 else lam  # real arithmetic for real parameters
+    power = s.real - 1.0 if s.imag == 0.0 else s - 1.0
+
+    def g(t):
+        d = t_peak - t
+        return t ** power * np.exp(rate * d - r * np.expm1(d))
+
+    # the integral's rough size; tanh_sinh turns relative above 1
+    target = tol * min(1.0, max(1.0, t_peak) ** (s.real - 1.0) / max(1.0, math.sqrt(a)))
+    t_lo = max(0.0, t_peak - math.log(1490.0 / a + 2.0))
+    span = 10.0 / max(a, 0.05)
+    while (s.real - 1.0) * math.log(t_peak + span) - a * span + r > math.log(target) - 3.0:
+        span *= 1.3
+    val, err, nodes, ok = tanh_sinh(g, t_lo, t_peak + span, target, max_level=11, vectorized=True)
+    if not ok:
+        raise QuadratureError(f"positive integral at x = {-big_x} stalled: last estimate "
+                              f"{val:.12g}, last difference {err:g} (target {target:g})")
+    exponent = -lam * t_peak - r
+    front = cmath.exp(exponent) / gamma_fn(s)
+    value = front * val
+    # rounding: the rule's sum, Gamma(s), and eps |exponent| from the front factor
+    estimate = abs(front) * (err + 0.05 * target) + (32.0 + 2.0 * abs(exponent)) * _EPS * abs(value)
+    return EvalResult(value, estimate, nodes, "positive_integral")
+
+
+def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
+    """e_s(x, lam) by the route that suits the arguments; the result's
+    `method` tag records the choice:
+
+      * s a non-positive integer: closed form (`eval_negint`), "closed_form";
+      * real x < -10, Re s > 0: the positive integral (`_positive_integral`),
+        "positive_integral"; there the alternating series' terms reach
+        e^|x| / sqrt(|x|) while the value decays like |x|^-lam;
+      * everything else: the series (`eval_series`), "series".
+
+    The Hankel route is no fallback: its unit circle cannot resolve large
+    |x|. The closed form ignores tol; the integral meets it relative to
+    its own scale.
+    """
+    s, lam, x = complex(s), complex(lam), complex(x)
+    _require_lam(lam)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
+        return eval_negint(int(-s.real), lam, x)
+    if x.imag == 0.0 and x.real < -_INTEGRAL_X and s.real > 0.0:
+        return _positive_integral(s, lam, -x.real, tol)
+    return eval_series(s, lam, x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +394,6 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
         raise DomainError("recursion route needs p >= 1")
     lam, x = complex(lam), complex(x)
     _require_lam(lam)
-    if x == 0:
-        raise DomainError("recursion route needs x != 0")
 
     per_unit = max(0.5, abs(lam) / 2.0)  # panels per unit of sigma
     T, dropped = _recursion_cutoff(p, lam, x, 0.1 * tol, _MAX_PANELS / per_unit)
@@ -596,15 +665,11 @@ def generating_sum(lam, x, z, terms: int, tol: float = DEFAULT_TOL) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_lambda(s, lam, x, order: int) -> EvalResult:
-    """Large-lam expansion e^x sum_n C(-s, n) lam^(-n-s) phi_n(x).
-
-    C(-s, n) is the generalized binomial built multiplicatively. The error
-    estimate is the magnitude of the first omitted term; the caller judges
-    whether lam is large enough for the expansion to help.
-    """
-    if order < 0 or order > 12:
-        raise DomainError("order must be in 0..12")
+def _lambda_expansion(s, lam, x, order: int, family) -> EvalResult:
+    """e^x sum_{n <= order} C(-s, n) lam^(-n-s) P_n(x) for the polynomial
+    family P_n = family(n); the error estimate is the magnitude of the
+    first omitted term. C(-s, n) is the generalized binomial built
+    multiplicatively."""
     s, lam, x = complex(s), complex(lam), complex(x)
     if lam == 0:
         raise DomainError("lam must be nonzero")
@@ -613,13 +678,21 @@ def asymptotic_lambda(s, lam, x, order: int) -> EvalResult:
     binom = 1.0 + 0.0j  # C(-s, n)
     loglam = cmath.log(lam)
     for n in range(order + 1):
-        phi_val = complex(exact.phi_poly(n)(x))
-        acc += binom * cmath.exp(-(n + s) * loglam) * phi_val
+        acc += binom * cmath.exp(-(n + s) * loglam) * complex(family(n)(x))
         binom *= (-s - n) / (n + 1)
-    omitted = binom * cmath.exp(-(order + 1 + s) * loglam) * complex(
-        exact.phi_poly(order + 1)(x)
-    )
+    omitted = binom * cmath.exp(-(order + 1 + s) * loglam) * complex(family(order + 1)(x))
     return EvalResult(ex * acc, abs(ex * omitted), order + 1, "asymptotic")
+
+
+def asymptotic_lambda(s, lam, x, order: int) -> EvalResult:
+    """Large-lam expansion e^x sum_n C(-s, n) lam^(-n-s) phi_n(x).
+
+    The error estimate is the magnitude of the first omitted term; the
+    caller judges whether lam is large enough for the expansion to help.
+    """
+    if order < 0 or order > 12:
+        raise DomainError("order must be in 0..12")
+    return _lambda_expansion(s, lam, x, order, exact.phi_poly)
 
 
 def asymptotic_x_leading(s, lam, x, sign: int) -> complex:
@@ -656,7 +729,8 @@ def asymptotic_x_leading(s, lam, x, sign: int) -> complex:
 
 
 def lower_inc_gamma(lam, x) -> complex:
-    """gamma(lam, x) = integral_0^x t^(lam-1) e^(-t) dt via x^lam e_1(-x, lam)."""
+    """gamma(lam, x) = integral_0^x t^(lam-1) e^(-t) dt via x^lam e_1(-x, lam)
+    (`evaluate`: the series up to x = 10, the positive integral beyond)."""
     lam = complex(lam)
     x = float(x)
     _require_lam(lam)
@@ -664,7 +738,7 @@ def lower_inc_gamma(lam, x) -> complex:
         raise DomainError("x must be >= 0")
     if x == 0.0:
         return 0.0 + 0.0j
-    return cmath.exp(lam * math.log(x)) * eval_series(1.0, lam, -x).value
+    return cmath.exp(lam * math.log(x)) * evaluate(1.0, lam, -x).value
 
 
 def ein(z) -> complex:

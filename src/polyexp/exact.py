@@ -24,12 +24,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence, Union
 
-BigRational = Fraction
-
 Scalar = Union[Fraction, int, float, complex]
 
 __all__ = [
-    "BigRational",
     "ExactPoly",
     "BivariatePoly",
     "bernoulli",

@@ -694,8 +694,10 @@ def eval_expression(expr: MellinExpression, x: float, tol: float = 1e-10) -> Eva
             acc += complex(a) * complex(phi_poly(k)(-x))
         value += math.exp(-x) * acc
         work += len(expr.exp_poly)
+    # each term's error is weighted by |coeff|, so the budget splits by them
+    inner_tol = tol / max(1.0, sum(abs(t.coeff) for t in expr.terms))
     for t in expr.terms:
-        inner = core.eval_series(float(t.order), t.lam, -x, tol=tol / max(1, len(expr.terms)))
+        inner = core.evaluate(float(t.order), t.lam, -x, tol=inner_tol)
         value += t.coeff * inner.value
         err += abs(t.coeff) * inner.abs_err_estimate
         work += inner.work

@@ -13,8 +13,10 @@ class EvalResult:
     route consumed; for the recursion route it counts evaluations of
     e_0 on the shared grid, summed over the resolutions tried. `method`
     is the route tag; the core evaluation routes
-    use {series, closed_form, incgamma, ein, recursion, hankel,
-    taylor_shift, asymptotic}, the transform layer uses quadrature tags.
+    use {series, closed_form, positive_integral, incgamma, ein, recursion,
+    hankel, taylor_shift, asymptotic}, the transform layer uses quadrature
+    tags. "positive_integral" (`core.evaluate` at real x < -10, Re s > 0)
+    counts tanh-sinh nodes in `work`.
     """
 
     value: complex

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import core, exact, transforms
+from .core import _EPS
 from .quadrature import tanh_sinh
 from .result import ConvergenceError, DomainError, EvalResult, QuadratureError
 
@@ -35,8 +36,6 @@ __all__ = [
     "h_asymptotic_lambda",
 ]
 
-_EPS = 2.220446049250313e-16
-
 
 @dataclass(frozen=True)
 class HSeriesParams:
@@ -50,8 +49,7 @@ class HSeriesParams:
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "w", complex(self.w))
         object.__setattr__(self, "x", complex(self.x))
-        if self.lam.real <= 0:
-            raise DomainError("Re lam must be positive")
+        core._require_lam(self.lam)
         if abs(self.w) > 1.0 + 1e-12:
             raise DomainError("|w| must be <= 1")
 
@@ -227,18 +225,4 @@ def h_asymptotic_lambda(s, lam, x, order: int) -> EvalResult:
     first-omitted-term error estimate."""
     if order < 0 or order > 10:
         raise DomainError("order must be in 0..10")
-    s, lam, x = complex(s), complex(lam), complex(x)
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    ex = cmath.exp(x)
-    loglam = cmath.log(lam)
-    acc = 0.0 + 0.0j
-    binom = 1.0 + 0.0j
-    for n in range(order + 1):
-        anti = complex(exact.phi_antiderivative(n)(x))
-        acc += binom * cmath.exp(-(n + s) * loglam) * anti
-        binom *= (-s - n) / (n + 1)
-    omitted = binom * cmath.exp(-(order + 1 + s) * loglam) * complex(
-        exact.phi_antiderivative(order + 1)(x)
-    )
-    return EvalResult(ex * acc, abs(ex * omitted), order + 1, "asymptotic")
+    return core._lambda_expansion(s, lam, x, order, exact.phi_antiderivative)

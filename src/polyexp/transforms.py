@@ -85,8 +85,7 @@ def lerch_phi(x, s, lam, tol: float = 1e-10) -> EvalResult:
     Domain: |x| < 1 for any s, or |x| <= 1 with Re s > 1.
     """
     x, s, lam = complex(x), complex(s), complex(lam)
-    if lam.real <= 0:
-        raise DomainError("Re lam must be positive")
+    core._require_lam(lam)
     if abs(x) >= 1.0 + 1e-14 or (abs(x) > 1.0 - 1e-14 and s.real <= 1.0):
         raise DomainError(
             f"lerch_phi needs |x| < 1, or |x| <= 1 with Re s > 1; got x={x}, s={s}"
@@ -106,8 +105,7 @@ def hurwitz_zeta(s, lam, tol: float = 1e-10) -> EvalResult:
     s, lam = complex(s), complex(lam)
     if s.real <= 1.0:
         raise DomainError("hurwitz_zeta integral converges only for Re s > 1")
-    if lam.real <= 0:
-        raise DomainError("Re lam must be positive")
+    core._require_lam(lam)
     return _laplace_weighted(s, lam, 1.0, tol)
 
 
@@ -118,8 +116,7 @@ def eta(s, lam, tol: float = 1e-10) -> EvalResult:
     integral converges for every complex s.
     """
     s, lam = complex(s), complex(lam)
-    if lam.real <= 0:
-        raise DomainError("Re lam must be positive")
+    core._require_lam(lam)
     return _laplace_weighted(s, lam, -1.0, tol)
 
 
@@ -156,42 +153,6 @@ def riemann_zeta(s, tol: float = 1e-10, method: str = "auto") -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _polyexp_neg_large_x(p: int, lam: complex, x: float, tol: float) -> complex:
-    """e_p(-x, lam) for large x > 0, p >= 1, without cancellation.
-
-    Gamma(p) e_p(-x, lam) = integral_0^inf t^(p-1) e^(-lam t) e^(-x e^(-t)) dt.
-    Substituting t = log x + v and pulling x^(-lam) out front leaves an
-    O(1)-scaled bump supported on v in (-7, ~40/Re lam) whatever the size
-    of x (the e^(-e^(-v)) factor is identically zero in binary64 below
-    v = -7), so the inner rule needs no x-dependent tolerance gymnastics.
-    """
-    lx = math.log(x)
-
-    def g(v):
-        return np.exp(-lam * v) * np.exp(-np.exp(-v)) * (v + lx) ** (p - 1)
-
-    scale = max(1.0, lx) ** (p - 1)
-    v_lo = max(-7.0, -lx)
-    v_hi = 10.0 / max(lam.real, 0.05)
-    while (p - 1) * math.log(v_hi + lx) - lam.real * v_hi > math.log(tol * scale) - 3.0:
-        v_hi *= 1.3
-    val, _, _, ok = tanh_sinh(g, v_lo, v_hi, tol * scale, max_level=11, vectorized=True)
-    if not ok:
-        raise QuadratureError("inner large-x polyexponential quadrature stalled")
-    return cmath.exp(-lam * lx) * val / core.gamma_fn(float(p))
-
-
-_X_SWITCH = 10.0  # below: direct series; above: the flipped integral
-
-
-def _polyexp_neg(p: int, lam: complex, x: float, tol: float) -> complex:
-    if p == 0:
-        return math.exp(-x)
-    if x <= _X_SWITCH:
-        return core.eval_series(float(p), lam, -x, tol=tol).value
-    return _polyexp_neg_large_x(p, lam, x, tol)
-
-
 def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     """integral_0^inf x^(s-1) e_p(-x, lam) dx on the strip 0 < Re s < Re lam.
 
@@ -199,7 +160,7 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     x = e^u, where both tails decay exponentially (rates Re s on the left
     and Re(lam - s) on the right); e_p(-x, lam) at large x comes from its
     own positive-integrand representation, since the alternating series is
-    hopeless there.
+    hopeless there (`core.evaluate`; the panels split where it switches).
     """
     s, lam = complex(s), complex(lam)
     if p < 0:
@@ -210,10 +171,10 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
 
     def g(u):
         x = math.exp(u)
-        return cmath.exp(s * u) * _polyexp_neg(p, lam, x, inner_tol)
+        return cmath.exp(s * u) * core.evaluate(p, lam, -x, inner_tol).value
 
     # truncation points from the exponential envelopes in u
-    u_mid = math.log(_X_SWITCH)
+    u_mid = math.log(core._INTEGRAL_X)
     u_left = -(-math.log(tol / 6.0) + abs(p) * 2.0 + 5.0) / s.real
     rate_right = lam.real - s.real
     u_right = (-math.log(tol / 6.0) + 5.0) / rate_right
@@ -239,8 +200,7 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
     if p < 1:
         raise DomainError("vanishing moments are stated for p >= 1")
     lam = complex(lam)
-    if lam.real <= 0:
-        raise DomainError("Re lam must be positive")
+    core._require_lam(lam)
     # collapse Q_p at this lam once: coefficients in x
     q = exact.q_poly(p)
     coeffs = [
@@ -273,8 +233,7 @@ def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     s, lam, x = complex(s), complex(lam), complex(x)
     if s.real <= 0:
         raise DomainError("need Re s > 0")
-    if lam.real <= 0:
-        raise DomainError("Re lam must be positive")
+    core._require_lam(lam)
 
     def f(t):
         return cmath.exp((s - 1.0) * math.log(t)) * cmath.exp(-lam * t) * cmath.exp(
@@ -303,8 +262,7 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     x = float(x)
     if s.real <= 1:
         raise DomainError("need Re s > 1")
-    if lam.real <= 0:
-        raise DomainError("Re lam must be positive")
+    core._require_lam(lam)
     ex = math.exp(x)
 
     def f(t):

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from polyexp.cli import CommandConfig, parse_complex, parse_range, run
+from polyexp.cli import parse_complex, parse_range, run
 
 
 def invoke(capsys, *argv):
@@ -45,11 +45,15 @@ def test_parse_range():
         parse_range("1:2:0")
 
 
-def test_command_config_validation():
-    with pytest.raises(ValueError):
-        CommandConfig(subcommand="nope")
-    with pytest.raises(ValueError):
-        CommandConfig(subcommand="eval", tolerance=-1.0)
+def test_command_config_validation(capsys):
+    base = ("eval", "--s", "1", "--lambda", "1", "--x", "1")
+    for tol in ("-1", "0", "-0.0", "nan"):
+        code, _, err = invoke(capsys, *base, "--tolerance", tol)
+        assert code == 2 and "tolerance" in err
+    code, _, _ = invoke(capsys, "zeta", "--s", "2", "--tolerance", "0")
+    assert code == 2
+    code, _, _ = invoke(capsys, "nope", "--s", "1")
+    assert code == 2
 
 
 # -- eval --------------------------------------------------------------------------
@@ -92,6 +96,15 @@ def test_eval_negint_method(capsys):
 
     expect = math.exp(2.0) * complex(q_poly(2)(2.0, 1.5))
     assert abs(complex(*json.loads(out)["value"]) - expect) < 1e-10
+
+
+def test_eval_auto_large_negative_x(capsys):
+    # e_1(-40, 1) = (1 - e^-40)/40; the series alone returns 0.0464 here
+    code, out, _ = invoke(capsys, "eval", "--s", "1", "--lambda", "1", "--x", "-40")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "positive_integral"
+    assert abs(data["value"][0] - 0.025) < 1e-12
 
 
 def test_eval_flag_errors(capsys):
@@ -263,7 +276,9 @@ def test_table_output_17_digits(capsys):
     assert len(rows[1][1].replace("-", "").replace(".", "").lstrip("0")) >= 16
 
 
-def test_env_term_cap_respected(capsys, monkeypatch):
-    monkeypatch.setenv("POLYEXP_MAX_TERMS", "5")
-    code, _, err = invoke(capsys, "eval", "--s", "2", "--lambda", "1", "--x", "30", "--method", "series")
+def test_eval_term_cap_exit_code(capsys):
+    # x = 30000 needs more terms than the 10000-term cap
+    code, _, err = invoke(
+        capsys, "eval", "--s", "2", "--lambda", "1", "--x", "30000", "--method", "series"
+    )
     assert code == 3 and "terms" in err

@@ -13,6 +13,7 @@ from polyexp.core import (
     asymptotic_x_leading,
     default_contour,
     ein,
+    evaluate,
     eval_hankel,
     eval_negint,
     eval_series,
@@ -52,6 +53,13 @@ def test_gamma_known_values():
     assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-14
     assert abs(gamma_fn(5.0) - 24.0) < 1e-12
     assert abs(gamma_fn(2.5) - 0.75 * math.sqrt(math.pi)) < 1e-14
+
+
+def test_gamma_near_overflow():
+    # t^(z+1/2) alone overflows here; the value itself fits in binary64.
+    # Bound: a few eps times log Gamma(z) ~ 700, the rounding of the powers
+    for z in (171.5, 170.2, 150.0, -170.5):
+        assert abs(gamma_fn(z) - math.gamma(z)) <= 4e-13 * abs(math.gamma(z))
 
 
 def test_gamma_poles():
@@ -115,12 +123,19 @@ def test_series_rejects_bad_domain():
         eval_series(1, 1.0, 1, tol=-1)
 
 
-def test_series_term_cap(monkeypatch):
+def test_series_term_cap():
     with pytest.raises(ConvergenceError):
         eval_series(1, 1, 400.0, max_terms=100)
-    monkeypatch.setenv("POLYEXP_MAX_TERMS", "100")
-    with pytest.raises(ConvergenceError):
-        eval_series(1, 1, 400.0)
+    # x = 30000 needs more than the default 10000 terms
+    with pytest.raises(ConvergenceError, match="10000 terms"):
+        eval_series(1, 1, 30000.0)
+
+
+def test_series_large_x_no_overflow():
+    # the tail bound's |x|^(n+1) alone overflows binary64 here
+    res = eval_series(2, 1, 200.0)
+    truth = _mp_polyexp(2, 1, 200)
+    assert abs(res.value - truth) <= 1e-13 * abs(truth)
 
 
 @pytest.mark.parametrize("s", [-2, -0.5, 0.5, 2, 2.5 + 0.5j])
@@ -189,10 +204,10 @@ def test_exp_weighted_alternating_no_blowup():
 
 
 def test_negint_values():
-    assert abs(eval_negint(1, 1, 1) - 2 * E) < 1e-13
-    assert abs(eval_negint(2, 1, 1) - 5 * E) < 1e-13
+    assert abs(eval_negint(1, 1, 1).value - 2 * E) < 1e-13
+    assert abs(eval_negint(2, 1, 1).value - 5 * E) < 1e-13
     for lam, x in ((1.0, 0.3), (2.5, -1.0), (0.5 + 0.5j, 1j)):
-        assert abs(eval_negint(0, lam, x) - cmath.exp(x)) < 1e-13
+        assert abs(eval_negint(0, lam, x).value - cmath.exp(x)) < 1e-13
 
 
 def test_negint_matches_series():
@@ -200,7 +215,7 @@ def test_negint_matches_series():
         for lam in (1.0, 1.7):
             for x in (-2.0, 0.5, 3.0):
                 series = eval_series(-p, lam, x, tol=1e-13).value
-                closed = eval_negint(p, lam, x)
+                closed = eval_negint(p, lam, x).value
                 assert abs(series - closed) <= 1e-10 * max(1.0, abs(closed))
 
 
@@ -224,9 +239,14 @@ def test_recursion_p3_matches_series():
     assert abs(res.value - ref) < 1e-9
 
 
-def test_recursion_rejects_x_zero():
-    with pytest.raises(DomainError):
-        eval_via_recursion(1, 1, 0)
+def test_recursion_at_x_zero():
+    # e_p(0, lam) = lam^-p; the tail integrations need no x != 0
+    for p in (1, 2, 3, 4):
+        for lam in (0.3, 1.0, 1.7, 3.0, 0.5 + 0.5j):
+            res = eval_via_recursion(p, lam, 0.0, tol=1e-10)
+            err = abs(res.value - complex(lam) ** -p)
+            assert err <= 1e-11 * max(1.0, abs(complex(lam) ** -p))
+            assert err <= res.abs_err_estimate
 
 
 def test_recursion_work_counts_grid_evaluations():
@@ -412,6 +432,47 @@ def test_asymptotic_x_trend_s2():
 # -- incomplete gamma, Ein ---------------------------------------------------------------
 
 
+# -- route chooser ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "s, lam, x, method",
+    [
+        (1, 1, -40, "positive_integral"),
+        (1.5, 0.7, -25, "positive_integral"),
+        (2 + 1j, 1, -30, "positive_integral"),
+        (0.3, 0.4, -15, "positive_integral"),
+        (-2, 1.3, 0.7 + 0.2j, "closed_form"),
+        (0.5, 1, 2, "series"),
+    ],
+)
+def test_evaluate_regions(s, lam, x, method):
+    res = evaluate(s, lam, x)
+    truth = _mp_polyexp(s, lam, x)
+    assert res.method == method
+    err = abs(res.value - truth)
+    assert err <= 1e-12 * abs(truth)
+    assert err <= res.abs_err_estimate
+
+
+def test_evaluate_region_boundaries():
+    assert evaluate(1, 1, -10.0).method == "series"
+    assert evaluate(1, 1, -10.5 + 1e-3j).method == "series"
+    assert evaluate(-0.5, 1, -20.0).method == "series"
+    assert evaluate(0, 1, -20.0).method == "closed_form"
+    with pytest.raises(DomainError):
+        evaluate(1, 1, -20.0, tol=0.0)
+    with pytest.raises(DomainError):
+        evaluate(1, -1, -20.0)
+
+
+def test_lower_inc_gamma_large_x():
+    assert abs(lower_inc_gamma(1.0, 40.0) - (1.0 - math.exp(-40.0))) < 1e-14
+    mp = pytest.importorskip("mpmath")
+    truth = float(mp.gammainc(2.5, 0, 30))
+    assert abs(lower_inc_gamma(2.5, 30.0) - truth) <= 1e-13 * truth
+
+
 def test_lower_inc_gamma_values():
     assert abs(lower_inc_gamma(1.0, 1.0) - (1 - 1 / E)) < 1e-14
     assert lower_inc_gamma(2.5, 0.0) == 0.0
@@ -488,4 +549,4 @@ def test_x_zero_all_routes():
     expect = lam ** (-s)
     assert abs(eval_series(s, lam, 0).value - expect) < 1e-13
     assert abs(eval_hankel(s, lam, 0, tol=1e-10).value - expect) < 1e-8
-    assert abs(eval_negint(0, lam, 0) - 1.0) < 1e-14
+    assert abs(eval_negint(0, lam, 0).value - 1.0) < 1e-14

@@ -228,6 +228,25 @@ def test_round_trip_symbolic_vs_line_integral(text, x):
     assert abs(symbolic.value - oracle.value) < 1e-6
 
 
+def test_expression_large_coefficients_meet_tol():
+    # residue coefficients 54, 224 and 379: the inner tolerance must be
+    # split by their sum, not by the number of terms
+    mp = pytest.importorskip("mpmath")
+    text, x, c = "(s^5+s^4-3*s^3+3*s-2)/((2.25-s)*(3.25-s)^2)", 0.26, 1.0
+    res = eval_expression(eval_theorem63(parse_rational(text), c), x, tol=1e-10)
+
+    def integrand(y):
+        s = c + 1j * y
+        return mp.mpf(x) ** -s * (s**5 + s**4 - 3 * s**3 + 3 * s - 2) / (
+            (mp.mpf(2.25) - s) * (mp.mpf(3.25) - s) ** 2
+        ) * mp.gamma(s)
+
+    with mp.workdps(20):  # |Gamma(1 + iy)| < 1e-26 beyond |y| = 40
+        truth = complex(mp.quad(integrand, [-40, -10, 0, 10, 40]) / (2 * mp.pi))
+    assert abs(res.value - truth) <= 1e-10
+    assert abs(res.value - truth) <= res.abs_err_estimate
+
+
 def test_linearity():
     r1 = parse_rational("1/(2-s)")
     r2 = parse_rational("s^2")
