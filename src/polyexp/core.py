@@ -18,7 +18,7 @@ Routes implemented here, each independently testable against the others:
 Also houses the gamma kernel (Lanczos + reflection), the lower incomplete
 gamma via the s = 1 series, the entire function Ein, and a numerically
 stable evaluator for the weighted products e^(-t) e_s(z t, lam) that the
-transform layer integrates.
+transform layer integrates, a whole array of quadrature nodes per call.
 
 All powers (n+lam)^s, t^(lam-1), z^(s-1) are principal-branch.
 """
@@ -26,13 +26,15 @@ All powers (n+lam)^s, t^(lam-1), z^(s-1) are principal-branch.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact
-from .quadrature import chebyshev_tail_rule, gauss_legendre, tanh_sinh
+from .quadrature import _read_only, chebyshev_tail_rule, gauss_legendre, tanh_sinh
 from .result import (
     ContourResolutionError,
     ConvergenceError,
@@ -182,49 +184,201 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResu
     return EvalResult(acc, err, n + 1, "series")
 
 
+class _GrowingTable:
+    """Read-only arrays indexed by n = 0, 1, ..., grown by doubling under a
+    lock: `grow(old, size)` returns the arrays for n < size (old is the
+    current tuple, or None at first use)."""
+
+    def __init__(self, grow):
+        self._grow = grow
+        self._arrays = None
+        self._lock = threading.Lock()
+
+    def upto(self, size: int):
+        arrays = self._arrays
+        if arrays is None or len(arrays[0]) < size:
+            with self._lock:
+                arrays = self._arrays
+                if arrays is None or len(arrays[0]) < size:
+                    have = 0 if arrays is None else len(arrays[0])
+                    arrays = _read_only(*self._grow(arrays, max(size, 2 * have, 64)))
+                    self._arrays = arrays
+        return arrays
+
+
+def _grow_log_norm(old, size):
+    """lgamma(n+1) - n log n + n = log sqrt(2 pi n) + Stirling's error for
+    n < size (0 at n = 0): the log-factorial without its n log n - n part,
+    which the kernel folds into a cancellation-free log1p (Loader, 2000)."""
+    have = 0 if old is None else len(old[0])
+    n = np.arange(have, size, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / n
+        inv2 = inv * inv
+        # Stirling's series, truncated after n^-9: below eps from n = 16 on
+        series = 0.5 * np.log(2.0 * math.pi * n) + inv * (
+            1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))
+        )
+    small = [math.lgamma(k + 1) - k * math.log(k) + k if k else 0.0 for k in range(have, min(size, 16))]
+    series[: len(small)] = small
+    return (series,) if old is None else (np.concatenate([old[0], series]),)
+
+
+_LOG_NORM = _GrowingTable(_grow_log_norm)
+
+
+@functools.lru_cache(maxsize=4)
+def _coefficients(s: complex, lam: complex, theta: float) -> _GrowingTable:
+    """Table of c_n = (n+lam)^-s e^(i n theta) and |c_n|, the factors of
+    e^(-t) e_s(z t, lam) that do not depend on t (theta = arg z); real
+    arrays when every c_n is real."""
+    real = s.imag == 0.0 and lam.imag == 0.0 and theta in (0.0, math.pi)
+
+    def grow(old, size):
+        have = 0 if old is None else len(old[0])
+        n = np.arange(have, size)
+        if real:
+            c = np.exp(-s.real * np.log(n + lam.real))
+            if theta:
+                c[n % 2 == 1] *= -1.0
+        else:
+            c = np.exp(-s * np.log(n + lam) + 1j * theta * n)
+        if old is not None:
+            c = np.concatenate([old[0], c])
+        return c, np.abs(c)
+
+    return _GrowingTable(grow)
+
+
+_CHUNK = 4096  # terms per pass of the windowed kernel, so memory stays flat
+
+
 def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
-    """Stable e^(-t) * e_s(z*t, lam) for t >= 0, |z| <= ~1.
+    """Stable e^(-t) * e_s(z*t, lam) for t >= 0, |z| <= ~1; t a number or
+    a numpy array of nodes.
 
     The naked series overflows binary64 once t exceeds ~700 and, for
-    oscillating z, its terms dwarf the weighted result; here every term
-    carries the e^(-t) weight in log scale, so magnitudes stay bounded by
-    e^((|z|-1)t). For large t*|z| only the Poisson window around n = t|z|
-    is summed. Returns (value, abs_err, nterms).
+    oscillating z, its terms dwarf the weighted result. Here term n is
+    exp(log P(n; m) + m - t) c_n, with P(n; m) = m^n e^-m / n! the Poisson
+    weight at m = t|z| and c_n = (n+lam)^-s e^(i n arg z) read from a table
+    memoized on (s, lam, arg z); log P comes from Loader's form
+    -(n log1p((n-m)/m) - (n-m)) - lgamma(n+1) + n log n - n, which stays
+    accurate to a few eps relative even at m ~ 1e4. Only the window
+    [n_lo, n_hi] around n = m is summed, chosen from tol: the dropped
+    sides are bounded by the Poisson tails (Chernoff below n_lo,
+    P(N <= m - k) <= exp(-k^2 / 2m); Bennett above n_hi,
+    P(N >= m + k) <= exp(-m h(k/m)), h(u) = (1+u) log(1+u) - u, which
+    also covers the growth of |c_n| for Re s < 0) times the largest |c_n|
+    on the dropped side, and each side is kept near tol times
+    min(1, scale) with the node's scale e^(m-t) |c_floor(m)|, about the
+    sum of |terms|. The bound is relative where the scale is small (the
+    Hurwitz tail nodes reach t ~ 5000, where values are ~1e-13) and
+    absolute where it is large (at Re s < 0 the terms reach t^|Re s| and
+    cancel far below it). The windows of all nodes are laid out in one
+    flat array without padding and summed in chunks of a few thousand
+    terms.
+
+    Non-positive integer s goes to the closed form e^((z-1)t) Q_p(z t, lam):
+    the windowed sum would lose everything to cancellation once (n+lam)^p
+    amplifies the terms.
+
+    Returns (value, abs_err, nterms): value and abs_err are numbers for a
+    number t and arrays for an array t, nterms is the total number of
+    terms. abs_err adds the dropped-tail bound to the rounding level of
+    the summed terms.
     """
     s, lam, z = complex(s), complex(lam), complex(z)
-    t = float(t)
     _require_lam(lam)
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    if t == 0.0 or z == 0:
-        value = cmath.exp(-s * cmath.log(lam)) * math.exp(-t)
-        return value, 4.0 * _EPS * abs(value), 1
+    scalar = np.ndim(t) == 0
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise DomainError("t must be finite and >= 0")
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        # closed form e^((z-1)t) Q_p(z t, lam): the windowed sum would lose
-        # everything to cancellation once (n+lam)^p amplifies the terms
-        res = _closed_form(int(-s.real), lam, z * t, (z - 1.0) * t)
-        return res.value, res.abs_err_estimate, res.work
-    m = t * abs(z)
-    half_width = 12.0 * math.sqrt(m) + 60.0
-    n_lo = int(max(0, math.floor(m - half_width)))
-    n_hi = int(math.ceil(m + half_width))
-    ns = np.arange(n_lo, n_hi + 1)
-    # log weights ln(t|z|^n / n!) - t, anchored with one lgamma call
-    logm = math.log(m)
-    if n_lo == 0:
-        lgam = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
+        p = int(-s.real)
+        values, errs = _closed_form(p, lam, z * t, (z - 1.0) * t)
+        total = (p + 1) * t.size
     else:
-        base = math.lgamma(n_lo + 1)
-        lgam = base + np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
-    logw = ns * logm - t - lgam
-    phase = ns * cmath.phase(z)
-    powers = np.exp(-s * np.log(ns + lam))
-    terms = np.exp(logw + 1j * phase) * powers
-    value = complex(terms.sum())
-    sum_abs = float(np.abs(terms).sum())
-    edge = (abs(terms[0]) + abs(terms[-1])) * len(ns)
-    err = 2.0 * _EPS * sum_abs + edge
-    return value, err, len(ns)
+        values, errs, total = _poisson_windows(s, lam, z, t, tol)
+    if scalar:
+        return complex(values[0]), float(errs[0]), total
+    return values, errs, total
+
+
+def _poisson_windows(s: complex, lam: complex, z: complex, t, tol: float):
+    """The windowed kernel of `exp_weighted_series` over an array of t.
+
+    |c_j| is bounded through |j+lam|^-Re s, monotone in j, times
+    e^(|Im s| |arg lam|), which covers e^(Im s arg(j+lam)) for every j >= 0.
+    """
+    if t.size == 0:
+        return np.zeros(0, dtype=complex), np.zeros(0), 0
+    # m = 0 (t = 0 or z = 0) runs as m = 1e-300: the window is [0, 0] and
+    # the terms past n = 0 underflow, so no case needs splitting off
+    m = np.maximum(t * abs(z), 1e-300)
+    shift = m - t  # log of e^(m-t), the weight outside the Poisson law
+    sigma, a = s.real, max(0.0, -s.real)  # a: growth power of |c_n|
+    twist = abs(s.imag) * abs(cmath.phase(lam))
+
+    def log_power(n):  # -Re s log |n+lam|
+        return -sigma * np.log(np.hypot(n + lam.real, lam.imag))
+
+    center = np.floor(m)
+    log_scale = log_power(center)  # log |c_center| up to the twist
+    # both sides are kept near tol * min(1, e^(m-t) |c_center|) in sum
+    big_l = max(-math.log(tol), 1.0) + twist + np.maximum(0.0, log_scale + shift)
+
+    # above the window: Chernoff (Bernstein) k with room for |c_j|'s growth,
+    # then Newton on Bennett's bound from the right, which keeps the bound
+    # below its target at every step
+    big_lu = big_l + a * np.log1p((big_l + np.sqrt(2.0 * m * big_l)) / (m + lam.real))
+    k = big_lu / 3.0 + np.sqrt(big_lu * big_lu / 9.0 + 2.0 * m * big_lu)
+    for _ in range(3):
+        grad = np.log1p(k / m)
+        k = k - ((m + k) * grad - k - big_lu) / grad
+    # k >= a gives log(N/m) >= k/N >= a/|N+lam| at N = m + k: tilting the
+    # Poisson law by that much lets the Bennett bound carry |c_j|'s growth
+    top = np.maximum(np.ceil(m + np.maximum(k, a)), center + 1.0)
+    k = top - m
+    log_up = log_power(top) - ((m + k) * np.log1p(k / m) - k)
+
+    # below the window: Chernoff, times max |c_j| there (at j = 0 or j = n_lo - 1)
+    log_lam = -sigma * math.log(abs(lam))
+    big_ll = big_l + np.maximum(0.0, log_lam - log_scale)
+    n_lo = np.maximum(0.0, np.floor(m - np.sqrt(2.0 * m * big_ll)))
+    log_lo = np.maximum(log_lam, log_power(np.maximum(n_lo - 1.0, 0.0))) - (m - n_lo + 1.0) ** 2 / (2.0 * m)
+    log_lo[n_lo == 0.0] = -np.inf  # nothing dropped below
+    dropped = np.exp(twist + shift + log_up) + np.exp(twist + shift + log_lo)
+
+    n_lo, n_hi = n_lo.astype(np.int64), top.astype(np.int64) - 1
+    size = int(n_hi.max()) + 1
+    c, absc = _coefficients(s, lam, cmath.phase(z)).upto(size)
+    log_norm = _LOG_NORM.upto(size)[0]
+    inv_m = 1.0 / m
+    lengths = n_hi - n_lo + 1
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    offset = n_lo - starts  # n = offset + position in the flat layout
+    total = int(ends[-1])
+    values = np.zeros(t.size, dtype=complex)
+    sum_abs = np.zeros(t.size)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        seg = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
+        node = np.repeat(np.arange(first, last), seg)
+        n = offset[node] + np.arange(lo, hi)
+        d = n - m[node]
+        # n log1p(d/m) - d: at n = 0 the clip turns 0 * log1p(-1) into 0
+        ratio = np.maximum(d * inv_m[node], -1.0 + _EPS)
+        w = np.exp(shift[node] - (n * np.log1p(ratio) - d) - log_norm[n])
+        seg_starts = np.concatenate(([0], np.cumsum(seg[:-1])))
+        values[first:last] += np.add.reduceat(w * c[n], seg_starts)
+        sum_abs[first:last] += np.add.reduceat(w * absc[n], seg_starts)
+    # rounding: log1p's eps |n - m| in the exponent, eps |m - t| from the
+    # weight, eps |s log(n+lam)| in c_n, and the summation itself
+    grade = 8.0 + 2.0 * np.sqrt(m) + np.abs(shift) + abs(s) * np.log(2.0 + m + abs(lam))
+    return values, dropped + _EPS * grade * sum_abs, total
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +386,45 @@ def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(p: int, lam: complex, y: complex, exponent: complex) -> EvalResult:
-    """e^exponent * Q_p(y, lam) with the exact polynomial evaluated in
-    binary64; the estimate 8 eps (p+1) |value| is its rounding level."""
-    value = cmath.exp(exponent) * complex(exact.q_poly(p)(y, lam))
-    return EvalResult(value, 8.0 * _EPS * (p + 1) * abs(value), p + 1, "closed_form")
+@functools.lru_cache(maxsize=64)
+def _q_coeffs(p: int, lam: complex) -> tuple[complex, ...]:
+    """Q_p(x, lam) collapsed at a numeric lam: the coefficients of x^0 .. x^p."""
+    return tuple(
+        complex(sum(float(c.numerator) / float(c.denominator) * lam**j for j, c in enumerate(row)))
+        for row in exact.q_poly(p).rows
+    )
+
+
+def _closed_form(p: int, lam: complex, y, exponent):
+    """e^exponent * Q_p(y, lam) for y and exponent numbers or arrays of one
+    shape, by Horner in y over `_q_coeffs`; returns (value, estimate). The
+    estimate is the rounding level: eps (8 (p+1) + |exponent|) times
+    |e^exponent| sum |a_k| |y|^k, which covers cancellation inside Q_p.
+    A number exponent past binary64 raises OverflowError."""
+    coeffs = _q_coeffs(p, complex(lam))
+    front = cmath.exp(exponent) if np.ndim(exponent) == 0 else np.exp(exponent)
+    value = front * _horner(coeffs, y)
+    size = abs(front) * _horner([abs(c) for c in coeffs], abs(y))
+    return value, _EPS * (8.0 * (p + 1) + abs(exponent)) * size
+
+
+def _horner(coeffs, y):
+    """sum_k coeffs[k] y^k by Horner's rule, y a number or an array."""
+    acc = 0.0
+    for c in coeffs[::-1]:
+        acc = acc * y + c
+    return acc
 
 
 def eval_negint(p: int, lam, x) -> EvalResult:
-    """e_{-p}(x, lam) = e^x * Q_p(x, lam), exact polynomial evaluated in binary64."""
+    """e_{-p}(x, lam) = e^x * Q_p(x, lam), Q_p collapsed at lam and
+    evaluated in binary64 (`_closed_form`)."""
     if p < 0:
         raise DomainError("p must be >= 0")
     lam, x = complex(lam), complex(x)
     _require_lam(lam)
-    return _closed_form(p, lam, x, x)
+    value, estimate = _closed_form(p, lam, x, x)
+    return EvalResult(value, estimate, p + 1, "closed_form")
 
 
 def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> EvalResult:

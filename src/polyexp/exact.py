@@ -19,6 +19,7 @@ Conventions pinned by this module (and enforced in the test suite):
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 from math import comb
@@ -340,9 +341,30 @@ def stirling2(n: int, k: int) -> int:
         return _stirling_rows[n][k]
 
 
+def _memoized(build):
+    """Memoize a one-argument table builder; the memo is filled under a lock,
+    so every caller gets the same (immutable) object for an index."""
+    memo: dict = {}
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def lookup(n):
+        try:
+            return memo[n]
+        except KeyError:
+            pass
+        with lock:
+            if n not in memo:
+                memo[n] = build(n)
+            return memo[n]
+
+    return lookup
+
+
 # -- the polynomial families ------------------------------------------------
 
 
+@_memoized
 def phi_poly(n: int) -> ExactPoly:
     """Exponential polynomial phi_n: coefficient of x^k is S2(n, k); phi_0 = 1."""
     if n < 0:
@@ -350,6 +372,7 @@ def phi_poly(n: int) -> ExactPoly:
     return ExactPoly([Fraction(stirling2(n, k)) for k in range(n + 1)])
 
 
+@_memoized
 def q_poly(p: int) -> BivariatePoly:
     """Q_p(x, lam) = sum_{k<=p} C(p,k) lam^(p-k) phi_k(x), so e_{-p} = e^x Q_p."""
     if p < 0:
@@ -362,6 +385,7 @@ def q_poly(p: int) -> BivariatePoly:
     return BivariatePoly(rows)
 
 
+@_memoized
 def euler_poly(p: int) -> ExactPoly:
     """Euler polynomial E_p(lam) = 2 sum_k C(p,k) lam^(p-k) (1-2^(k+1)) B_{k+1}/(k+1)."""
     if p < 0:

@@ -20,6 +20,7 @@ operator calculus (x d/dx)^k e^(-x) = (-s)^k under the transform.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -417,6 +418,14 @@ def _cluster_roots(roots: Sequence[complex]) -> list[tuple[complex, int]]:
     return clusters
 
 
+@functools.lru_cache(maxsize=64)
+def _poles(den: ExactPoly) -> tuple[tuple[complex, int], ...]:
+    """Distinct roots of den with their multiplicities, memoized on the
+    (immutable) polynomial: `partial_fractions` and every line integral
+    over one rational function share them."""
+    return tuple(_cluster_roots(_all_roots(den))) if den.degree > 0 else ()
+
+
 # ---------------------------------------------------------------------------
 # partial fractions
 # ---------------------------------------------------------------------------
@@ -499,7 +508,7 @@ def partial_fractions(R: RationalFunction) -> PartialFractions:
 
     pole_terms: list[PoleTerm] = []
     if R.den.degree > 0:
-        clusters = _cluster_roots(_all_roots(R.den))
+        clusters = _poles(R.den)
         den_coeffs = [complex(c) for c in R.den.coeffs]
         rem_coeffs = [complex(c) for c in remainder.coeffs] or [0.0 + 0.0j]
         for pole, m in clusters:
@@ -752,8 +761,7 @@ def oracle_line_integral(
         raise DomainError("need x > 0")
     if c <= 0:
         raise DomainError("need c > 0")
-    den_roots_hint = [t.pole for t in partial_fractions(R).pole_terms]
-    if any(abs(p.real - c) < 1e-9 for p in den_roots_hint):
+    if any(abs(pole.real - c) < 1e-9 for pole, _ in _poles(R.den)):
         raise PoleRegionError(f"c = {c} is a pole abscissa")
     T = float(half_height)
     tail = _line_tail_bound(R, x, c, T)

@@ -1,9 +1,10 @@
 """Quadrature engines.
 
-Two memoized rule tables, each built lazily on first use and handed out
-as read-only arrays: Gauss-Legendre nodes and weights (the Hankel
-contour panels) and the Chebyshev cumulative-integration matrix of the
-Clenshaw-Curtis rule (the recursion route's tail integrations).
+Three memoized rule tables, each built lazily on first use and handed
+out as read-only arrays: Gauss-Legendre nodes and weights (the Hankel
+contour panels), the Chebyshev cumulative-integration matrix of the
+Clenshaw-Curtis rule (the recursion route's tail integrations) and the
+tanh-sinh abscissae and weights of each level.
 
 A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
 able to absorb integrable endpoint singularities, plus the semi-infinite
@@ -105,12 +106,14 @@ def chebyshev_tail_rule(m: int):
     return _read_only(t, a @ d)
 
 
+@functools.lru_cache(maxsize=32)
 def _level_nodes(level: int, previous_only_odd: bool):
     """tanh-sinh abscissae for mesh h = 2^-level on [-1, 1].
 
-    Returns (offset_a, offset_b, weight) arrays where offset_a = 1 + x and
-    offset_b = 1 - x are computed in a cancellation-free form, so endpoint
-    distances stay meaningful down to ~1e-160.
+    Returns read-only (offset_a, offset_b, weight) arrays where
+    offset_a = 1 + x and offset_b = 1 - x are computed in a
+    cancellation-free form, so endpoint distances stay meaningful down to
+    ~1e-160. Memoized: every `tanh_sinh` call shares one table per level.
     """
     h = 2.0 ** (-level)
     if previous_only_odd and level > 0:
@@ -133,7 +136,7 @@ def _level_nodes(level: int, previous_only_odd: bool):
         off_a = np.concatenate([far[::-1], near])
         off_b = np.concatenate([near[::-1], far])
         weight = np.concatenate([w[::-1], w])
-    return off_a, off_b, weight
+    return _read_only(off_a, off_b, weight)
 
 
 def tanh_sinh(

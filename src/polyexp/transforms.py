@@ -16,7 +16,10 @@ integral in s, and the corresponding representation of Gamma(s) h_s.
 Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
-contaminate quadrature nodes.
+contaminate quadrature nodes. The integrands are vectorized: the
+quadrature hands the kernel one array per tanh-sinh level, and the inner
+tolerance picks each node's Poisson window through a tail bound relative
+to that node's scale (capped at 1), not through a fixed width.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 
-from . import core, exact
+from . import core
 from .quadrature import IntegrandHandle, QuadratureSpec, quad_semiinfinite, tanh_sinh
 from .result import ConditioningError, DomainError, EvalResult, PoleError, QuadratureError
 
@@ -68,11 +71,12 @@ def _laplace_weighted(s, lam, z, tol):
             envelope_rate=0.0,
             envelope_power=min(-s.real, -1.001),
             tail_exponent=s,
+            vectorized=True,
         )
     else:
         rate = 1.0 - max(z.real, 0.0)
         handle = IntegrandHandle(
-            f=f, envelope_rate=rate, envelope_power=max(0.0, -s.real)
+            f=f, envelope_rate=rate, envelope_power=max(0.0, -s.real), vectorized=True
         )
     spec = QuadratureSpec(target_tol=tol, split_point=split)
     return quad_semiinfinite(handle, spec)
@@ -201,27 +205,17 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
         raise DomainError("vanishing moments are stated for p >= 1")
     lam = complex(lam)
     core._require_lam(lam)
-    # collapse Q_p at this lam once: coefficients in x
-    q = exact.q_poly(p)
-    coeffs = [
-        complex(sum(float(c.numerator) / float(c.denominator) * lam**j for j, c in enumerate(row)))
-        for row in q.rows
-    ]
-
-    def qval(x):
-        acc = 0.0 + 0.0j
-        for c in reversed(coeffs):
-            acc = acc * (-x) + c
-        return acc
+    coeffs = core._q_coeffs(p, lam)
 
     def f(x):
-        return cmath.exp((lam - 1.0) * math.log(x)) * math.exp(-x) * qval(x)
+        return np.exp((lam - 1.0) * np.log(x) - x) * core._horner(coeffs, -x)
 
     handle = IntegrandHandle(
         f=f,
         envelope_rate=1.0,
         envelope_power=float(p) + lam.real - 1.0,
         singularity_alpha=lam.real,
+        vectorized=True,
     )
     spec = QuadratureSpec(target_tol=tol, split_point=_split_point(1.0, lam))
     return quad_semiinfinite(handle, spec)
