@@ -68,13 +68,17 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 DEFAULT_TOL = 1e-12
-_MAX_TERMS = 10000  # series term cap unless the caller passes max_terms
+_MAX_TERMS = 10000  # term cap of eval_series (unless it is passed max_terms) and h_direct
 _INTEGRAL_X = 10.0  # evaluate: the positive integral for real x < -_INTEGRAL_X
 
 
 def _require_lam(lam: complex):
     if complex(lam).real <= 0:
         raise DomainError(f"Re lam must be positive, got lam = {lam}")
+
+
+class _Overflow(ConvergenceError, OverflowError):
+    """Past binary64; still an OverflowError for callers catching the builtin."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +135,54 @@ def rising_factorial(s: complex, m: int) -> complex:
 
 def series_tail_bound(s: complex, lam: complex, x: complex, n: int) -> float:
     """Bound on |sum_{k>n} x^k/(k! (k+lam)^s)|, valid once n >= 2|x| and the
-    term ratio has dropped below 1/2.
+    term ratio has dropped below 1/2 (`_series_stop`).
 
-    |x|^(n+1)/(n+1)! * max(1, (n+1+Re lam)^(-Re s)) * 2 * G with
+    |x|^(n+1)/(n+1)! * max(1, |n+1+lam|^(-Re s)) * 2 * G with
     G = exp(|Im s| * pi / 2) absorbing the branch factor of (k+lam)^(-s)
     (Re(k+lam) > 0 keeps arguments inside (-pi/2, pi/2)).
     """
-    s, lam, x = complex(s), complex(lam), complex(x)
-    g = math.exp(abs(s.imag) * math.pi / 2.0)
+    return _tail_bound(complex(s), complex(lam), complex(x), n, 0.0)
+
+
+def _tail_bound(s: complex, lam: complex, x: complex, n: int, prefix: float) -> float:
+    """`series_tail_bound` plus prefix times its value at s = 0."""
+    g = math.exp(abs(s.imag) * math.pi / 2.0) if s.imag else 1.0
     # in logs: |x|^(n+1) and (n+1)! overflow separately long before their quotient
     lead = math.exp((n + 1) * math.log(abs(x)) - math.lgamma(n + 2)) if x != 0 else 0.0
-    power = max(1.0, (n + 1 + lam.real) ** (-s.real))
-    return lead * power * 2.0 * g
+    power = abs(n + 1 + lam) ** -s.real if s.real < 0 else 1.0  # |n+1+lam| > 1
+    return 2.0 * lead * (power * g + prefix)
+
+
+def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0, cap=_MAX_TERMS):
+    """Stop rule of `eval_series` (coefficients (k+lam)^-s) and
+    `series.h_direct` (P_k = sum_{j<k} w^j (j+lam)^-s, prefix = P_(n+1))
+    after the term k = n: None to go on, else the tail bound plus rounding,
+    eps (2 + 2n + |s| log(2 + n + |lam|)) sum |terms| for the drift of
+    x^k/k! and of a prefix (about eps a step) and of (k+lam)^-s. Raises
+    ConvergenceError past binary64 or past `cap` terms.
+    """
+    if n >= 2.0 * abs(x):
+        if not math.isfinite(sum_abs):
+            raise _Overflow(f"series terms overflow binary64 at x = {x}")
+        ratio = abs(x) / (n + 1)
+        if s.real < 0:
+            ratio *= (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
+        if ratio <= 0.5:
+            # |P_(n+1)| enters every later term, and the bound at s covers the rest
+            tail = _tail_bound(s, lam, x, n, abs(prefix))
+            if tail <= tol:
+                return tail + _EPS * (2.0 + 2.0 * n + abs(s) * math.log(2.0 + n + abs(lam))) * sum_abs
+    if n >= cap:
+        raise ConvergenceError(f"series needs more than {cap} terms for tol={tol:g} at x={x}")
+    return None
 
 
 def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResult:
     """Partial sum of the defining series, stopped by the analytic tail bound.
 
     (n+lam)^s uses the principal branch of log(n+lam); well defined since
-    Re(n+lam) > 0. The error estimate adds the rounding level of the
-    accumulated terms (relevant for alternating arguments) to the bound.
+    Re(n+lam) > 0. The error estimate adds a rounding level growing with
+    the number of terms (`_series_stop`); past binary64, ConvergenceError.
     """
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
@@ -166,22 +198,11 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResu
         term = power_term * cmath.exp(-s * cmath.log(n + lam))
         acc += term
         sum_abs += abs(term)
-        # stopping rule: past 2|x|, ratio below 1/2 (with the power-growth
-        # factor for Re s < 0), and the stated bound under tolerance
-        if n >= 2.0 * abs(x):
-            ratio = abs(x) / (n + 1)
-            if s.real < 0:
-                ratio *= (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
-            if ratio <= 0.5 and series_tail_bound(s, lam, x, n) <= tol:
-                break
+        err = _series_stop(s, lam, x, n, sum_abs, tol, cap=cap)
+        if err is not None:
+            return EvalResult(acc, err, n + 1, "series")
         n += 1
-        if n > cap:
-            raise ConvergenceError(
-                f"series needs more than {cap} terms for tol={tol:g} at x={x}"
-            )
         power_term *= x / n
-    err = series_tail_bound(s, lam, x, n) + 2.0 * _EPS * sum_abs
-    return EvalResult(acc, err, n + 1, "series")
 
 
 class _GrowingTable:
@@ -258,25 +279,13 @@ def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
     a numpy array of nodes.
 
     The naked series overflows binary64 once t exceeds ~700 and, for
-    oscillating z, its terms dwarf the weighted result. Here term n is
-    exp(log P(n; m) + m - t) c_n, with P(n; m) = m^n e^-m / n! the Poisson
-    weight at m = t|z| and c_n = (n+lam)^-s e^(i n arg z) read from a table
-    memoized on (s, lam, arg z); log P comes from Loader's form
-    -(n log1p((n-m)/m) - (n-m)) - lgamma(n+1) + n log n - n, which stays
-    accurate to a few eps relative even at m ~ 1e4. Only the window
-    [n_lo, n_hi] around n = m is summed, chosen from tol: the dropped
-    sides are bounded by the Poisson tails (Chernoff below n_lo,
-    P(N <= m - k) <= exp(-k^2 / 2m); Bennett above n_hi,
-    P(N >= m + k) <= exp(-m h(k/m)), h(u) = (1+u) log(1+u) - u, which
-    also covers the growth of |c_n| for Re s < 0) times the largest |c_n|
-    on the dropped side, and each side is kept near tol times
-    min(1, scale) with the node's scale e^(m-t) |c_floor(m)|, about the
-    sum of |terms|. The bound is relative where the scale is small (the
-    Hurwitz tail nodes reach t ~ 5000, where values are ~1e-13) and
-    absolute where it is large (at Re s < 0 the terms reach t^|Re s| and
-    cancel far below it). The windows of all nodes are laid out in one
-    flat array without padding and summed in chunks of a few thousand
-    terms.
+    oscillating z, its terms dwarf the weighted result. Here it is
+    e^(m-t) sum_n P(n; m) c_n, Poisson weights P(n; m) = m^n e^-m / n! at
+    m = t|z| times c_n = (n+lam)^-s e^(i n arg z) from a table memoized on
+    (s, lam, arg z), over windows chosen from tol (`_poisson_window`,
+    `_poisson_sum`): relative to the node's scale where it is small (the
+    Hurwitz tail nodes reach t ~ 5000, values ~1e-13), absolute where it
+    is large (at Re s < 0 the terms reach t^|Re s| and cancel far below).
 
     Non-positive integer s goes to the closed form e^((z-1)t) Q_p(z t, lam):
     the windowed sum would lose everything to cancellation once (n+lam)^p
@@ -298,69 +307,80 @@ def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
         values, errs = _closed_form(p, lam, z * t, (z - 1.0) * t)
         total = (p + 1) * t.size
     else:
-        values, errs, total = _poisson_windows(s, lam, z, t, tol)
+        # m = 0 (t = 0 or z = 0) runs as m = 1e-300: the window is [0, 0] and
+        # the terms past n = 0 underflow, so no case needs splitting off
+        m = np.maximum(t * abs(z), 1e-300)
+        shift = m - t  # log of e^(m-t), the weight outside the Poisson law
+        log_env = functools.partial(_log_coefficient_bound, s, lam)
+        n_lo, n_hi, dropped = _poisson_window(m, shift, log_env, max(0.0, -s.real), tol)
+        c, absc = _coefficients(s, lam, cmath.phase(z)).upto(int(n_hi.max(initial=0)) + 1)
+        values, sum_abs, total = _poisson_sum(m, shift, n_lo, n_hi, c, absc)
+        # rounding: log1p's eps |n - m| in the exponent, eps |m - t| from the
+        # weight, eps |s log(n+lam)| in c_n, and the summation itself
+        grade = 8.0 + 2.0 * np.sqrt(m) + np.abs(shift) + abs(s) * np.log(2.0 + m + abs(lam))
+        errs = dropped + _EPS * grade * sum_abs
     if scalar:
         return complex(values[0]), float(errs[0]), total
     return values, errs, total
 
 
-def _poisson_windows(s: complex, lam: complex, z: complex, t, tol: float):
-    """The windowed kernel of `exp_weighted_series` over an array of t.
+def _log_coefficient_bound(s: complex, lam: complex, n):
+    """log e^(|Im s| |arg lam|) |n+lam|^-Re s >= log |(n+lam)^-s|, monotone in n >= 0."""
+    return abs(s.imag) * abs(cmath.phase(lam)) - s.real * np.log(np.hypot(n + lam.real, lam.imag))
 
-    |c_j| is bounded through |j+lam|^-Re s, monotone in j, times
-    e^(|Im s| |arg lam|), which covers e^(Im s arg(j+lam)) for every j >= 0.
+
+def _poisson_window(m, shift, log_env, growth: float, tol: float):
+    """Windows [n_lo, n_hi] of sum_n e^shift P(n; m) c_n over arrays m > 0
+    and shift, and bounds on what they drop: (n_lo, n_hi, dropped), where
+    log_env(n) >= log |c_n| is monotone and env(j) <= env(N) (j/N)^growth
+    for j >= N. Each side is kept near tol min(1, e^shift env(floor m)),
+    about tol min(1, sum |terms|): Chernoff below, P(N <= m - k) <=
+    exp(-k^2 / 2m); Bennett above, P(N >= m + k) <= exp(-m h(k/m)).
     """
-    if t.size == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0), 0
-    # m = 0 (t = 0 or z = 0) runs as m = 1e-300: the window is [0, 0] and
-    # the terms past n = 0 underflow, so no case needs splitting off
-    m = np.maximum(t * abs(z), 1e-300)
-    shift = m - t  # log of e^(m-t), the weight outside the Poisson law
-    sigma, a = s.real, max(0.0, -s.real)  # a: growth power of |c_n|
-    twist = abs(s.imag) * abs(cmath.phase(lam))
-
-    def log_power(n):  # -Re s log |n+lam|
-        return -sigma * np.log(np.hypot(n + lam.real, lam.imag))
-
     center = np.floor(m)
-    log_scale = log_power(center)  # log |c_center| up to the twist
-    # both sides are kept near tol * min(1, e^(m-t) |c_center|) in sum
-    big_l = max(-math.log(tol), 1.0) + twist + np.maximum(0.0, log_scale + shift)
+    log_center = log_env(center)
+    big_l = max(-math.log(tol), 1.0) + np.maximum(0.0, log_center + shift)
 
-    # above the window: Chernoff (Bernstein) k with room for |c_j|'s growth,
-    # then Newton on Bennett's bound from the right, which keeps the bound
-    # below its target at every step
-    big_lu = big_l + a * np.log1p((big_l + np.sqrt(2.0 * m * big_l)) / (m + lam.real))
+    # above the window: room for env's growth across the Gaussian width
+    # (none for a non-increasing env, growth 0), a Chernoff (Bernstein) k,
+    # then Newton on Bennett's bound, h(u) = (1+u) log(1+u) - u, from the
+    # right, which keeps the bound below its target at every step
+    width = big_l + np.sqrt(2.0 * m * big_l)
+    big_lu = big_l + (np.maximum(0.0, log_env(m + width) - log_env(m)) if growth else 0.0)
     k = big_lu / 3.0 + np.sqrt(big_lu * big_lu / 9.0 + 2.0 * m * big_lu)
     for _ in range(3):
         grad = np.log1p(k / m)
         k = k - ((m + k) * grad - k - big_lu) / grad
-    # k >= a gives log(N/m) >= k/N >= a/|N+lam| at N = m + k: tilting the
-    # Poisson law by that much lets the Bennett bound carry |c_j|'s growth
-    top = np.maximum(np.ceil(m + np.maximum(k, a)), center + 1.0)
+    # k >= p gives log(N/m) >= k/N >= p/N at N = m + k: tilting the Poisson
+    # law by that much lets the Bennett bound carry env's growth (j/N)^p
+    top = np.maximum(np.ceil(m + np.maximum(k, growth)), center + 1.0)
     k = top - m
-    log_up = log_power(top) - ((m + k) * np.log1p(k / m) - k)
+    log_up = log_env(top) - ((m + k) * np.log1p(k / m) - k)
 
-    # below the window: Chernoff, times max |c_j| there (at j = 0 or j = n_lo - 1)
-    log_lam = -sigma * math.log(abs(lam))
-    big_ll = big_l + np.maximum(0.0, log_lam - log_scale)
+    # below the window: Chernoff, times max env there (at 0 or n_lo - 1)
+    log_first = log_env(np.zeros(1))
+    big_ll = big_l + np.maximum(0.0, log_first - log_center)
     n_lo = np.maximum(0.0, np.floor(m - np.sqrt(2.0 * m * big_ll)))
-    log_lo = np.maximum(log_lam, log_power(np.maximum(n_lo - 1.0, 0.0))) - (m - n_lo + 1.0) ** 2 / (2.0 * m)
+    log_lo = np.maximum(log_first, log_env(np.maximum(n_lo - 1.0, 0.0))) - (m - n_lo + 1.0) ** 2 / (2.0 * m)
     log_lo[n_lo == 0.0] = -np.inf  # nothing dropped below
-    dropped = np.exp(twist + shift + log_up) + np.exp(twist + shift + log_lo)
+    dropped = np.exp(shift + log_up) + np.exp(shift + log_lo)
+    return n_lo.astype(np.int64), top.astype(np.int64) - 1, dropped
 
-    n_lo, n_hi = n_lo.astype(np.int64), top.astype(np.int64) - 1
-    size = int(n_hi.max()) + 1
-    c, absc = _coefficients(s, lam, cmath.phase(z)).upto(size)
-    log_norm = _LOG_NORM.upto(size)[0]
+
+def _poisson_sum(m, shift, n_lo, n_hi, c, absc):
+    """sum_{n_lo <= n <= n_hi} e^shift P(n; m) c_n per node over tables c
+    and absc = |c| indexed by n, with Loader-form log P (`_LOG_NORM`), all
+    windows in one flat array: (values, sums of |terms|, number of terms).
+    """
+    log_norm = _LOG_NORM.upto(int(n_hi.max(initial=0)) + 1)[0]
     inv_m = 1.0 / m
     lengths = n_hi - n_lo + 1
     ends = np.cumsum(lengths)
     starts = ends - lengths
     offset = n_lo - starts  # n = offset + position in the flat layout
-    total = int(ends[-1])
-    values = np.zeros(t.size, dtype=complex)
-    sum_abs = np.zeros(t.size)
+    total = int(lengths.sum())
+    values = np.zeros(m.size, dtype=complex)
+    sum_abs = np.zeros(m.size)
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         first = int(np.searchsorted(ends, lo, side="right"))
@@ -375,10 +395,7 @@ def _poisson_windows(s: complex, lam: complex, z: complex, t, tol: float):
         seg_starts = np.concatenate(([0], np.cumsum(seg[:-1])))
         values[first:last] += np.add.reduceat(w * c[n], seg_starts)
         sum_abs[first:last] += np.add.reduceat(w * absc[n], seg_starts)
-    # rounding: log1p's eps |n - m| in the exponent, eps |m - t| from the
-    # weight, eps |s log(n+lam)| in c_n, and the summation itself
-    grade = 8.0 + 2.0 * np.sqrt(m) + np.abs(shift) + abs(s) * np.log(2.0 + m + abs(lam))
-    return values, dropped + _EPS * grade * sum_abs, total
+    return values, sum_abs, total
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +435,17 @@ def _horner(coeffs, y):
 
 def eval_negint(p: int, lam, x) -> EvalResult:
     """e_{-p}(x, lam) = e^x * Q_p(x, lam), Q_p collapsed at lam and
-    evaluated in binary64 (`_closed_form`)."""
+    evaluated in binary64 (`_closed_form`); past its range, ConvergenceError."""
     if p < 0:
         raise DomainError("p must be >= 0")
     lam, x = complex(lam), complex(x)
     _require_lam(lam)
-    value, estimate = _closed_form(p, lam, x, x)
+    try:
+        value, estimate = _closed_form(p, lam, x, x)
+    except OverflowError:
+        value = estimate = math.inf
+    if not (cmath.isfinite(value) and math.isfinite(estimate)):
+        raise _Overflow(f"e^x Q_{p}(x, lam) overflows binary64 at x = {x}")
     return EvalResult(value, estimate, p + 1, "closed_form")
 
 
@@ -681,7 +703,7 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
     two refinements agree. Returns (value, last difference, rounding
     floor, nodes used); the floor is 16 eps times the integral of the
     integrand's modulus, the level at which cancellation on the circle
-    leaves the sum.
+    leaves the sum; a difference under it but above tol raises at once.
     """
     eps, T = contour.epsilon, contour.truncation
     vmax = math.log(T / eps)
@@ -720,6 +742,8 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
             diff = abs(total - prev)
             if diff <= max(tol, tol * abs(total)):
                 return total, diff, floor, work
+            if diff <= floor:
+                break
         prev = total
     raise ContourResolutionError(
         f"contour refinements stalled at {n_ray} ray + {n_circ} circle nodes: "
@@ -932,7 +956,7 @@ def ein(z) -> complex:
         k += 1
         zk *= z / k
         if abs(zk) > 1e290:
-            raise OverflowError(f"Ein series overflows before converging at |z| = {abs(z):g}")
+            raise _Overflow(f"Ein series overflows binary64 before converging at z = {z}")
         acc += (-1.0) ** (k - 1) * zk / k
         if k > abs(z) and abs(zk) / k < _EPS * max(abs(acc), 1e-300):
             return acc

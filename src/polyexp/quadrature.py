@@ -29,6 +29,8 @@ from .result import EvalResult, QuadratureError
 
 _HALF_PI = math.pi / 2.0
 _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
+_MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver's core and tail
+_LADDER_POINTS = 9  # partial integrals of the power-law tail ladder
 
 
 def _read_only(*arrays):
@@ -191,14 +193,11 @@ class QuadratureSpec:
     """Targets for the semi-infinite driver."""
 
     target_tol: float = 1e-10
-    max_refinements: int = 16
     split_point: float = 10.0
 
     def __post_init__(self):
         if self.target_tol <= 0:
             raise ValueError("target_tol must be positive")
-        if not (0 < self.max_refinements <= 30):
-            raise ValueError("max_refinements must be in 1..30")
         if self.split_point <= 0:
             raise ValueError("split_point must be positive")
 
@@ -212,14 +211,11 @@ class IntegrandHandle:
     envelope_power < -1 (integrable power-law tail); in that case
     tail_exponent, when given, is the exact complex decay exponent sigma
     with f ~ t^-sigma used by the tail extrapolation ladder.
-    singularity_alpha declares the worst allowed behaviour t^(alpha-1)
-    at the origin.
     """
 
     f: Callable
     envelope_rate: float
     envelope_power: float = 0.0
-    singularity_alpha: float = 1.0
     tail_exponent: Optional[complex] = None
     vectorized: bool = False
 
@@ -228,8 +224,6 @@ class IntegrandHandle:
             raise ValueError("envelope_rate must be >= 0")
         if self.envelope_rate == 0 and self.envelope_power >= -1:
             raise ValueError("power-law tails need envelope_power < -1")
-        if self.singularity_alpha <= 0:
-            raise ValueError("singularity_alpha must be positive")
 
 
 def _envelope_constant(handle: IntegrandHandle, split: float) -> float:
@@ -274,15 +268,14 @@ def _richardson_tail(handle: IntegrandHandle, core: complex, split: float, spec:
     if sigma is None:
         sigma = complex(-handle.envelope_power)
     tol = spec.target_tol
-    n_points = min(spec.max_refinements, 9)
     partials = []
     work = 0
     inner_err = 0.0
     current = core
     t_lo = split
-    for j in range(n_points):
+    for _ in range(_LADDER_POINTS):
         t_hi = t_lo * 2.0
-        val, err, nev, ok = _log_panel(handle, t_lo, t_hi, tol / (6 * n_points), max_level=10)
+        val, err, nev, ok = _log_panel(handle, t_lo, t_hi, tol / (6 * _LADDER_POINTS), max_level=10)
         if not ok:
             raise QuadratureError("tail panel failed to converge")
         current += val
@@ -315,9 +308,8 @@ def quad_semiinfinite(handle: IntegrandHandle, spec: QuadratureSpec) -> EvalResu
     """
     tol = spec.target_tol
     split = spec.split_point
-    max_level = min(4 + spec.max_refinements, 12)
     core, core_err, work, ok = tanh_sinh(
-        handle.f, 0.0, split, tol / 4, max_level=max_level, vectorized=handle.vectorized
+        handle.f, 0.0, split, tol / 4, max_level=_MAX_LEVEL, vectorized=handle.vectorized
     )
     if not ok:
         raise QuadratureError("core interval did not converge")
@@ -332,7 +324,7 @@ def quad_semiinfinite(handle: IntegrandHandle, spec: QuadratureSpec) -> EvalResu
             hops += 1
         if hops >= 60:
             raise QuadratureError("could not place the tail truncation point")
-        tail, tail_err, nev, ok = _log_panel(handle, split, T, tol / 4, max_level=max_level)
+        tail, tail_err, nev, ok = _log_panel(handle, split, T, tol / 4, max_level=_MAX_LEVEL)
         if not ok:
             raise QuadratureError("tail integration did not converge")
         remainder = _exp_tail_bound(c, rate, power, T)

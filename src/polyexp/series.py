@@ -3,25 +3,26 @@
 h_s(x, lam, w) = sum_{n>=1} x^n/n! * sum_{j<n} w^j/(lam+j)^s, the
 exponential generating function of generalized-harmonic-type prefix sums
 (|w| <= 1, Re lam > 0). Routes: the direct double sum with a running
-prefix accumulator (linear work), the quadrature representation
-h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt, the Ein-based closed form at
-s = lam = 1, and exact closed forms at negative integer s. Borel probes
-scale by e^(-x) and compare against the transform-layer limits; the
-large-lam expansion mirrors the polyexponential one with phi_n replaced
-by its antiderivative.
+prefix (stop rule and growing rounding estimate of core.eval_series), the
+quadrature representation h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt, the
+Ein-based closed form at s = lam = 1, and exact closed forms at negative
+integer s. Borel probes e^(-x) h_s go through the Poisson-window kernel of
+core.exp_weighted_series; the large-lam expansion mirrors the
+polyexponential one with phi_n replaced by its antiderivative.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import core, exact, transforms
 from .core import _EPS
 from .quadrature import tanh_sinh
-from .result import ConvergenceError, DomainError, EvalResult, QuadratureError
+from .result import DomainError, EvalResult, QuadratureError
 
 __all__ = [
     "HSeriesParams",
@@ -54,39 +55,28 @@ class HSeriesParams:
             raise DomainError("|w| must be <= 1")
 
 
-def h_direct(params: HSeriesParams, tol: float = 1e-12, max_terms: int = 100_000) -> EvalResult:
-    """Direct sum with running prefixes: term n reuses prefix_{n-1}.
-
-    Stops once the factorial tail (with the prefix growth folded in) drops
-    under tol; the error estimate adds the rounding level of the summed
-    magnitudes.
-    """
+def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
+    """Direct sum with a running prefix, stopped by the rule of
+    `core.eval_series` (`core._series_stop`): the prefix enters the tail
+    bound, and the rounding level grows with the number of terms."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
-    if x == 0:
-        return EvalResult(0.0 + 0.0j, 0.0, 0, "h_series")
     acc = 0.0 + 0.0j
     sum_abs = 0.0
-    prefix = 0.0 + 0.0j
+    prefix = 0.0 + 0.0j  # P_n = sum_{j<n} w^j (j+lam)^-s
     wpow = 1.0 + 0.0j
     xterm = 1.0 + 0.0j  # x^n / n!
     n = 0
     while True:
+        term = xterm * prefix
+        acc += term
+        sum_abs += abs(term)
         prefix += wpow * cmath.exp(-s * cmath.log(lam + n))
-        wpow *= w
+        err = core._series_stop(s, lam, x, n, sum_abs, tol, prefix)
+        if err is not None:
+            return EvalResult(acc, err, n, "h_series")
         n += 1
+        wpow *= w
         xterm *= x / n
-        acc += xterm * prefix
-        sum_abs += abs(xterm * prefix)
-        if n >= 2.0 * abs(x) + 4.0:
-            growth = max(1.0, (n + 2 + abs(lam)) ** (-s.real))
-            bound = 4.0 * abs(xterm) * abs(x) / (n + 1) * (abs(prefix) + (n + 2) * growth)
-            ratio = abs(x) / (n + 1)
-            if s.real < 0:
-                ratio *= (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
-            if ratio <= 0.5 and bound <= tol:
-                return EvalResult(acc, bound + 2.0 * _EPS * sum_abs, n, "h_series")
-        if n > max_terms:
-            raise ConvergenceError(f"h series exceeded {max_terms} terms")
 
 
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
@@ -182,42 +172,38 @@ class BorelPoint(NamedTuple):
 def borel_probe(s, lam, w, x_grid: Sequence[float], tol: float = 1e-9) -> list[BorelPoint]:
     """e^(-x) h_s(x, lam, w) along an ascending positive grid, paired with
     the limit it should approach: Phi(w, s, lam) for |w| < 1, zeta(s, lam)
-    at w = 1 (Re s > 1), eta(s, lam) at w = -1.
+    at w = 1 (Re s > 1), eta(s, lam) at w = -1; tol is the targets'.
 
-    The scaled sums carry the e^(-x) weight inside each term in log scale,
-    so the grid may go up to x = 700 without overflow.
+    e^(-x) h_s = sum_n P(n; x) P_n, Poisson weights P(n; x) times the prefix
+    sums P_n = sum_{j<n} w^j (j+lam)^-s, goes through the Poisson-window
+    kernel of `core.exp_weighted_series` at its tol 1e-14, the P_n being
+    one cumulative sum of the kernel's coefficient table.
     """
     s, lam, w = complex(s), complex(lam), complex(w)
     grid = [float(x) for x in x_grid]
     if any(x <= 0 for x in grid) or sorted(grid) != grid:
         raise DomainError("x_grid must be ascending and positive")
     if grid[-1] > 700.0:
-        raise DomainError("grid capped at x = 700 to stay inside binary64")
+        raise DomainError("grid capped at x = 700")
 
-    if abs(w) < 1.0 - 1e-14:
-        target = transforms.lerch_phi(w, s, lam, tol=tol).value
-    elif w == 1.0:
-        if s.real <= 1.0:
-            raise DomainError("w = 1 target (zeta) needs Re s > 1")
-        target = transforms.hurwitz_zeta(s, lam, tol=tol).value
-    elif w == -1.0:
+    if w == -1.0:
         target = transforms.eta(s, lam, tol=tol).value
+    elif abs(w) < 1.0 - 1e-14 or w == 1.0:  # Phi(1, s, lam) = zeta(s, lam), Re s > 1
+        target = transforms.lerch_phi(w, s, lam, tol=tol).value
     else:
         raise DomainError("no defined target for |w| = 1 off the real axis")
 
-    out = []
-    for x in grid:
-        n_max = int(x + 12.0 * math.sqrt(x) + 60.0)
-        prefix = 0.0 + 0.0j
-        wpow = 1.0 + 0.0j
-        acc = 0.0 + 0.0j
-        for n in range(1, n_max + 1):
-            prefix += wpow * cmath.exp(-s * cmath.log(lam + n - 1))
-            wpow *= w
-            log_weight = n * math.log(x) - x - math.lgamma(n + 1)
-            acc += math.exp(log_weight) * prefix
-        out.append(BorelPoint(x=x, scaled_value=acc, target=target))
-    return out
+    def log_env(n):  # |P_n| <= n max_{j<n} |(j+lam)^-s|
+        first = core._log_coefficient_bound(s, lam, 0.0)
+        return np.log1p(n) + np.maximum(first, core._log_coefficient_bound(s, lam, n))
+
+    x = np.array(grid)
+    n_lo, n_hi, _ = core._poisson_window(x, np.zeros_like(x), log_env, 1.0 + max(0.0, -s.real), 1e-14)
+    size = int(n_hi.max()) + 1
+    c = core._coefficients(s, lam, cmath.phase(w)).upto(size)[0][: size - 1]
+    prefix = np.concatenate(([0.0], np.cumsum(c * abs(w) ** np.arange(size - 1))))
+    values = core._poisson_sum(x, np.zeros_like(x), n_lo, n_hi, prefix, np.abs(prefix))[0]
+    return [BorelPoint(x=xi, scaled_value=complex(v), target=target) for xi, v in zip(grid, values)]
 
 
 def h_asymptotic_lambda(s, lam, x, order: int) -> EvalResult:

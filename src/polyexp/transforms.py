@@ -64,8 +64,8 @@ def _laplace_weighted(s, lam, z, tol):
         return core.exp_weighted_series(s, lam, z, t, inner_tol)[0]
 
     split = _split_point(abs(z), lam)
-    if z == 1.0:
-        # pure power-law tail t^(-s): extrapolation ladder
+    if abs(z - 1.0) <= 1e-14:
+        # pure power-law tail t^(-s), z = 1 within rounding: extrapolation ladder
         handle = IntegrandHandle(
             f=f,
             envelope_rate=0.0,
@@ -214,7 +214,6 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
         f=f,
         envelope_rate=1.0,
         envelope_power=float(p) + lam.real - 1.0,
-        singularity_alpha=lam.real,
         vectorized=True,
     )
     spec = QuadratureSpec(target_tol=tol, split_point=_split_point(1.0, lam))
@@ -238,7 +237,6 @@ def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
         f=f,
         envelope_rate=lam.real,
         envelope_power=max(s.real - 1.0, 0.0),
-        singularity_alpha=s.real,
     )
     spec = QuadratureSpec(target_tol=tol, split_point=_split_point(abs(x), lam))
     return quad_semiinfinite(handle, spec)
@@ -267,7 +265,6 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
         f=f,
         envelope_rate=lam.real,
         envelope_power=max(s.real - 1.0, 0.0),
-        singularity_alpha=s.real - 1.0 if s.real < 2 else 1.0,
     )
     spec = QuadratureSpec(target_tol=tol, split_point=_split_point(abs(x), lam))
     return quad_semiinfinite(handle, spec)

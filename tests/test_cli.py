@@ -282,3 +282,11 @@ def test_eval_term_cap_exit_code(capsys):
         capsys, "eval", "--s", "2", "--lambda", "1", "--x", "30000", "--method", "series"
     )
     assert code == 3 and "terms" in err
+
+
+def test_eval_series_overflow_exit_code(capsys):
+    # the terms of e_1(800) pass binary64: a typed error, not a NaN
+    code, out, err = invoke(
+        capsys, "eval", "--s", "1", "--lambda", "1", "--x", "800", "--method", "series"
+    )
+    assert code == 3 and "binary64" in err and "nan" not in out.lower()

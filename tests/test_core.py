@@ -334,6 +334,15 @@ def test_hankel_large_x_ends_promptly(x):
     assert time.perf_counter() - start < 5.0
 
 
+def test_hankel_stops_at_rounding_floor():
+    # the difference (8.5e-7) is under the rounding floor (1.6e-6) at 512
+    # nodes: no table past 512 points is built only to raise
+    gauss_legendre.cache_clear()
+    with pytest.raises(ContourResolutionError, match="512 ray"):
+        eval_hankel(2.5, 1, 8)
+    assert gauss_legendre.cache_info().currsize <= 4  # 64, 128, 256, 512
+
+
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         HankelContourSpec(epsilon=2.0, truncation=1.0)
@@ -515,6 +524,21 @@ def test_ein_is_x_e2_of_minus_x():
 def test_ein_overflow_flagged():
     with pytest.raises(OverflowError):
         ein(800.0)
+
+
+@pytest.mark.parametrize(
+    "call,x",
+    [
+        (lambda: ein(800.0), "800"),
+        (lambda: eval_negint(1, 1, 800.0), "800"),
+        (lambda: evaluate(-1, 1, 800.0), "800"),
+        (lambda: eval_negint(3, 1, 705.0), "705"),  # e^705 fits, e^705 Q_3(705) does not
+    ],
+    ids=["ein", "eval_negint", "evaluate", "eval_negint_product"],
+)
+def test_closed_form_overflow_is_typed(call, x):
+    with pytest.raises(ConvergenceError, match=f"binary64.*{x}"):
+        call()
 
 
 # -- cross-route invariants ----------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from polyexp import core, series, transforms
 from polyexp.exact import phi_poly
-from polyexp.result import DomainError
+from polyexp.result import ConvergenceError, DomainError
 from polyexp.series import (
     HSeriesParams,
     borel_probe,
@@ -180,6 +181,110 @@ def test_borel_domain_guards():
         borel_probe(2.0, 1.0, 1.0, [10.0, 800.0])  # overflow cap
     with pytest.raises(DomainError):
         borel_probe(2.0, 1.0, 1.0, [20.0, 10.0])  # not ascending
+
+
+@pytest.mark.parametrize(
+    "s,lam,w",
+    [(2, 1, 1), (0.5, 1, -1), (2, 1, 0.5), (-1.5, 0.7, -1), (1 + 1j, 1.3, 0.6j)],
+)
+def test_borel_probe_matches_mpmath_poisson_sum(s, lam, w):
+    # sum_n x^n e^-x / n! P_n at 40 digits; at s = -1.5, w = -1 the prefixes
+    # reach ~1e4 around a value of -0.03, so rounding in P_n sets the floor
+    mp = pytest.importorskip("mpmath")
+    grid = [10.0, 40.0, 200.0, 700.0]
+    with mp.workdps(40):
+        prefix, wpow = [mp.mpc(0)], mp.mpc(1)
+        for j in range(int(grid[-1] + 40 * math.sqrt(grid[-1]))):
+            prefix.append(prefix[-1] + wpow * mp.power(mp.mpc(lam) + j, -mp.mpc(s)))
+            wpow *= w
+        for point in borel_probe(s, lam, w, grid):
+            x = mp.mpf(point.x)
+            hi = int(point.x + 40 * math.sqrt(point.x))
+            truth = complex(mp.fsum(
+                mp.exp(n * mp.log(x) - x - mp.loggamma(n + 1)) * prefix[n] for n in range(1, hi)
+            ))
+            bound = 1e-10 if s == -1.5 else 5e-13 * max(1.0, abs(truth))
+            assert abs(point.scaled_value - truth) <= bound, (point.x, point.scaled_value, truth)
+
+
+# -- error estimates against mpmath ---------------------------------------------------
+
+
+def _mp_series_pair(s, lam, w, x):
+    """(e_s(w x, lam), h_s(x, lam, w)) from the defining sums at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s, lam, w, x = mp.mpc(s), mp.mpc(lam), mp.mpc(w), mp.mpc(x)
+        e_sum, h_sum, prefix, lead, wpow, n = 0, 0, 0, mp.mpc(1), mp.mpc(1), 0
+        while True:
+            c = mp.power(n + lam, -s)
+            e_term, h_term = lead * wpow * c, lead * prefix  # prefix is P_n
+            e_sum, h_sum = e_sum + e_term, h_sum + h_term
+            prefix += wpow * c
+            if n > 2 * abs(x) + 10 and max(abs(e_term), abs(h_term)) < mp.mpf(10) ** -30:
+                return complex(e_sum), complex(h_sum)
+            n += 1
+            wpow *= w
+            lead *= x / n
+
+
+@pytest.mark.parametrize("s", [0.5, 2, -1.5, 1 + 2j])
+@pytest.mark.parametrize("lam", [1, 0.3 + 0.5j])
+@pytest.mark.parametrize("w", [1, -1, 0.5j])
+def test_series_estimates_cover_errors(s, lam, w):
+    # the grid holds eval_series(-1.5, 1, 25) and h_direct(-1.5, 1, 1, 25),
+    # where the drift of x^n/n! over ~100 terms exceeds 2 eps sum |terms|;
+    # at x = 25..30 the terms reach e^30 ~ 1e13
+    for x in (-25, -5, 5, 15, 20, 25, 30, 20j):
+        e_truth, h_truth = _mp_series_pair(s, lam, w, x)
+        res = core.eval_series(s, lam, w * x)
+        assert abs(res.value - e_truth) <= res.abs_err_estimate, ("e", x, res, e_truth)
+        res = h_direct(HSeriesParams(s, lam, w, x))
+        assert abs(res.value - h_truth) <= res.abs_err_estimate, ("h", x, res, h_truth)
+
+
+@pytest.mark.parametrize("s", [-2, -0.5, 0.5, 2, 2.5 + 0.5j, 1 + 3j])
+@pytest.mark.parametrize("lam", [1.0, 0.3, 0.5 + 0.5j])
+@pytest.mark.parametrize("w", [1, -1, 0.5j])
+def test_h_tail_bound_majorizes_true_tail(s, lam, w):
+    """h_direct's tail bound, series_tail_bound plus |P_(n+1)| times its
+    value at s = 0, dominates the true tail wherever the stop rule may
+    apply it."""
+    mp = pytest.importorskip("mpmath")
+    s_, lam_ = complex(s), complex(lam)
+    with mp.workdps(30):
+        prefix = [mp.mpc(0)]
+        for j in range(80):
+            prefix.append(prefix[-1] + mp.mpc(w) ** j * mp.power(mp.mpc(lam_) + j, -mp.mpc(s_)))
+        for x in (-3.0, 1.0, 3.0, 2j, 6.0):
+            terms = [mp.mpc(x) ** k / mp.factorial(k) * prefix[k] for k in range(80)]
+            start = int(2 * abs(x))
+            for n in range(start, start + 12):
+                ratio = abs(x) / (n + 1)
+                if s_.real < 0:
+                    ratio *= (1.0 + 1.0 / (n + lam_.real)) ** (-s_.real)
+                if ratio > 0.5:
+                    continue
+                tail = abs(mp.fsum(terms[n + 1:]))
+                bound = core._tail_bound(s_, lam_, complex(x), n, float(abs(prefix[n + 1])))
+                assert tail <= bound, (x, n, tail, bound)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core.eval_series(1, 1, 800.0),
+        lambda: core.eval_series(0.5, 1, -745.0),
+        lambda: h_direct(HSeriesParams(2, 1, 1, 800.0)),
+    ],
+    ids=["e_1(800)", "e_0.5(-745)", "h_2(800)"],
+)
+def test_series_overflow_is_typed_and_prompt(call):
+    # the terms pass binary64; a NaN sum or a run to the term cap would hide it
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="overflow binary64 at x"):
+        call()
+    assert time.perf_counter() - start < 0.05
 
 
 # -- ODE relation -----------------------------------------------------------------

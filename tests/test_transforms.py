@@ -31,6 +31,12 @@ def test_lerch_at_one_is_zeta2():
     assert abs(res.value - PI2_6) < 1e-8
 
 
+def test_lerch_within_rounding_of_one_is_hurwitz():
+    # e^(2 pi i) = 1 - 2.4e-16j takes the power-law tail branch of z = 1
+    res = transforms.lerch_phi(cmath.exp(2j * math.pi), 2.5, 1)
+    assert abs(res.value - transforms.hurwitz_zeta(2.5, 1).value) <= 1e-10
+
+
 def test_lerch_scaling_matches_hurwitz():
     for s in (2.0, 3.5):
         for lam in (1.0, 1.7):
