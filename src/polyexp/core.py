@@ -34,14 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .quadrature import _read_only, chebyshev_tail_rule, gauss_legendre, tanh_sinh
+from .quadrature import _not_converged, _read_only, chebyshev_tail_rule, gauss_legendre, tanh_sinh
 from .result import (
+    ConditioningError,
     ContourResolutionError,
     ConvergenceError,
     DomainError,
     EvalResult,
     PoleError,
-    QuadratureError,
 )
 
 __all__ = [
@@ -99,25 +99,40 @@ _LANCZOS = (
 )
 
 
-def gamma_fn(z: complex) -> complex:
-    """Complex Gamma(z); reflection formula for Re z < 1/2.
-
-    Raises PoleError at the non-positive integers.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"gamma pole at z = {z.real:g}")
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
-    z -= 1.0
+def _lanczos(z):
+    """Gamma(z) for Re z >= 1/2, z a number or a numpy array."""
+    exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
+    z = z - 1.0
     acc = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
+        acc = acc + c / (z + i)
     t = z + 7.5
     # t^(z+1/2) alone overflows near z = 171 before e^-t scales it down; two
     # half powers keep pow's accuracy, which one exp((z+1/2) log t - t) loses
     half = t ** (0.5 * z + 0.25)
-    return math.sqrt(2.0 * math.pi) * half * cmath.exp(-t) * half * acc
+    return math.sqrt(2.0 * math.pi) * half * exp(-t) * half * acc
+
+
+def gamma_fn(z):
+    """Complex Gamma(z) for a number or a numpy array (a real array stays
+    real: numpy's complex power is less accurate); reflection formula for
+    Re z < 1/2. Raises PoleError at the non-positive integers.
+    """
+    if not isinstance(z, np.ndarray) or z.ndim == 0:
+        z = complex(z)
+        if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+            raise PoleError(f"gamma pole at z = {z.real:g}")
+        if z.real < 0.5:
+            return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
+        return _lanczos(z)
+    z = np.asarray(z) + 0.0  # integers to float
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
+    if pole.any():
+        raise PoleError(f"gamma pole at z = {z.real[pole][0]:g}")
+    left = z.real < 0.5  # reflected there, so Lanczos never sees Re z < 1/2
+    out = _lanczos(np.where(left, 1.0 - z, z))
+    out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
+    return out
 
 
 def rising_factorial(s: complex, m: int) -> complex:
@@ -476,10 +491,9 @@ def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> Ev
     span = 10.0 / max(a, 0.05)
     while (s.real - 1.0) * math.log(t_peak + span) - a * span + r > math.log(target) - 3.0:
         span *= 1.3
-    val, err, nodes, ok = tanh_sinh(g, t_lo, t_peak + span, target, max_level=11, vectorized=True)
+    val, err, nodes, ok = tanh_sinh(g, t_lo, t_peak + span, target, max_level=11)
     if not ok:
-        raise QuadratureError(f"positive integral at x = {-big_x} stalled: last estimate "
-                              f"{val:.12g}, last difference {err:g} (target {target:g})")
+        raise _not_converged(f"positive integral at x = {-big_x}", val, err, target)
     exponent = -lam * t_peak - r
     front = cmath.exp(exponent) / gamma_fn(s)
     value = front * val
@@ -945,11 +959,14 @@ def lower_inc_gamma(lam, x) -> complex:
 
 
 def ein(z) -> complex:
-    """Ein(z) = sum_{k>=1} (-1)^(k-1) z^k / (k! k), entire; equals z e_2(-z)."""
+    """Ein(z) = sum_{k>=1} (-1)^(k-1) z^k / (k! k), entire; equals z e_2(-z).
+    ConditioningError once the rounding eps sum |terms| of the cancelling
+    sum exceeds DEFAULT_TOL max(1, |Ein|), from about |z| = 12 on."""
     z = complex(z)
     if z == 0:
         return 0.0 + 0.0j
     acc = 0.0 + 0.0j
+    sum_abs = 0.0
     zk = 1.0 + 0.0j  # z^k / k!
     k = 0
     while True:
@@ -958,7 +975,12 @@ def ein(z) -> complex:
         if abs(zk) > 1e290:
             raise _Overflow(f"Ein series overflows binary64 before converging at z = {z}")
         acc += (-1.0) ** (k - 1) * zk / k
+        sum_abs += abs(zk) / k
         if k > abs(z) and abs(zk) / k < _EPS * max(abs(acc), 1e-300):
-            return acc
+            break
         if k > 100000:
             raise ConvergenceError("Ein series did not converge")
+    if _EPS * sum_abs > DEFAULT_TOL * max(1.0, abs(acc)):
+        raise ConditioningError(f"Ein series at z = {z} cancels: rounding {_EPS * sum_abs:.3g} "
+                                f"against |Ein| = {abs(acc):.6g} (target {DEFAULT_TOL:g})")
+    return acc

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import core
 from .exact import ExactPoly, fraction_from_str, fraction_to_str
-from .quadrature import tanh_sinh
+from .quadrature import _not_converged, tanh_sinh
 from .result import (
     ConditioningError,
     DomainError,
@@ -146,8 +146,10 @@ class RationalFunction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __call__(self, s: complex) -> complex:
-        return complex(self.num(complex(s))) / complex(self.den(complex(s)))
+    def __call__(self, s):
+        """R(s) at a number or at a numpy array of them."""
+        num, den = ([complex(c) for c in p.coeffs] for p in (self.num, self.den))
+        return core._horner(num, s) / core._horner(den, s)
 
     def __repr__(self):
         return f"RationalFunction(num={self.num!r}, den={self.den!r})"
@@ -772,10 +774,10 @@ def oracle_line_integral(
     lx = math.log(x)
 
     def f(t):
-        s = complex(c, t)
-        return cmath.exp(-s * lx) * R(s) * core.gamma_fn(s) / (2.0 * math.pi)
+        s = c + 1j * t
+        return np.exp(-s * lx) * R(s) * core.gamma_fn(s) / (2.0 * math.pi)
 
     value, err, work, ok = tanh_sinh(f, -T, T, tol, max_level=11)
     if not ok:
-        raise QuadratureError("line integral did not converge")
+        raise _not_converged(f"line integral at x = {x:g}, c = {c:g}", value, err, tol)
     return EvalResult(value, err + tail, work, "line_integral")

@@ -7,7 +7,8 @@ Clenshaw-Curtis rule (the recursion route's tail integrations) and the
 tanh-sinh abscissae and weights of each level.
 
 A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
-able to absorb integrable endpoint singularities, plus the semi-infinite
+able to absorb integrable endpoint singularities (its integrand maps one
+level's array of nodes to an array of values), plus the semi-infinite
 driver used by the transform layer: double-exponential core on
 (0, split), then a tail handled under the integrand's declared decay
 envelope. Exponential envelopes get a truncated log-space integration
@@ -141,6 +142,12 @@ def _level_nodes(level: int, previous_only_odd: bool):
     return _read_only(off_a, off_b, weight)
 
 
+def _not_converged(what: str, estimate, difference: float, target: float) -> QuadratureError:
+    """The error a refinement raises when it misses its target, with its last numbers."""
+    return QuadratureError(f"{what} did not converge: last estimate {estimate:.12g}, "
+                           f"last difference {difference:g} (target {target:g})")
+
+
 def tanh_sinh(
     f: Callable,
     a: float,
@@ -148,13 +155,13 @@ def tanh_sinh(
     tol: float = 1e-12,
     max_level: int = 11,
     min_level: int = 3,
-    vectorized: bool = False,
 ):
     """Integrate f over [a, b] by level-doubling tanh-sinh quadrature.
 
-    Returns (value, err_estimate, nevals, converged). The integrand may
-    return complex values and may blow up at either endpoint as long as
-    the singularity is integrable; nodes never land exactly on a or b.
+    f maps the numpy array of a level's new nodes to an array of values, one
+    call per level. Returns (value, err_estimate, nevals, converged). The
+    integrand may return complex values and may blow up at either endpoint
+    as long as the singularity is integrable; nodes never land on a or b.
     """
     if b == a:
         return 0.0 + 0.0j, 0.0, 0, True
@@ -165,10 +172,7 @@ def tanh_sinh(
         t = np.where(off_a <= off_b, a + r * off_a, b - r * off_b)
         keep = (t > a) & (t < b)
         t, weight = t[keep], weight[keep]
-        if vectorized:
-            vals = np.asarray(f(t), dtype=complex)
-        else:
-            vals = np.array([f(float(ti)) for ti in t], dtype=complex)
+        vals = np.asarray(f(t), dtype=complex)
         bad = ~np.isfinite(vals)
         if bad.any():
             vals = np.where(bad, 0.0, vals)
@@ -206,6 +210,7 @@ class QuadratureSpec:
 class IntegrandHandle:
     """An integrand on (0, inf) with its declared decay envelope.
 
+    f maps an array of nodes to an array of values, as in `tanh_sinh`;
     |f(t)| <= C * t^envelope_power * exp(-envelope_rate * t) for large t,
     with C estimated by sampling. envelope_rate may be 0 only when
     envelope_power < -1 (integrable power-law tail); in that case
@@ -217,7 +222,6 @@ class IntegrandHandle:
     envelope_rate: float
     envelope_power: float = 0.0
     tail_exponent: Optional[complex] = None
-    vectorized: bool = False
 
     def __post_init__(self):
         if self.envelope_rate < 0:
@@ -227,14 +231,11 @@ class IntegrandHandle:
 
 
 def _envelope_constant(handle: IntegrandHandle, split: float) -> float:
-    probes = [split, 1.5 * split, 2.5 * split, 4.0 * split]
-    c = 0.0
-    for t in probes:
-        ref = t**handle.envelope_power * math.exp(-handle.envelope_rate * t)
-        if ref == 0.0:
-            continue
-        c = max(c, abs(complex(handle.f(np.array([t]))[0] if handle.vectorized else handle.f(t))) / ref)
-    return 2.0 * c  # safety factor
+    t = split * np.array([1.0, 1.5, 2.5, 4.0])
+    ref = t**handle.envelope_power * np.exp(-handle.envelope_rate * t)
+    seen = ref != 0.0
+    ratios = np.abs(np.asarray(handle.f(t), dtype=complex))[seen] / ref[seen]
+    return 2.0 * float(np.max(ratios, initial=0.0))  # safety factor
 
 
 def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
@@ -250,11 +251,8 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
 def _log_panel(handle: IntegrandHandle, t0: float, t1: float, tol: float, max_level: int):
     """Integrate f over [t0, t1] after the substitution t = t0 * e^v."""
     vmax = math.log(t1 / t0)
-    if handle.vectorized:
-        g = lambda v: handle.f(t0 * np.exp(v)) * t0 * np.exp(v)
-    else:
-        g = lambda v: handle.f(t0 * math.exp(v)) * t0 * math.exp(v)
-    return tanh_sinh(g, 0.0, vmax, tol, max_level=max_level, vectorized=handle.vectorized)
+    g = lambda v: handle.f(t0 * np.exp(v)) * t0 * np.exp(v)
+    return tanh_sinh(g, 0.0, vmax, tol, max_level=max_level)
 
 
 def _richardson_tail(handle: IntegrandHandle, core: complex, split: float, spec: QuadratureSpec):
@@ -277,7 +275,7 @@ def _richardson_tail(handle: IntegrandHandle, core: complex, split: float, spec:
         t_hi = t_lo * 2.0
         val, err, nev, ok = _log_panel(handle, t_lo, t_hi, tol / (6 * _LADDER_POINTS), max_level=10)
         if not ok:
-            raise QuadratureError("tail panel failed to converge")
+            raise _not_converged(f"tail panel [{t_lo:g}, {t_hi:g}]", val, err, tol / (6 * _LADDER_POINTS))
         current += val
         partials.append(current)
         inner_err += err
@@ -308,26 +306,24 @@ def quad_semiinfinite(handle: IntegrandHandle, spec: QuadratureSpec) -> EvalResu
     """
     tol = spec.target_tol
     split = spec.split_point
-    core, core_err, work, ok = tanh_sinh(
-        handle.f, 0.0, split, tol / 4, max_level=_MAX_LEVEL, vectorized=handle.vectorized
-    )
+    core, core_err, work, ok = tanh_sinh(handle.f, 0.0, split, tol / 4, max_level=_MAX_LEVEL)
     if not ok:
-        raise QuadratureError("core interval did not converge")
+        raise _not_converged(f"core interval (0, {split:g})", core, core_err, tol / 4)
 
     if handle.envelope_rate > 0.0:
         c = _envelope_constant(handle, split)
         T = split * 2.0
         rate, power = handle.envelope_rate, handle.envelope_power
         hops = 0
-        while _exp_tail_bound(c, rate, power, T) > tol / 4 and hops < 60:
+        while (remainder := _exp_tail_bound(c, rate, power, T)) > tol / 4:
+            if hops == 59:
+                raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
+                                      f"its bound {remainder:g} (target {tol / 4:g})")
             T *= 1.5
             hops += 1
-        if hops >= 60:
-            raise QuadratureError("could not place the tail truncation point")
         tail, tail_err, nev, ok = _log_panel(handle, split, T, tol / 4, max_level=_MAX_LEVEL)
         if not ok:
-            raise QuadratureError("tail integration did not converge")
-        remainder = _exp_tail_bound(c, rate, power, T)
+            raise _not_converged(f"tail integration over ({split:g}, {T:g})", tail, tail_err, tol / 4)
         return EvalResult(core + tail, core_err + tail_err + remainder, work + nev, "quadrature")
 
     value, tail_err, nev = _richardson_tail(handle, core, split, spec)

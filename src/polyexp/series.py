@@ -6,7 +6,8 @@ exponential generating function of generalized-harmonic-type prefix sums
 prefix (stop rule and growing rounding estimate of core.eval_series), the
 quadrature representation h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt, the
 Ein-based closed form at s = lam = 1, and exact closed forms at negative
-integer s. Borel probes e^(-x) h_s go through the Poisson-window kernel of
+integer s. The quadrature's integrand e^(-t) e_s(t w, lam) and the Borel
+probes e^(-x) h_s both go through the Poisson-window kernel of
 core.exp_weighted_series; the large-lam expansion mirrors the
 polyexponential one with phi_n replaced by its antiderivative.
 """
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import core, exact, transforms
 from .core import _EPS
-from .quadrature import tanh_sinh
-from .result import DomainError, EvalResult, QuadratureError
+from .quadrature import _not_converged, tanh_sinh
+from .result import DomainError, EvalResult
 
 __all__ = [
     "HSeriesParams",
@@ -80,8 +81,9 @@ def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
 
 
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
-    """h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt over the straight segment,
-    with nested series calls at one-hundredth of the target."""
+    """h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt over the segment t = x u, where
+    e^(-x u) e_s(x u w, lam) = e^((|x| - x) u) `core.exp_weighted_series`(s, lam,
+    x w/|x|, |x| u): one kernel call per level at one-hundredth of the target."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
     if x == 0:
         return EvalResult(0.0 + 0.0j, 0.0, 0, "h_quadrature")
@@ -90,14 +92,16 @@ def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
 
     def f(u):
         nonlocal inner_err
-        res = core.eval_series(s, lam, x * u * w, tol=inner_tol)
-        inner_err = max(inner_err, res.abs_err_estimate)
-        return cmath.exp(-x * u) * res.value
+        values, errs, _ = core.exp_weighted_series(s, lam, x * w / abs(x), abs(x) * u, inner_tol)
+        factor = np.exp((abs(x) - x) * u)
+        inner_err = max(inner_err, float(np.max(errs * np.abs(factor))))
+        return values * factor
 
     scale = x * cmath.exp(x)
-    val, err, work, ok = tanh_sinh(f, 0.0, 1.0, tol / max(abs(scale), 1.0))
+    target = tol / max(abs(scale), 1.0)
+    val, err, work, ok = tanh_sinh(f, 0.0, 1.0, target)
     if not ok:
-        raise QuadratureError("h quadrature did not converge")
+        raise _not_converged(f"h quadrature at x = {x}", val, err, target)
     return EvalResult(
         scale * val, abs(scale) * (err + inner_err), work, "h_quadrature"
     )

@@ -16,10 +16,11 @@ integral in s, and the corresponding representation of Gamma(s) h_s.
 Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
-contaminate quadrature nodes. The integrands are vectorized: the
-quadrature hands the kernel one array per tanh-sinh level, and the inner
-tolerance picks each node's Poisson window through a tail bound relative
-to that node's scale (capped at 1), not through a fixed width.
+contaminate quadrature nodes. Each integrand takes a whole tanh-sinh level
+as one array (only the Mellin transform of e_p(-x, lam) still loops over
+its nodes), and the inner tolerance picks each node's Poisson window
+through a tail bound relative to that node's scale (capped at 1), not
+through a fixed width.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import math
 import numpy as np
 
 from . import core
-from .quadrature import IntegrandHandle, QuadratureSpec, quad_semiinfinite, tanh_sinh
-from .result import ConditioningError, DomainError, EvalResult, PoleError, QuadratureError
+from .quadrature import IntegrandHandle, QuadratureSpec, _not_converged, quad_semiinfinite, tanh_sinh
+from .result import ConditioningError, DomainError, EvalResult, PoleError
 
 __all__ = [
     "QuadratureSpec",
@@ -71,13 +72,10 @@ def _laplace_weighted(s, lam, z, tol):
             envelope_rate=0.0,
             envelope_power=min(-s.real, -1.001),
             tail_exponent=s,
-            vectorized=True,
         )
     else:
         rate = 1.0 - max(z.real, 0.0)
-        handle = IntegrandHandle(
-            f=f, envelope_rate=rate, envelope_power=max(0.0, -s.real), vectorized=True
-        )
+        handle = IntegrandHandle(f=f, envelope_rate=rate, envelope_power=max(0.0, -s.real))
     spec = QuadratureSpec(target_tol=tol, split_point=split)
     return quad_semiinfinite(handle, spec)
 
@@ -174,8 +172,9 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     inner_tol = tol / 50.0
 
     def g(u):
-        x = math.exp(u)
-        return cmath.exp(s * u) * core.evaluate(p, lam, -x, inner_tol).value
+        # one evaluate per node: e_p(-x, lam) has no array route yet
+        return np.array([cmath.exp(s * v) * core.evaluate(p, lam, -math.exp(v), inner_tol).value
+                         for v in u])
 
     # truncation points from the exponential envelopes in u
     u_mid = math.log(core._INTEGRAL_X)
@@ -191,7 +190,7 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     for a, b in ((u_left, u_mid), (u_mid, u_right)):
         val, e, nev, ok = tanh_sinh(g, a, b, tol / 4.0, max_level=10)
         if not ok:
-            raise QuadratureError("mellin transform panel stalled")
+            raise _not_converged(f"mellin transform panel [{a:g}, {b:g}]", val, e, tol / 4.0)
         total += val
         err += e
         work += nev
@@ -214,9 +213,20 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
         f=f,
         envelope_rate=1.0,
         envelope_power=float(p) + lam.real - 1.0,
-        vectorized=True,
     )
     spec = QuadratureSpec(target_tol=tol, split_point=_split_point(1.0, lam))
+    return quad_semiinfinite(handle, spec)
+
+
+def _gamma_weighted(g, s, lam, x, tol):
+    """integral_0^inf t^(s-1) e^(-lam t) g(t) dt for g bounded at large t:
+    the form of both Mellin representations below."""
+    handle = IntegrandHandle(
+        f=lambda t: np.exp((s - 1.0) * np.log(t)) * np.exp(-lam * t) * g(t),
+        envelope_rate=lam.real,
+        envelope_power=max(s.real - 1.0, 0.0),
+    )
+    spec = QuadratureSpec(target_tol=tol, split_point=_split_point(abs(x), lam))
     return quad_semiinfinite(handle, spec)
 
 
@@ -227,19 +237,7 @@ def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     if s.real <= 0:
         raise DomainError("need Re s > 0")
     core._require_lam(lam)
-
-    def f(t):
-        return cmath.exp((s - 1.0) * math.log(t)) * cmath.exp(-lam * t) * cmath.exp(
-            x * math.exp(-t)
-        )
-
-    handle = IntegrandHandle(
-        f=f,
-        envelope_rate=lam.real,
-        envelope_power=max(s.real - 1.0, 0.0),
-    )
-    spec = QuadratureSpec(target_tol=tol, split_point=_split_point(abs(x), lam))
-    return quad_semiinfinite(handle, spec)
+    return _gamma_weighted(lambda t: np.exp(x * np.exp(-t)), s, lam, x, tol)
 
 
 def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
@@ -256,18 +254,7 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
         raise DomainError("need Re s > 1")
     core._require_lam(lam)
     ex = math.exp(x)
-
-    def f(t):
-        quotient = ex * math.expm1(x * math.expm1(-t)) / math.expm1(-t)
-        return cmath.exp((s - 1.0) * math.log(t)) * cmath.exp(-lam * t) * quotient
-
-    handle = IntegrandHandle(
-        f=f,
-        envelope_rate=lam.real,
-        envelope_power=max(s.real - 1.0, 0.0),
-    )
-    spec = QuadratureSpec(target_tol=tol, split_point=_split_point(abs(x), lam))
-    return quad_semiinfinite(handle, spec)
+    return _gamma_weighted(lambda t: ex * np.expm1(x * np.expm1(-t)) / np.expm1(-t), s, lam, x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +278,7 @@ def lerch_series(x, s, lam, tol: float = 1e-12, max_terms: int = 2_000_000) -> c
         xn *= x
         n += 1
         if n > max_terms:
-            raise QuadratureError("lerch series did not reach tolerance")
+            raise _not_converged(f"lerch series in {max_terms} terms", acc, abs(term) / (1.0 - abs(x)), tol)
 
 
 def eta_alternating_series(s, lam, direct_terms: int = 40, euler_terms: int = 40) -> complex:

@@ -4,7 +4,9 @@ import cmath
 import math
 import re
 import time
+import warnings
 
+import numpy as np
 import pytest
 
 from polyexp.core import (
@@ -28,7 +30,13 @@ from polyexp.core import (
 )
 from polyexp.exact import phi_poly
 from polyexp.quadrature import gauss_legendre, tanh_sinh
-from polyexp.result import ContourResolutionError, ConvergenceError, DomainError, PoleError
+from polyexp.result import (
+    ConditioningError,
+    ContourResolutionError,
+    ConvergenceError,
+    DomainError,
+    PoleError,
+)
 
 E = math.e
 
@@ -66,6 +74,33 @@ def test_gamma_poles():
     for z in (0.0, -1.0, -2.0, -7.0):
         with pytest.raises(PoleError):
             gamma_fn(z)
+
+
+def test_gamma_real_array_matches_scalar():
+    z = np.linspace(-30.3, 171.3, 500)
+    got = gamma_fn(z)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    expect = np.array([gamma_fn(zi).real for zi in z])
+    assert np.all(np.abs(got - expect) <= 4 * np.finfo(float).eps * np.abs(expect))
+
+
+def test_gamma_complex_array_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-30.0, 171.0, 500) + 1j * rng.uniform(-40.0, 40.0, 500)
+    got = gamma_fn(z)
+    for zi, gi in zip(z, got):
+        truth = complex(mp.gamma(mp.mpc(zi.real, zi.imag)))
+        assert abs(gi - truth) <= 3e-13 * abs(truth), zi
+
+
+def test_gamma_array_pole_and_no_warnings():
+    with pytest.raises(PoleError):
+        gamma_fn(np.array([0.5, -3.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gamma_fn(np.array([-170.5, 0.3, 171.5]))
+    assert np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize(
@@ -485,7 +520,7 @@ def test_lower_inc_gamma_large_x():
 def test_lower_inc_gamma_values():
     assert abs(lower_inc_gamma(1.0, 1.0) - (1 - 1 / E)) < 1e-14
     assert lower_inc_gamma(2.5, 0.0) == 0.0
-    oracle, _, _, ok = tanh_sinh(lambda t: t**-0.5 * math.exp(-t), 0.0, 2.0, 1e-13)
+    oracle, _, _, ok = tanh_sinh(lambda t: t**-0.5 * np.exp(-t), 0.0, 2.0, 1e-13)
     assert ok
     assert abs(lower_inc_gamma(0.5, 2.0) - oracle) < 1e-11
 
@@ -495,7 +530,7 @@ def test_inc_gamma_identity_grid():
     for x in (0.1, 1.0, 5.0):
         for lam in (0.5, 1.0, 2.5):
             oracle, _, _, ok = tanh_sinh(
-                lambda t, lam=lam: t ** (lam - 1.0) * math.exp(-t), 0.0, x, 1e-13
+                lambda t, lam=lam: t ** (lam - 1.0) * np.exp(-t), 0.0, x, 1e-13
             )
             assert ok
             assert abs(lower_inc_gamma(lam, x) - oracle) < 1e-9
@@ -503,7 +538,7 @@ def test_inc_gamma_identity_grid():
 
 def test_ein_values():
     assert ein(0) == 0
-    oracle, _, _, ok = tanh_sinh(lambda t: -math.expm1(-t) / t, 0.0, 1.0, 1e-13)
+    oracle, _, _, ok = tanh_sinh(lambda t: -np.expm1(-t) / t, 0.0, 1.0, 1e-13)
     assert ok and abs(ein(1.0) - oracle) < 1e-12
     # Ein(-1) = -e_2(1) with the 25-term direct sum
     acc = 0.0
@@ -519,6 +554,21 @@ def test_ein_is_x_e2_of_minus_x():
     for x in (-2.0, 0.5, 1.0, 3.0, 1j):
         ref = complex(x) * eval_series(2.0, 1.0, -complex(x), tol=1e-14).value
         assert abs(ein(x) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("z", [20.0, 100.0, 30j])
+def test_ein_refuses_cancellation(z):
+    with pytest.raises(ConditioningError):
+        ein(z)
+
+
+@pytest.mark.parametrize("z", [10.0, -30.0, 5 + 5j])
+def test_ein_against_mpmath(z):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        zm = mp.mpc(z)
+        truth = complex(zm * mp.hyp2f2(1, 1, 2, 2, -zm))
+    assert abs(ein(z) - truth) <= 1e-12 * abs(truth)
 
 
 def test_ein_overflow_flagged():

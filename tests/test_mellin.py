@@ -199,6 +199,13 @@ def test_oracle_polynomial():
     assert abs(res.value) < 1e-8  # e^-1 phi_2(-1) = 0
 
 
+def test_oracle_array_integrand_keeps_nodes_and_value():
+    res = oracle_line_integral(parse_rational("(s^2+1)/((2-s)*(3-s)^2)"), 1, 1, 30)
+    assert res.work == 3265
+    # the value the per-node (scalar) integrand gave
+    assert abs(res.value - (0.0316247789156676 - 1.4313847389756427e-18j)) <= 1e-15
+
+
 def test_oracle_guards():
     from polyexp.result import QuadratureError
 

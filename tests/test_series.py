@@ -85,6 +85,28 @@ def test_h_quadrature_complex_segment():
     assert abs(a.value - b.value) < 1e-8
 
 
+def _h_mpmath(mp, s, lam, w, x):
+    """sum_n x^n/n! P_n at 30 digits, P_n = sum_{j<n} w^j (j+lam)^-s."""
+    with mp.workdps(30):
+        s, lam, w, x = (mp.mpmathify(v) for v in (s, lam, w, x))
+        acc = prefix = mp.mpf(0)
+        xterm = mp.mpf(1)
+        for n in range(80):
+            acc += xterm * prefix
+            prefix += w**n * (lam + n) ** (-s)
+            xterm *= x / (n + 1)
+        return complex(acc)
+
+
+@pytest.mark.parametrize("x", [-2.0, -0.5, 2.0, 1 + 0.5j, 2j])
+@pytest.mark.parametrize("w", [1.0, -1.0, 0.5j])
+@pytest.mark.parametrize("s,lam", [(1.5, 0.7), (-1.5, 1.3)])
+def test_h_quadrature_error_within_estimate(s, lam, w, x):
+    mp = pytest.importorskip("mpmath")
+    res = h_quadrature(HSeriesParams(s, lam, w, x), tol=1e-10)
+    assert abs(res.value - _h_mpmath(mp, s, lam, w, x)) <= res.abs_err_estimate
+
+
 # -- closed forms ---------------------------------------------------------------
 
 

@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
 from polyexp import core, transforms
 from polyexp.exact import euler_poly
-from polyexp.result import ConditioningError, DomainError, PoleError
+from polyexp.result import ConditioningError, DomainError, PoleError, QuadratureError
 
 PI2_6 = math.pi**2 / 6.0
 
@@ -281,3 +282,12 @@ def test_lerch_series_helper():
     val = transforms.lerch_series(0.5, 1.0, 1.0)
     # sum 0.5^n/(n+1) = 2 ln 2
     assert abs(val - 2.0 * math.log(2.0)) < 1e-11
+
+
+def test_quadrature_error_reports_its_numbers():
+    with pytest.raises(QuadratureError) as info:
+        transforms.eta(-4.5, 1.0)
+    found = re.search(r"last estimate (\S+), last difference (\S+) \(target (\S+)\)", str(info.value))
+    assert found, str(info.value)
+    estimate, difference, target = complex(found[1]), float(found[2]), float(found[3])
+    assert difference > target > 0.0 and cmath.isfinite(estimate)

@@ -118,8 +118,8 @@ def test_level_nodes_read_only_and_reused():
     assert first is quadrature._level_nodes(6, True)
     assert all(not a.flags.writeable for a in first)
     before = quadrature._level_nodes.cache_info().hits
-    quadrature.tanh_sinh(math.exp, 0.0, 1.0, 1e-12)
-    quadrature.tanh_sinh(math.exp, 0.0, 2.0, 1e-12)
+    quadrature.tanh_sinh(np.exp, 0.0, 1.0, 1e-12)
+    quadrature.tanh_sinh(np.exp, 0.0, 2.0, 1e-12)
     assert quadrature._level_nodes.cache_info().hits > before
 
 
