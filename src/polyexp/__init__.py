@@ -24,7 +24,6 @@ from .exact import (
 )
 from .core import (
     EvalResult,
-    HankelContourSpec,
     asymptotic_lambda,
     asymptotic_x_leading,
     ein,
@@ -38,7 +37,7 @@ from .core import (
     lower_inc_gamma,
     taylor_shift,
 )
-from .quadrature import IntegrandHandle, QuadratureSpec, quad_semiinfinite, tanh_sinh
+from .quadrature import quad_semiinfinite, tanh_sinh
 from .transforms import (
     eta,
     h_mellin_representation,
@@ -91,11 +90,11 @@ __all__ = [
     "phi_poly", "q_poly", "euler_poly", "faulhaber_poly", "exp_moment",
     "phi_antiderivative", "h_neg_closed_poly",
     # evaluation routes
-    "EvalResult", "HankelContourSpec", "gamma_fn", "lower_inc_gamma", "ein",
+    "EvalResult", "gamma_fn", "lower_inc_gamma", "ein",
     "evaluate", "eval_series", "eval_negint", "eval_via_recursion", "eval_hankel",
     "taylor_shift", "generating_sum", "asymptotic_lambda", "asymptotic_x_leading",
     # quadrature + transforms
-    "QuadratureSpec", "IntegrandHandle", "quad_semiinfinite", "tanh_sinh",
+    "quad_semiinfinite", "tanh_sinh",
     "lerch_phi", "hurwitz_zeta", "eta", "riemann_zeta",
     "mellin_transform_polyexp", "vanishing_moment", "mellin_s_representation",
     "h_mellin_representation",

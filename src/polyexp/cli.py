@@ -296,7 +296,11 @@ def run(argv=None) -> int:
         if args.subcommand == "eval":
             print(_cmd_eval(args))
         elif args.subcommand == "zeta":
-            res = transforms.riemann_zeta(parse_complex(args.s), tol=args.tolerance, method=args.method)
+            s = parse_complex(args.s)
+            if args.method == "laplace":
+                res = transforms.hurwitz_zeta(s, 1.0, tol=args.tolerance)
+            else:
+                res = transforms.riemann_zeta(s, tol=args.tolerance)
             print(_result_json(res))
         elif args.subcommand == "eta":
             res = transforms.eta(parse_complex(args.s), parse_complex(args.lam), tol=args.tolerance)

@@ -29,7 +29,6 @@ import cmath
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .result import (
 
 __all__ = [
     "EvalResult",
-    "HankelContourSpec",
     "gamma_fn",
     "rising_factorial",
     "lower_inc_gamma",
@@ -68,7 +66,7 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 DEFAULT_TOL = 1e-12
-_MAX_TERMS = 10000  # term cap of eval_series (unless it is passed max_terms) and h_direct
+_MAX_TERMS = 10000  # term cap of eval_series and h_direct
 _INTEGRAL_X = 10.0  # evaluate: the positive integral for real x < -_INTEGRAL_X
 
 
@@ -123,7 +121,11 @@ def gamma_fn(z):
         if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
             raise PoleError(f"gamma pole at z = {z.real:g}")
         if z.real < 0.5:
-            return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
+            # sin(pi z) = (-1)^n sin(pi (z - n)): z - n is exact, while the rounding
+            # of pi z would be a large relative error of the sine next to n
+            n = round(z.real)
+            sine = cmath.sin(math.pi * (z - n))
+            return math.pi / ((-sine if n % 2 else sine) * gamma_fn(1.0 - z))
         return _lanczos(z)
     z = np.asarray(z) + 0.0  # integers to float
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
@@ -131,7 +133,9 @@ def gamma_fn(z):
         raise PoleError(f"gamma pole at z = {z.real[pole][0]:g}")
     left = z.real < 0.5  # reflected there, so Lanczos never sees Re z < 1/2
     out = _lanczos(np.where(left, 1.0 - z, z))
-    out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
+    n = np.round(z.real[left])
+    sine = np.sin(math.pi * (z[left] - n)) * np.where(n % 2, -1.0, 1.0)
+    out[left] = math.pi / (sine * out[left])
     return out
 
 
@@ -168,13 +172,13 @@ def _tail_bound(s: complex, lam: complex, x: complex, n: int, prefix: float) -> 
     return 2.0 * lead * (power * g + prefix)
 
 
-def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0, cap=_MAX_TERMS):
+def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0):
     """Stop rule of `eval_series` (coefficients (k+lam)^-s) and
     `series.h_direct` (P_k = sum_{j<k} w^j (j+lam)^-s, prefix = P_(n+1))
     after the term k = n: None to go on, else the tail bound plus rounding,
     eps (2 + 2n + |s| log(2 + n + |lam|)) sum |terms| for the drift of
     x^k/k! and of a prefix (about eps a step) and of (k+lam)^-s. Raises
-    ConvergenceError past binary64 or past `cap` terms.
+    ConvergenceError past binary64 or past `_MAX_TERMS` terms.
     """
     if n >= 2.0 * abs(x):
         if not math.isfinite(sum_abs):
@@ -187,12 +191,12 @@ def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0, cap=_MAX_TERMS):
             tail = _tail_bound(s, lam, x, n, abs(prefix))
             if tail <= tol:
                 return tail + _EPS * (2.0 + 2.0 * n + abs(s) * math.log(2.0 + n + abs(lam))) * sum_abs
-    if n >= cap:
-        raise ConvergenceError(f"series needs more than {cap} terms for tol={tol:g} at x={x}")
+    if n >= _MAX_TERMS:
+        raise ConvergenceError(f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={x}")
     return None
 
 
-def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResult:
+def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     """Partial sum of the defining series, stopped by the analytic tail bound.
 
     (n+lam)^s uses the principal branch of log(n+lam); well defined since
@@ -203,7 +207,6 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResu
     _require_lam(lam)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    cap = _MAX_TERMS if max_terms is None else int(max_terms)
 
     acc = 0.0 + 0.0j
     sum_abs = 0.0
@@ -213,7 +216,7 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL, max_terms=None) -> EvalResu
         term = power_term * cmath.exp(-s * cmath.log(n + lam))
         acc += term
         sum_abs += abs(term)
-        err = _series_stop(s, lam, x, n, sum_abs, tol, cap=cap)
+        err = _series_stop(s, lam, x, n, sum_abs, tol)
         if err is not None:
             return EvalResult(acc, err, n + 1, "series")
         n += 1
@@ -654,20 +657,8 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HankelContourSpec:
-    """Contour parameters: circle radius, ray truncation, starting node counts."""
-
-    epsilon: float = 1.0
-    truncation: float = 60.0
-    nodes_ray: int = 64
-    nodes_circle: int = 64
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < self.truncation):
-            raise ValueError("need 0 < epsilon < truncation")
-        if self.nodes_ray < 8 or self.nodes_circle < 8:
-            raise ValueError("node counts must be >= 8")
+_HANKEL_RADIUS = 1.0  # circle radius of the contour
+_HANKEL_NODES = 64  # starting Gauss-Legendre nodes on the rays and on the circle
 
 
 def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
@@ -690,14 +681,14 @@ def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
     return bound
 
 
-def default_contour(s, lam, x, tol: float = 1e-10) -> HankelContourSpec:
-    """epsilon = 1 and a truncation chosen so the discarded ray tail
+def default_contour(s, lam, x, tol: float = 1e-10) -> float:
+    """Ray truncation T, chosen so the discarded ray tail
     (`_ray_tail_bound`) sits below the error target."""
     s, lam, x = complex(s), complex(lam), complex(x)
     T = max(30.0, abs(x) + abs(lam) + 30.0)
     while _ray_tail_bound(s, lam, x, T) > 0.05 * tol and T <= 1e5:
         T *= 1.3
-    return HankelContourSpec(epsilon=1.0, truncation=T)
+    return T
 
 
 def _gauss_panel(f, a, b, n):
@@ -709,8 +700,9 @@ def _gauss_panel(f, a, b, n):
     return complex(half * np.sum(terms)), float(half * np.sum(np.abs(terms)))
 
 
-def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
-    """(1/2 pi i) * integral over the contour of z^power e^(lam z) K(z) [Log z].
+def _hankel_raw(power, lam, kernel, T, log_weight, tol):
+    """(1/2 pi i) * integral over the contour of z^power e^(lam z) K(z) [Log z],
+    rays cut at |z| = T around a circle of radius `_HANKEL_RADIUS`.
 
     Rays carry arg z = -pi (lower) and +pi (upper); the circle runs theta
     from -pi to pi, all on the principal branch. Node counts double until
@@ -719,7 +711,7 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
     integrand's modulus, the level at which cancellation on the circle
     leaves the sum; a difference under it but above tol raises at once.
     """
-    eps, T = contour.epsilon, contour.truncation
+    eps = _HANKEL_RADIUS
     vmax = math.log(T / eps)
 
     def ray_integrand(v):
@@ -739,7 +731,7 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
             val = val * (math.log(eps) + 1j * theta)
         return val * 1j * z
 
-    n_ray, n_circ = contour.nodes_ray, contour.nodes_circle
+    n_ray = n_circ = _HANKEL_NODES
     prev = None
     diff = math.inf
     work = 0
@@ -766,20 +758,19 @@ def _hankel_raw(power, lam, kernel, contour, log_weight, tol):
     )
 
 
-def hankel_contour_integral(s, lam, kernel, contour=None, tol: float = 1e-10) -> complex:
+def hankel_contour_integral(s, lam, kernel, tol: float = 1e-10) -> complex:
     """Gamma(1-s)/(2 pi i) * integral of z^(s-1) e^(lam z) kernel(z) dz over
     the contour; s must not be a positive integer. kernel receives numpy
     arrays of contour points."""
     s, lam = complex(s), complex(lam)
     if s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real):
         raise DomainError("positive integer order needs the log-weighted form")
-    if contour is None:
-        contour = default_contour(s, lam, 0.0, tol)
-    raw = _hankel_raw(s - 1.0, lam, kernel, contour, log_weight=False, tol=tol)[0]
+    T = default_contour(s, lam, 0.0, tol)
+    raw = _hankel_raw(s - 1.0, lam, kernel, T, log_weight=False, tol=tol)[0]
     return gamma_fn(1.0 - s) * raw
 
 
-def eval_hankel(s, lam, x, contour: HankelContourSpec | None = None, tol: float = 1e-9) -> EvalResult:
+def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
     """Hankel-contour evaluation of e_s(x, lam).
 
     Non-integer s uses Gamma(1-s)/(2 pi i) * integral of z^(s-1) e^(lam z)
@@ -790,8 +781,7 @@ def eval_hankel(s, lam, x, contour: HankelContourSpec | None = None, tol: float 
     """
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
-    if contour is None:
-        contour = default_contour(s, lam, x, tol)
+    T = default_contour(s, lam, x, tol)
     kernel = lambda z: np.exp(x * np.exp(z))
 
     is_pos_int = s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real)
@@ -804,17 +794,12 @@ def eval_hankel(s, lam, x, contour: HankelContourSpec | None = None, tol: float 
 
     if is_pos_int:
         m = int(s.real)
-        raw, diff, floor, work = _hankel_raw(
-            float(m - 1), lam, kernel, contour, log_weight=True, tol=tol
-        )
-        prefactor = (-1.0) ** m / math.factorial(m - 1)
+        power, prefactor = float(m - 1), (-1.0) ** m / math.factorial(m - 1)
     else:
-        raw, diff, floor, work = _hankel_raw(
-            s - 1.0, lam, kernel, contour, log_weight=False, tol=tol
-        )
-        prefactor = gamma_fn(1.0 - s)
+        power, prefactor = s - 1.0, gamma_fn(1.0 - s)
+    raw, diff, floor, work = _hankel_raw(power, lam, kernel, T, log_weight=is_pos_int, tol=tol)
     value = prefactor * raw
-    dropped = _ray_tail_bound(s, lam, x, contour.truncation)
+    dropped = _ray_tail_bound(s, lam, x, T)
     diff, floor, dropped = (abs(prefactor) * e for e in (diff, floor, dropped))
 
     # consistency: real parameters must give a real value

@@ -636,7 +636,11 @@ def eval_theorem63(R: RationalFunction, c: float) -> MellinExpression:
     """
     if c <= 0:
         raise DomainError("the line abscissa c must be positive")
-    pf = partial_fractions(R)
+    return _theorem63(partial_fractions(R), c)
+
+
+def _theorem63(pf: PartialFractions, c: float) -> MellinExpression:
+    """`eval_theorem63` from the decomposition of R, which `shift_adjust` shares."""
     for t in pf.pole_terms:
         if t.pole.real <= c:
             raise PoleRegionError(
@@ -676,7 +680,7 @@ def shift_adjust(R: RationalFunction, c: float, c_new: float) -> MellinExpressio
             # residue of x^(-s) R(s) Gamma(s): Gamma is analytic here
             res_r = complex(R.num(pole)) / _den_derivative(R.den, pole)
             residues.append(ResidueTerm(coeff=core.gamma_fn(pole) * res_r, pole=pole))
-    base = eval_theorem63(R, c_new)
+    base = _theorem63(pf, c_new)
     return MellinExpression(
         exp_poly=base.exp_poly,
         terms=base.terms,

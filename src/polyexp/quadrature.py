@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .result import EvalResult, QuadratureError
 
 _HALF_PI = math.pi / 2.0
 _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
+_MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
 _MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver's core and tail
 _LADDER_POINTS = 9  # partial integrals of the power-law tail ladder
 
@@ -154,7 +154,6 @@ def tanh_sinh(
     b: float,
     tol: float = 1e-12,
     max_level: int = 11,
-    min_level: int = 3,
 ):
     """Integrate f over [a, b] by level-doubling tanh-sinh quadrature.
 
@@ -178,10 +177,10 @@ def tanh_sinh(
             vals = np.where(bad, 0.0, vals)
         return complex(np.sum(vals * weight)), len(t)
 
-    total, nev = evaluate(min_level, only_odd=False)
+    total, nev = evaluate(_MIN_LEVEL, only_odd=False)
     value = r * total
     err = math.inf
-    for level in range(min_level + 1, max_level + 1):
+    for level in range(_MIN_LEVEL + 1, max_level + 1):
         extra, n2 = evaluate(level, only_odd=True)
         new_value = 0.5 * value + r * extra
         nev += n2
@@ -192,49 +191,11 @@ def tanh_sinh(
     return value, err, nev, False
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Targets for the semi-infinite driver."""
-
-    target_tol: float = 1e-10
-    split_point: float = 10.0
-
-    def __post_init__(self):
-        if self.target_tol <= 0:
-            raise ValueError("target_tol must be positive")
-        if self.split_point <= 0:
-            raise ValueError("split_point must be positive")
-
-
-@dataclass
-class IntegrandHandle:
-    """An integrand on (0, inf) with its declared decay envelope.
-
-    f maps an array of nodes to an array of values, as in `tanh_sinh`;
-    |f(t)| <= C * t^envelope_power * exp(-envelope_rate * t) for large t,
-    with C estimated by sampling. envelope_rate may be 0 only when
-    envelope_power < -1 (integrable power-law tail); in that case
-    tail_exponent, when given, is the exact complex decay exponent sigma
-    with f ~ t^-sigma used by the tail extrapolation ladder.
-    """
-
-    f: Callable
-    envelope_rate: float
-    envelope_power: float = 0.0
-    tail_exponent: Optional[complex] = None
-
-    def __post_init__(self):
-        if self.envelope_rate < 0:
-            raise ValueError("envelope_rate must be >= 0")
-        if self.envelope_rate == 0 and self.envelope_power >= -1:
-            raise ValueError("power-law tails need envelope_power < -1")
-
-
-def _envelope_constant(handle: IntegrandHandle, split: float) -> float:
+def _envelope_constant(f: Callable, rate: float, power: float, split: float) -> float:
     t = split * np.array([1.0, 1.5, 2.5, 4.0])
-    ref = t**handle.envelope_power * np.exp(-handle.envelope_rate * t)
+    ref = t**power * np.exp(-rate * t)
     seen = ref != 0.0
-    ratios = np.abs(np.asarray(handle.f(t), dtype=complex))[seen] / ref[seen]
+    ratios = np.abs(np.asarray(f(t), dtype=complex))[seen] / ref[seen]
     return 2.0 * float(np.max(ratios, initial=0.0))  # safety factor
 
 
@@ -248,24 +209,20 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
     return c * T**power * math.exp(-rate * T) / (rate * slack)
 
 
-def _log_panel(handle: IntegrandHandle, t0: float, t1: float, tol: float, max_level: int):
+def _log_panel(f: Callable, t0: float, t1: float, tol: float, max_level: int):
     """Integrate f over [t0, t1] after the substitution t = t0 * e^v."""
     vmax = math.log(t1 / t0)
-    g = lambda v: handle.f(t0 * np.exp(v)) * t0 * np.exp(v)
+    g = lambda v: f(t0 * np.exp(v)) * t0 * np.exp(v)
     return tanh_sinh(g, 0.0, vmax, tol, max_level=max_level)
 
 
-def _richardson_tail(handle: IntegrandHandle, core: complex, split: float, spec: QuadratureSpec):
+def _richardson_tail(f: Callable, sigma: complex, core: complex, split: float, tol: float):
     """Power-law tails: extrapolate I(T_j) over T_j = split * 2^j.
 
     With f ~ C t^-sigma (Re sigma > 1) the partial integrals satisfy
     I(inf) - I(T) = T^(1-sigma) * (b0 + b1/T + ...), so a Richardson
     ladder with exponents sigma - 1 + i converges fast.
     """
-    sigma = handle.tail_exponent
-    if sigma is None:
-        sigma = complex(-handle.envelope_power)
-    tol = spec.target_tol
     partials = []
     work = 0
     inner_err = 0.0
@@ -273,7 +230,7 @@ def _richardson_tail(handle: IntegrandHandle, core: complex, split: float, spec:
     t_lo = split
     for _ in range(_LADDER_POINTS):
         t_hi = t_lo * 2.0
-        val, err, nev, ok = _log_panel(handle, t_lo, t_hi, tol / (6 * _LADDER_POINTS), max_level=10)
+        val, err, nev, ok = _log_panel(f, t_lo, t_hi, tol / (6 * _LADDER_POINTS), max_level=10)
         if not ok:
             raise _not_converged(f"tail panel [{t_lo:g}, {t_hi:g}]", val, err, tol / (6 * _LADDER_POINTS))
         current += val
@@ -295,25 +252,34 @@ def _richardson_tail(handle: IntegrandHandle, core: complex, split: float, spec:
     return best, err, work
 
 
-def quad_semiinfinite(handle: IntegrandHandle, spec: QuadratureSpec) -> EvalResult:
-    """Integrate handle.f over (0, inf).
+def quad_semiinfinite(f: Callable, rate: float, power: complex, tol: float, split: float) -> EvalResult:
+    """Integrate f over (0, inf), where f maps an array of nodes to an array
+    of values as in `tanh_sinh` and |f(t)| <= C t^power e^(-rate t) for
+    large t (power real when rate > 0), with C estimated by sampling.
 
-    Core interval (0, split_point) by tanh-sinh; the tail by log-space
+    Core interval (0, split) by tanh-sinh; the tail by log-space
     tanh-sinh out to a truncation point justified by the envelope, with
     the envelope remainder added to the error estimate. Power-law
-    envelopes (rate 0) use the extrapolation ladder instead, since the
-    remainder bound alone would force absurd truncation points.
+    envelopes (rate 0, which needs Re power < -1) use the extrapolation
+    ladder instead, since the remainder bound alone would force absurd
+    truncation points; there power is the exact complex exponent of
+    f ~ t^power.
     """
-    tol = spec.target_tol
-    split = spec.split_point
-    core, core_err, work, ok = tanh_sinh(handle.f, 0.0, split, tol / 4, max_level=_MAX_LEVEL)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if split <= 0:
+        raise ValueError("split must be positive")
+    if rate < 0:
+        raise ValueError("rate must be >= 0")
+    if rate == 0 and power.real >= -1:
+        raise ValueError("power-law tails need Re power < -1")
+    core, core_err, work, ok = tanh_sinh(f, 0.0, split, tol / 4, max_level=_MAX_LEVEL)
     if not ok:
         raise _not_converged(f"core interval (0, {split:g})", core, core_err, tol / 4)
 
-    if handle.envelope_rate > 0.0:
-        c = _envelope_constant(handle, split)
+    if rate > 0.0:
+        c = _envelope_constant(f, rate, power, split)
         T = split * 2.0
-        rate, power = handle.envelope_rate, handle.envelope_power
         hops = 0
         while (remainder := _exp_tail_bound(c, rate, power, T)) > tol / 4:
             if hops == 59:
@@ -321,10 +287,10 @@ def quad_semiinfinite(handle: IntegrandHandle, spec: QuadratureSpec) -> EvalResu
                                       f"its bound {remainder:g} (target {tol / 4:g})")
             T *= 1.5
             hops += 1
-        tail, tail_err, nev, ok = _log_panel(handle, split, T, tol / 4, max_level=_MAX_LEVEL)
+        tail, tail_err, nev, ok = _log_panel(f, split, T, tol / 4, max_level=_MAX_LEVEL)
         if not ok:
             raise _not_converged(f"tail integration over ({split:g}, {T:g})", tail, tail_err, tol / 4)
         return EvalResult(core + tail, core_err + tail_err + remainder, work + nev, "quadrature")
 
-    value, tail_err, nev = _richardson_tail(handle, core, split, spec)
+    value, tail_err, nev = _richardson_tail(f, -power, core, split, tol)
     return EvalResult(value, core_err + tail_err, work + nev, "quadrature+tail_extrapolation")

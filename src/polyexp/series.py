@@ -15,6 +15,8 @@ polyexponential one with phi_n replaced by its antiderivative.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import core, exact, transforms
 from .core import _EPS
 from .quadrature import _not_converged, tanh_sinh
-from .result import DomainError, EvalResult
+from .result import ConditioningError, DomainError, EvalResult
 
 __all__ = [
     "HSeriesParams",
@@ -83,10 +85,13 @@ def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
     """h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt over the segment t = x u, where
     e^(-x u) e_s(x u w, lam) = e^((|x| - x) u) `core.exp_weighted_series`(s, lam,
-    x w/|x|, |x| u): one kernel call per level at one-hundredth of the target."""
+    x w/|x|, |x| u): one kernel call per level at one-hundredth of the target.
+    ConditioningError where that weight would overflow binary64."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
     if x == 0:
         return EvalResult(0.0 + 0.0j, 0.0, 0, "h_quadrature")
+    if abs(x) - x.real > math.log(sys.float_info.max):
+        raise ConditioningError(f"h quadrature weight e^((|x| - Re x) u) overflows binary64 at x = {x}")
     inner_tol = tol / 100.0
     inner_err = 0.0
 

@@ -31,13 +31,10 @@ import math
 import numpy as np
 
 from . import core
-from .quadrature import IntegrandHandle, QuadratureSpec, _not_converged, quad_semiinfinite, tanh_sinh
+from .quadrature import _not_converged, quad_semiinfinite, tanh_sinh
 from .result import ConditioningError, DomainError, EvalResult, PoleError
 
 __all__ = [
-    "QuadratureSpec",
-    "IntegrandHandle",
-    "quad_semiinfinite",
     "lerch_phi",
     "hurwitz_zeta",
     "eta",
@@ -67,17 +64,8 @@ def _laplace_weighted(s, lam, z, tol):
     split = _split_point(abs(z), lam)
     if abs(z - 1.0) <= 1e-14:
         # pure power-law tail t^(-s), z = 1 within rounding: extrapolation ladder
-        handle = IntegrandHandle(
-            f=f,
-            envelope_rate=0.0,
-            envelope_power=min(-s.real, -1.001),
-            tail_exponent=s,
-        )
-    else:
-        rate = 1.0 - max(z.real, 0.0)
-        handle = IntegrandHandle(f=f, envelope_rate=rate, envelope_power=max(0.0, -s.real))
-    spec = QuadratureSpec(target_tol=tol, split_point=split)
-    return quad_semiinfinite(handle, spec)
+        return quad_semiinfinite(f, 0.0, -s, tol, split)
+    return quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
 
 
 def lerch_phi(x, s, lam, tol: float = 1e-10) -> EvalResult:
@@ -122,9 +110,9 @@ def eta(s, lam, tol: float = 1e-10) -> EvalResult:
     return _laplace_weighted(s, lam, -1.0, tol)
 
 
-def riemann_zeta(s, tol: float = 1e-10, method: str = "auto") -> EvalResult:
-    """zeta(s) from eta(s,1)/(1 - 2^(1-s)); method="laplace" uses the direct
-    integral of e_s(t) e^(-t) instead (Re s > 1 only).
+def riemann_zeta(s, tol: float = 1e-10) -> EvalResult:
+    """zeta(s) from eta(s,1)/(1 - 2^(1-s)); `hurwitz_zeta(s, 1)` is the direct
+    integral of e_s(t) e^(-t) (Re s > 1 only).
 
     Refuses s = 1 and points where |1 - 2^(1-s)| < 1e-3 (the prefactor
     would amplify the quadrature error out of control).
@@ -132,10 +120,6 @@ def riemann_zeta(s, tol: float = 1e-10, method: str = "auto") -> EvalResult:
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
-    if method not in ("auto", "eta", "laplace"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "laplace":
-        return hurwitz_zeta(s, 1.0, tol)
     denom = 1.0 - 2.0 ** complex(1.0 - s)
     if abs(denom) < 1e-3:
         raise ConditioningError(
@@ -209,25 +193,14 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
     def f(x):
         return np.exp((lam - 1.0) * np.log(x) - x) * core._horner(coeffs, -x)
 
-    handle = IntegrandHandle(
-        f=f,
-        envelope_rate=1.0,
-        envelope_power=float(p) + lam.real - 1.0,
-    )
-    spec = QuadratureSpec(target_tol=tol, split_point=_split_point(1.0, lam))
-    return quad_semiinfinite(handle, spec)
+    return quad_semiinfinite(f, 1.0, float(p) + lam.real - 1.0, tol, _split_point(1.0, lam))
 
 
 def _gamma_weighted(g, s, lam, x, tol):
     """integral_0^inf t^(s-1) e^(-lam t) g(t) dt for g bounded at large t:
     the form of both Mellin representations below."""
-    handle = IntegrandHandle(
-        f=lambda t: np.exp((s - 1.0) * np.log(t)) * np.exp(-lam * t) * g(t),
-        envelope_rate=lam.real,
-        envelope_power=max(s.real - 1.0, 0.0),
-    )
-    spec = QuadratureSpec(target_tol=tol, split_point=_split_point(abs(x), lam))
-    return quad_semiinfinite(handle, spec)
+    f = lambda t: np.exp((s - 1.0) * np.log(t)) * np.exp(-lam * t) * g(t)
+    return quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam))
 
 
 def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
@@ -261,8 +234,12 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
 # series cross-check routes (used by the identity suites)
 # ---------------------------------------------------------------------------
 
+_LERCH_TERMS = 2_000_000  # lerch_series gives up past this many terms
+_DIRECT_TERMS = 40  # eta_alternating_series: terms summed directly,
+_EULER_TERMS = 40  # then terms of the Euler-transformed remainder
 
-def lerch_series(x, s, lam, tol: float = 1e-12, max_terms: int = 2_000_000) -> complex:
+
+def lerch_series(x, s, lam, tol: float = 1e-12) -> complex:
     """Direct sum of x^n/(n+lam)^s for |x| < 1, geometric tail bound."""
     x, s, lam = complex(x), complex(s), complex(lam)
     if abs(x) >= 1:
@@ -277,11 +254,11 @@ def lerch_series(x, s, lam, tol: float = 1e-12, max_terms: int = 2_000_000) -> c
             return acc
         xn *= x
         n += 1
-        if n > max_terms:
-            raise _not_converged(f"lerch series in {max_terms} terms", acc, abs(term) / (1.0 - abs(x)), tol)
+        if n > _LERCH_TERMS:
+            raise _not_converged(f"lerch series in {_LERCH_TERMS} terms", acc, abs(term) / (1.0 - abs(x)), tol)
 
 
-def eta_alternating_series(s, lam, direct_terms: int = 40, euler_terms: int = 40) -> complex:
+def eta_alternating_series(s, lam) -> complex:
     """sum (-1)^n (n+lam)^(-s) with Euler acceleration of the tail.
 
     Needs Re s > 0 for ordinary convergence (the acceleration extends the
@@ -289,19 +266,19 @@ def eta_alternating_series(s, lam, direct_terms: int = 40, euler_terms: int = 40
     """
     s, lam = complex(s), complex(lam)
     acc = 0.0 + 0.0j
-    for n in range(direct_terms):
+    for n in range(_DIRECT_TERMS):
         acc += (-1.0) ** n * cmath.exp(-s * cmath.log(n + lam))
     # Euler transform of the remainder sum_{j>=0} (-1)^j b_j
     b = np.array(
         [
-            cmath.exp(-s * cmath.log(direct_terms + j + lam))
-            for j in range(euler_terms)
+            cmath.exp(-s * cmath.log(_DIRECT_TERMS + j + lam))
+            for j in range(_EULER_TERMS)
         ],
         dtype=complex,
     )
-    sign = (-1.0) ** direct_terms
+    sign = (-1.0) ** _DIRECT_TERMS
     euler = 0.0 + 0.0j
-    for k in range(euler_terms - 1):
+    for k in range(_EULER_TERMS - 1):
         euler += (-1.0) ** k * b[0] / 2.0 ** (k + 1)
         b = b[1:] - b[:-1]  # forward difference
     return acc + sign * euler

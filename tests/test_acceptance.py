@@ -48,7 +48,7 @@ def test_acceptance_02_route_agreement_grid():
 
 def test_acceptance_03_zeta_and_eta_values():
     t0 = time.time()
-    z2 = transforms.riemann_zeta(2.0, tol=1e-10, method="laplace").value
+    z2 = transforms.hurwitz_zeta(2.0, 1.0, tol=1e-10).value
     zm1 = transforms.riemann_zeta(-1.0, tol=1e-10).value
     z0 = transforms.riemann_zeta(0.0, tol=1e-10).value
     worst_eta = 0.0

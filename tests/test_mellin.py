@@ -310,6 +310,19 @@ def test_shift_crossing_simple_pole_matches_oracle(x):
     assert abs(got.value - oracle.value) < 1e-6
 
 
+def test_shift_decomposes_once(monkeypatch):
+    calls = []
+    real = mellin.partial_fractions
+
+    def counting(R):
+        calls.append(R)
+        return real(R)
+
+    monkeypatch.setattr(mellin, "partial_fractions", counting)
+    shift_adjust(parse_rational("1/(1-s) + 1/(3-s)"), 2.0, 0.5)
+    assert len(calls) == 1
+
+
 def test_shift_refuses_high_order_crossing():
     with pytest.raises(UnsupportedError):
         shift_adjust(parse_rational("1/(1-s)^2"), 2.0, 0.5)

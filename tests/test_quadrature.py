@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from polyexp.quadrature import (
-    IntegrandHandle,
-    QuadratureSpec,
     chebyshev_tail_rule,
     gauss_legendre,
     quad_semiinfinite,
@@ -58,52 +56,46 @@ def test_finite_calls_f_once_per_level():
 
 
 def test_semiinfinite_exponential():
-    h = IntegrandHandle(f=lambda t: np.exp(-t), envelope_rate=1.0)
-    res = quad_semiinfinite(h, QuadratureSpec(target_tol=1e-11))
+    res = quad_semiinfinite(lambda t: np.exp(-t), 1.0, 0.0, 1e-11, 10.0)
     assert abs(res.value - 1.0) < 1e-10
     assert res.abs_err_estimate < 1e-8
 
 
 def test_semiinfinite_t_exp():
-    h = IntegrandHandle(f=lambda t: t * np.exp(-2 * t), envelope_rate=2.0, envelope_power=1.0)
-    res = quad_semiinfinite(h, QuadratureSpec(target_tol=1e-11))
+    res = quad_semiinfinite(lambda t: t * np.exp(-2 * t), 2.0, 1.0, 1e-11, 10.0)
     assert abs(res.value - 0.25) < 1e-10
 
 
 def test_semiinfinite_sqrt_singularity():
-    h = IntegrandHandle(
-        f=lambda t: t**-0.5 * np.exp(-t), envelope_rate=1.0, envelope_power=-0.5,
-    )
-    res = quad_semiinfinite(h, QuadratureSpec(target_tol=1e-11))
+    res = quad_semiinfinite(lambda t: t**-0.5 * np.exp(-t), 1.0, -0.5, 1e-11, 10.0)
     assert abs(res.value - math.sqrt(math.pi)) < 1e-10
 
 
 def test_semiinfinite_power_law():
     # integral of (1+t)^-2 over (0, inf) = 1
-    h = IntegrandHandle(
-        f=lambda t: (1.0 + t) ** -2.0, envelope_rate=0.0, envelope_power=-2.0,
-        tail_exponent=2.0,
-    )
-    res = quad_semiinfinite(h, QuadratureSpec(target_tol=1e-10))
+    res = quad_semiinfinite(lambda t: (1.0 + t) ** -2.0, 0.0, -2.0, 1e-10, 10.0)
     assert abs(res.value - 1.0) < 1e-9
     assert "extrapolation" in res.method
 
 
 def test_semiinfinite_power_law_noninteger():
     # integral of (1+t)^-3.5 = 1/2.5
-    h = IntegrandHandle(
-        f=lambda t: (1.0 + t) ** -3.5, envelope_rate=0.0, envelope_power=-3.5,
-        tail_exponent=3.5,
-    )
-    res = quad_semiinfinite(h, QuadratureSpec(target_tol=1e-10))
+    res = quad_semiinfinite(lambda t: (1.0 + t) ** -3.5, 0.0, -3.5, 1e-10, 10.0)
     assert abs(res.value - 0.4) < 1e-9
 
 
 def test_handle_validation():
+    f = lambda t: np.exp(-t)
     with pytest.raises(ValueError):
-        IntegrandHandle(f=math.exp, envelope_rate=0.0, envelope_power=0.0)
+        quad_semiinfinite(np.exp, 0.0, 0.0, 1e-10, 10.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(target_tol=-1.0)
+        quad_semiinfinite(f, 1.0, 0.0, -1.0, 10.0)
+    with pytest.raises(ValueError):
+        quad_semiinfinite(f, 1.0, 0.0, 1e-10, 0.0)
+    with pytest.raises(ValueError):
+        quad_semiinfinite(f, -1.0, 0.0, 1e-10, 10.0)
+    with pytest.raises(ValueError):
+        quad_semiinfinite(lambda t: t**-1.5, 0.0, -1.0 + 2j, 1e-10, 10.0)
 
 
 # -- memoized rule tables -----------------------------------------------------------

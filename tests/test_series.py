@@ -3,13 +3,14 @@
 import cmath
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from polyexp import core, series, transforms
 from polyexp.exact import phi_poly
-from polyexp.result import ConvergenceError, DomainError
+from polyexp.result import ConditioningError, ConvergenceError, DomainError
 from polyexp.series import (
     HSeriesParams,
     borel_probe,
@@ -83,6 +84,15 @@ def test_h_quadrature_complex_segment():
     a = h_direct(params, tol=1e-13)
     b = h_quadrature(params, tol=1e-10)
     assert abs(a.value - b.value) < 1e-8
+
+
+@pytest.mark.parametrize("w", [1.0, -1.0])
+def test_h_quadrature_refuses_overflowing_weight(w):
+    # e^((|x| - x) u) reaches e^800 at x = -400: refused before integrating
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match="-400"):
+            h_quadrature(HSeriesParams(1.5, 0.7, w, -400.0))
 
 
 def _h_mpmath(mp, s, lam, w, x):

@@ -132,10 +132,7 @@ def test_eta_hankel_cross_check():
 
     s, lam = 0.5, 1.0
     quad_val = transforms.eta(s, lam, tol=1e-9).value
-    contour = core.default_contour(s, lam, 0.0, 1e-9)
-    hankel_val = core.hankel_contour_integral(
-        s, lam, lambda z: 1.0 / (1.0 + np.exp(z)), contour, tol=1e-10
-    )
+    hankel_val = core.hankel_contour_integral(s, lam, lambda z: 1.0 / (1.0 + np.exp(z)), tol=1e-10)
     assert abs(quad_val - hankel_val) < 1e-6
 
 
@@ -145,7 +142,7 @@ def test_eta_hankel_cross_check():
 def test_zeta_two_routes_agree():
     for s in (2.0, 3.0, 4.5):
         via_eta = transforms.riemann_zeta(s, tol=1e-10)
-        direct = transforms.riemann_zeta(s, tol=1e-10, method="laplace")
+        direct = transforms.hurwitz_zeta(s, 1.0, tol=1e-10)
         assert abs(via_eta.value - direct.value) < 1e-8
 
 
