@@ -5,13 +5,13 @@ Routes implemented here, each independently testable against the others:
   * direct series with an analytic factorial-tail bound,
   * closed form e^x * Q_p(x, lam) at non-positive integer orders,
   * the positive integral of t^(s-1) e^(-lam t) e^(x e^-t) at large x < 0
-    (`evaluate` chooses among these three by a stated region map),
+    (`evaluate` picks among these three and Hankel by a stated region map),
   * nested-integral recursion from e_0 = e^t, written as p repeated tail
     integrations g_{q+1}(tau) = int_tau^inf g_q of
     g_q(sigma) = e^(-lam sigma) e_q(x e^-sigma) (the log-variable Volterra
     form) on one cached Chebyshev grid,
   * Hankel contour integral (separate branch-weighted form at positive
-    integer orders) on Gauss-Legendre panels from a memoized rule table,
+    integer orders) on nested Clenshaw-Curtis points, radius set by x,
   * Taylor shift in the lam variable and the geometric generating sum,
   * large-lam asymptotic expansion and the leading large-x behaviour.
 
@@ -33,7 +33,7 @@ import threading
 import numpy as np
 
 from . import exact
-from .quadrature import _not_converged, _read_only, chebyshev_tail_rule, gauss_legendre, tanh_sinh
+from .quadrature import _not_converged, _read_only, chebyshev_tail_rule, clenshaw_curtis, tanh_sinh
 from .result import (
     ConditioningError,
     ContourResolutionError,
@@ -68,6 +68,7 @@ _EPS = 2.220446049250313e-16
 DEFAULT_TOL = 1e-12
 _MAX_TERMS = 10000  # term cap of eval_series and h_direct
 _INTEGRAL_X = 10.0  # evaluate: the positive integral for real x < -_INTEGRAL_X
+_CANCEL_LOG = 10.0  # evaluate: Hankel past |x| = _INTEGRAL_X once |x| - Re x exceeds this
 
 
 def _require_lam(lam: complex):
@@ -513,11 +514,14 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
       * real x < -10, Re s > 0: the positive integral (`_positive_integral`),
         "positive_integral"; there the alternating series' terms reach
         e^|x| / sqrt(|x|) while the value decays like |x|^-lam;
+      * any other |x| > 10 with |x| - Re x > 10: Hankel (`eval_hankel`),
+        "hankel"; there the series' terms outgrow the value's scale e^(Re x)
+        by e^(|x| - Re x) > 2e4, so rounding alone misses the default tol;
       * everything else: the series (`eval_series`), "series".
 
-    The Hankel route is no fallback: its unit circle cannot resolve large
-    |x|. The closed form ignores tol; the integral meets it relative to
-    its own scale.
+    The closed form ignores tol; the integral meets it relative to its own
+    scale, and Hankel on its contour integral, absolute below 1 and
+    relative above. Hankel refuses s within 1e-8 of a positive integer.
     """
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
@@ -527,6 +531,8 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
         return eval_negint(int(-s.real), lam, x)
     if x.imag == 0.0 and x.real < -_INTEGRAL_X and s.real > 0.0:
         return _positive_integral(s, lam, -x.real, tol)
+    if abs(x) > _INTEGRAL_X and abs(x) - x.real > _CANCEL_LOG:
+        return eval_hankel(s, lam, x, tol)
     return eval_series(s, lam, x, tol)
 
 
@@ -657,8 +663,7 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-_HANKEL_RADIUS = 1.0  # circle radius of the contour
-_HANKEL_NODES = 64  # starting Gauss-Legendre nodes on the rays and on the circle
+_HANKEL_NODES = 64  # starting Chebyshev point count m on the rays and on the circle
 
 
 def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
@@ -691,68 +696,71 @@ def default_contour(s, lam, x, tol: float = 1e-10) -> float:
     return T
 
 
-def _gauss_panel(f, a, b, n):
-    """n-point Gauss-Legendre sum of f over [a, b] from the memoized rule
-    table; returns (integral, integral of |f| by the same rule)."""
-    nodes, weights = gauss_legendre(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    terms = f(mid + half * nodes) * weights
-    return complex(half * np.sum(terms)), float(half * np.sum(np.abs(terms)))
-
-
-def _hankel_raw(power, lam, kernel, T, log_weight, tol):
+def _hankel_raw(power, lam, kernel, T, log_weight, tol, radius=1.0):
     """(1/2 pi i) * integral over the contour of z^power e^(lam z) K(z) [Log z],
-    rays cut at |z| = T around a circle of radius `_HANKEL_RADIUS`.
+    rays cut at |z| = T around a circle of the given radius.
 
     Rays carry arg z = -pi (lower) and +pi (upper); the circle runs theta
-    from -pi to pi, all on the principal branch. Node counts double until
-    two refinements agree. Returns (value, last difference, rounding
-    floor, nodes used); the floor is 16 eps times the integral of the
-    integrand's modulus, the level at which cancellation on the circle
-    leaves the sum; a difference under it but above tol raises at once.
+    from -pi to pi, all on the principal branch; the rays run in
+    v = log(u / radius). Both pieces sit on the nested points of
+    `clenshaw_curtis(m)`, m doubling from 64 until the refinements settle.
+    Returns (value, last difference, rounding floor, distinct evaluations
+    2(m+1)); the floor is 16 eps times the integral of the modulus, the
+    level at which cancellation on the circle leaves the sum; a difference
+    under it but above tol raises at once, an integrand past binary64 too.
     """
-    eps = _HANKEL_RADIUS
-    vmax = math.log(T / eps)
+    log_r = math.log(radius)
+    half_v = 0.5 * (math.log(T) - log_r)  # T / radius overflows past |x| ~ 1e154
+    lower, upper = cmath.exp(-1j * math.pi * power), cmath.exp(1j * math.pi * power)
+    log_factor = (lambda log_z: log_z) if log_weight else (lambda log_z: 1.0)  # the [Log z]
 
-    def ray_integrand(v):
-        u = eps * np.exp(v)
-        base = np.exp(-lam * u) * kernel(-u) * u  # du = u dv
-        lower = np.exp(power * (np.log(u) - 1j * math.pi))
-        upper = np.exp(power * (np.log(u) + 1j * math.pi))
-        if log_weight:
-            lower = lower * (np.log(u) - 1j * math.pi)
-            upper = upper * (np.log(u) + 1j * math.pi)
-        return base * (lower - upper)
+    def pieces(t):
+        """Rays (row 0) and circle (row 1) at points t of [-1, 1], Jacobians included."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_u = log_r + half_v * (1.0 + t)
+            u = np.exp(log_u)
+            # z^power [Log z] on the lower and upper ray: u^power e^(-+ i pi power)
+            # times Log z = log u -+ i pi; du = u dv
+            cut = lower * log_factor(log_u - 1j * math.pi) - upper * log_factor(log_u + 1j * math.pi)
+            rays = np.exp(power * log_u - lam * u) * kernel(-u) * u * cut
+            theta = math.pi * t
+            z = radius * np.exp(1j * theta)
+            circle = np.exp(power * (log_r + 1j * theta) + lam * z) * kernel(z) * 1j * z
+            return np.stack([half_v * rays, math.pi * circle * log_factor(log_r + 1j * theta)])
 
-    def circle_integrand(theta):
-        z = eps * np.exp(1j * theta)
-        val = np.exp(power * (math.log(eps) + 1j * theta)) * np.exp(lam * z) * kernel(z)
-        if log_weight:
-            val = val * (math.log(eps) + 1j * theta)
-        return val * 1j * z
-
-    n_ray = n_circ = _HANKEL_NODES
+    m = _HANKEL_NODES
+    t, weights = clenshaw_curtis(m)
+    values = pieces(t)
     prev = None
-    diff = math.inf
-    work = 0
+    # the first difference is judged against the m/2 rule on the even points
+    diff = abs(np.sum(values @ weights) - np.sum(values[:, ::2] @ clenshaw_curtis(m // 2)[1])) / (2 * math.pi)
     for doubling in range(8):
         if doubling:
-            n_ray *= 2
-            n_circ *= 2
-        rays, rays_abs = _gauss_panel(ray_integrand, 0.0, vmax, n_ray)
-        circ, circ_abs = _gauss_panel(circle_integrand, -math.pi, math.pi, n_circ)
-        total = (rays + circ) / (2j * math.pi)
-        floor = 16.0 * _EPS * (rays_abs + circ_abs) / (2.0 * math.pi)
-        work += n_ray + n_circ
+            m *= 2
+            t, weights = clenshaw_curtis(m)
+            grown = np.empty((2, m + 1), dtype=complex)
+            grown[:, ::2] = values  # the old points are t[::2]
+            grown[:, 1::2] = pieces(t[1::2])
+            values = grown
+        total = complex(np.sum(values @ weights)) / (2j * math.pi)
+        size = float(np.sum(np.abs(values) @ weights)) / (2.0 * math.pi)
+        if not math.isfinite(size):  # the weights are positive: any inf or nan shows here
+            raise _Overflow(f"contour integrand overflows binary64 (circle radius {radius:g})")
+        floor = 16.0 * _EPS * size
         if prev is not None:
-            diff = abs(total - prev)
-            if diff <= max(tol, tol * abs(total)):
-                return total, diff, floor, work
+            diff, prev_diff = abs(total - prev), diff
+            # settled: the values agree to tol, the integrals of the modulus
+            # to 1 %, and the difference has shrunk tenfold (or to the
+            # floor); two levels that both miss a narrow peak, or alias one
+            # oscillation, agree as well, but fail one of the other two
+            if (diff <= max(tol, tol * abs(total)) and abs(size - prev_size) <= 0.01 * size
+                    and diff <= max(0.1 * prev_diff, floor)):
+                return total, diff, floor, values.size
             if diff <= floor:
                 break
-        prev = total
+        prev, prev_size = total, size
     raise ContourResolutionError(
-        f"contour refinements stalled at {n_ray} ray + {n_circ} circle nodes: "
+        f"contour refinements stalled at m = {m} (m + 1 points per piece): "
         f"last estimate {total:.12g}, last difference {diff:g}, "
         f"rounding floor {floor:g} (tol {tol:g})"
     )
@@ -775,9 +783,11 @@ def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
 
     Non-integer s uses Gamma(1-s)/(2 pi i) * integral of z^(s-1) e^(lam z)
     e^(x e^z); positive integer m uses the log-weighted form with
-    prefactor (-1)^m / (2 pi i (m-1)!). Near-integer non-integer s (within
-    1e-8) is refused: Gamma(1-s) blows up while the contour integral
-    vanishes, and binary64 cannot resolve the product.
+    prefactor (-1)^m / (2 pi i (m-1)!). On the circle of radius
+    min(1, 2/|x|), |x z| <= 2 keeps e^(x e^z) within about e^(+-2) of e^x.
+    Near-integer non-integer s (within 1e-8) is refused: Gamma(1-s) blows
+    up while the contour integral vanishes, and binary64 cannot resolve
+    the product.
     """
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
@@ -797,10 +807,12 @@ def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
         power, prefactor = float(m - 1), (-1.0) ** m / math.factorial(m - 1)
     else:
         power, prefactor = s - 1.0, gamma_fn(1.0 - s)
-    raw, diff, floor, work = _hankel_raw(power, lam, kernel, T, log_weight=is_pos_int, tol=tol)
+    radius = min(1.0, 2.0 / abs(x)) if x else 1.0
+    raw, diff, floor, work = _hankel_raw(power, lam, kernel, T, is_pos_int, tol, radius)
     value = prefactor * raw
     dropped = _ray_tail_bound(s, lam, x, T)
     diff, floor, dropped = (abs(prefactor) * e for e in (diff, floor, dropped))
+    floor += 64.0 * _EPS * abs(value)  # Gamma(1-s) is good to ~30 eps relative
 
     # consistency: real parameters must give a real value
     if s.imag == 0.0 and lam.imag == 0.0 and x.imag == 0.0:

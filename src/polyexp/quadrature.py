@@ -1,10 +1,10 @@
 """Quadrature engines.
 
-Three memoized rule tables, each built lazily on first use and handed
-out as read-only arrays: Gauss-Legendre nodes and weights (the Hankel
-contour panels), the Chebyshev cumulative-integration matrix of the
-Clenshaw-Curtis rule (the recursion route's tail integrations) and the
-tanh-sinh abscissae and weights of each level.
+Two rule families, their tables memoized, built lazily on first use and
+handed out as read-only arrays: Clenshaw-Curtis on the nested Chebyshev
+points cos(j pi / m), as weights (the Hankel contour) and as a
+cumulative-integration matrix (the recursion route's tail integrations),
+and tanh-sinh, the abscissae and weights of each level.
 
 A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
 able to absorb integrable endpoint singularities (its integrand maps one
@@ -40,43 +40,28 @@ def _read_only(*arrays):
     return arrays
 
 
-def _legendre_pair(n: int, x):
-    """(P_n(x), P_(n-1)(x)) by the three-term recurrence, n >= 1."""
-    prev, cur = np.ones_like(x), x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
-    return cur, prev
-
-
 @functools.lru_cache(maxsize=32)
-def gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+def clenshaw_curtis(m: int):
+    """Chebyshev points t_j = cos(j pi / m), j = 0..m (t_0 = 1, t_m = -1),
+    and the Clenshaw-Curtis weights of [-1, 1]: the last row of
+    `chebyshev_tail_rule(m)` without its O(m^2) matrix.
 
-    Newton iteration on P_n, evaluated by the three-term recurrence and
-    started from Tricomi's asymptotic roots, on the non-negative half;
-    the other half is its mirror image. Each sweep costs O(n^2) and
-    three or four sweeps suffice, so no n x n eigen-solve is needed and
-    n = 8192 builds in well under a second.
+    The weights are w_j = (2/m) h_j sum_k h_k mu_k cos(j k pi / m), with
+    h = 1/2 at both ends and mu_k = 2/(1 - k^2) (even k; 0 for odd k) the
+    integral of T_k: one DCT-I of the moments, done as a real FFT of
+    their even extension. t_m is t_2m[::2] exactly, so a caller that
+    doubles m keeps every value it has.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    i = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
-    for _ in range(20):
-        p_n, p_prev = _legendre_pair(n, x)
-        step = p_n * (1.0 - x) * (1.0 + x) / (n * (p_prev - x * p_n))
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    p_n, p_prev = _legendre_pair(n, x)
-    # w = 2 / ((1 - x^2) P_n'(x)^2), (1 - x^2) P_n'(x) = n (P_(n-1)(x) - x P_n(x))
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (p_prev - x * p_n)) ** 2
-    mid = n % 2
-    if mid:
-        x[-1] = 0.0  # the middle root
-    nodes = np.concatenate([-x, x[::-1][mid:]])
-    weights = np.concatenate([w, w[::-1][mid:]])
-    return _read_only(nodes, weights)
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    t = np.cos(math.pi * np.arange(m + 1) / m)
+    k = np.arange(0, m + 1, 2)
+    moments = np.zeros(m + 1)
+    moments[k] = 2.0 / (1.0 - k * k)
+    # sum over the extension [mu_0 .. mu_m, mu_(m-1) .. mu_1] = 2 sum_k h_k mu_k cos
+    w = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real / m
+    w[[0, -1]] *= 0.5
+    return _read_only(t, w)
 
 
 @functools.lru_cache(maxsize=32)

@@ -10,13 +10,15 @@ class EvalResult:
     """Numeric value with an absolute-error estimate and bookkeeping.
 
     `work` counts series terms or quadrature nodes, whichever the producing
-    route consumed; for the recursion route it counts evaluations of
-    e_0 on the shared grid, summed over the resolutions tried. `method`
-    is the route tag; the core evaluation routes
-    use {series, closed_form, positive_integral, incgamma, ein, recursion,
-    hankel, taylor_shift, asymptotic}, the transform layer uses quadrature
-    tags. "positive_integral" (`core.evaluate` at real x < -10, Re s > 0)
-    counts tanh-sinh nodes in `work`.
+    route consumed; for the recursion route it counts evaluations of e_0
+    on the shared grid, summed over the resolutions tried, and for
+    "hankel" the distinct contour points, 2(m+1) at the last count m.
+    `method` is the route tag: {series, closed_form, positive_integral,
+    recursion, hankel, taylor_shift, asymptotic} in core, {h_series,
+    h_quadrature} for the h family, {quadrature,
+    quadrature+tail_extrapolation} in the transforms and {line_integral,
+    mellin_expression} in the Mellin-Barnes layer. "positive_integral"
+    (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes.
     """
 
     value: complex

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from polyexp.core import (
+    _hankel_raw,
+    _positive_integral,
     _ray_tail_bound,
     asymptotic_lambda,
     asymptotic_x_leading,
@@ -29,7 +31,7 @@ from polyexp.core import (
     taylor_shift,
 )
 from polyexp.exact import phi_poly
-from polyexp.quadrature import gauss_legendre, tanh_sinh
+from polyexp.quadrature import clenshaw_curtis, tanh_sinh
 from polyexp.result import (
     ConditioningError,
     ContourResolutionError,
@@ -42,9 +44,10 @@ E = math.e
 
 
 def _mp_polyexp(s, lam, x):
-    """e_s(x, lam) from the defining series in mpmath at 40 digits."""
+    """e_s(x, lam) from the defining series in mpmath at 40 digits, plus
+    |x| more for the cancellation of an alternating sum (terms near e^|x|)."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
+    with mp.workdps(40 + int(abs(x))):
         s, lam, x = mp.mpc(s), mp.mpc(lam), mp.mpc(x)
         total, term, n = mp.mpf(0), mp.mpf(1), 0
         while n <= 2 * abs(x) + 10 or abs(term) > mp.mpf(10) ** -45:
@@ -357,35 +360,84 @@ def test_hankel_near_integer_refused():
 
 def test_hankel_reuses_rule_table():
     eval_hankel(2.5, 1, 2.7)
-    before = gauss_legendre.cache_info()
+    before = clenshaw_curtis.cache_info()
     eval_hankel(2.5, 1, 2.7)
-    after = gauss_legendre.cache_info()
+    after = clenshaw_curtis.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
 
 
+def test_hankel_doubling_evaluates_new_points_only():
+    # 64 -> 128 -> 256 Chebyshev points: the 65 + 64 + 128 distinct points
+    # of each piece, none evaluated twice
+    calls = []
+
+    def kernel(z):
+        calls.append(z.size)
+        return np.exp(2.7 * np.exp(z))
+
+    T = default_contour(2.5, 1, 2.7, 1e-9)
+    work = _hankel_raw(1.5 + 0j, 1.0 + 0j, kernel, T, False, 1e-9)[3]
+    assert calls == [65, 65, 64, 64, 128, 128]
+    assert work == sum(calls) == 2 * (256 + 1)
+
+
 @pytest.mark.parametrize("x", (8.0, 10.0))
 def test_hankel_large_x_ends_promptly(x):
-    # the unit circle carries e^(x e^z) up to e^(x e), far above the answer
+    # the circle of radius 2/|x| keeps e^(x e^z) within e^(+-2) of e^x
     start = time.perf_counter()
-    try:
-        res = eval_hankel(2.5, 1, x)
-    except ContourResolutionError as exc:
-        last = re.search(r"last difference ([^,]+),", str(exc))
-        assert last and float(last.group(1)) > 0.0, str(exc)
-    else:
-        truth = _mp_polyexp(2.5, 1, x)
-        assert abs(res.value - truth) <= 1e-9 * max(1.0, abs(truth))
-    assert time.perf_counter() - start < 5.0
+    res = eval_hankel(2.5, 1, x)
+    assert time.perf_counter() - start < 1.0
+    truth = _mp_polyexp(2.5, 1, x)
+    assert abs(res.value - truth) <= 1e-9 * abs(truth)
+    assert abs(res.value - truth) <= res.abs_err_estimate
+    assert res.work <= 514
 
 
 def test_hankel_stops_at_rounding_floor():
-    # the difference (8.5e-7) is under the rounding floor (1.6e-6) at 512
-    # nodes: no table past 512 points is built only to raise
-    gauss_legendre.cache_clear()
-    with pytest.raises(ContourResolutionError, match="512 ray"):
-        eval_hankel(2.5, 1, 8)
-    assert gauss_legendre.cache_info().currsize <= 4  # 64, 128, 256, 512
+    # on the unit circle e^(8 e^z) reaches e^(8 e): at m = 512 the difference
+    # (3.5e-7) is under the rounding floor (1.6e-6), so no rule past 512
+    # points is built only to raise
+    clenshaw_curtis.cache_clear()
+    T = default_contour(2.5, 1, 8, 1e-9)
+    with pytest.raises(ContourResolutionError, match="m = 512 ") as info:
+        _hankel_raw(1.5 + 0j, 1.0 + 0j, lambda z: np.exp(8.0 * np.exp(z)), T, False, 1e-9)
+    last = re.search(r"last difference ([^,]+), rounding floor ([^ ]+) ", str(info.value))
+    assert 0.0 < float(last.group(1)) <= float(last.group(2))
+    assert clenshaw_curtis.cache_info().currsize <= 5  # 32 (for the first difference) to 512
+
+
+@pytest.mark.parametrize("s, lam", ((0.5, 1.0), (2, 1.0), (1.5, 2.5)))
+def test_hankel_resolves_narrow_ray_peak(s, lam):
+    # at x = -1e12 the ray integrand is a peak of width ~1/27 in log u at
+    # u ~ 27.6; the first two levels both miss it and agree on a value
+    # below the absolute tol, so the difference alone would pass as the error
+    res = eval_hankel(s, lam, -1e12, tol=1e-12)
+    ref = _positive_integral(complex(s), complex(lam), 1e12, 1e-14)
+    assert abs(res.value - ref.value) <= res.abs_err_estimate + ref.abs_err_estimate
+    assert abs(res.value - ref.value) <= 1e-12  # absolute: tol's meaning below 1
+
+
+def test_hankel_differences_must_shrink():
+    # at x = 3000 e^(0.6 pi i) the rays oscillate across the peak: levels
+    # 128 and 256 differ by 9.9e-13 < tol around a value 20x the truth, and
+    # only the next differences (1.5e-12, then 9.7e-14) show it
+    x = 3000.0 * cmath.exp(0.6j * math.pi)
+    res = eval_hankel(-3.7, 2.5, x, tol=1e-12)
+    ref = eval_hankel(-3.7, 2.5, x, tol=1e-16)
+    assert abs(res.value - ref.value) <= res.abs_err_estimate
+    assert abs(res.value - ref.value) <= 1e-12
+
+
+@pytest.mark.parametrize("s, x", ((0.5, 1000 + 150j), (-1.5, -1e200)))
+def test_hankel_overflow_is_typed(s, x):
+    # Re x = 1000 puts e^(x e^z) past e^709 on the circle; at x = -1e200 the
+    # circle's z^(s-1) = (1e200 / 2)^2.5 passes binary64: a typed error
+    # either way, not a numpy warning and a NaN
+    with pytest.raises(ConvergenceError, match="overflows binary64"):
+        eval_hankel(s, 1, x)
+    with pytest.raises(ConvergenceError):
+        evaluate(s, 1, x)
 
 
 def test_contour_spec_validation():
@@ -510,13 +562,54 @@ def test_evaluate_regions(s, lam, x, method):
 
 def test_evaluate_region_boundaries():
     assert evaluate(1, 1, -10.0).method == "series"
-    assert evaluate(1, 1, -10.5 + 1e-3j).method == "series"
-    assert evaluate(-0.5, 1, -20.0).method == "series"
+    assert evaluate(-0.5, 1, -10.0).method == "series"
+    assert evaluate(1, 1, -10.5 + 1e-3j).method == "hankel"
+    assert evaluate(-0.5, 1, -20.0).method == "hankel"
     assert evaluate(0, 1, -20.0).method == "closed_form"
+    # past |x| = 10 the cancellation e^(|x| - Re x) decides
+    assert evaluate(0.5, 1, 11.0).method == "series"
+    assert evaluate(0.5, 1, 11.0 * cmath.exp(1.4j)).method == "series"  # |x| - Re x = 9.2
+    assert evaluate(0.5, 1, 11.0j).method == "hankel"
     with pytest.raises(DomainError):
         evaluate(1, 1, -20.0, tol=0.0)
     with pytest.raises(DomainError):
         evaluate(1, -1, -20.0)
+
+
+# evaluate's Hankel region: |x| > 10, |x| - Re x > 10, off the closed form and
+# the positive integral; the series returns cancelled values there
+_HANKEL_REGION = (
+    (-0.5, 1, -40),
+    (0.5, 1, -30 + 1j),
+    (-3.7, 2, -100),
+    (-1.5 + 1j, 0.7, -60),
+    (2.5, 1, -30 + 20j),
+    (-2.5, 1, -25),
+    (1.5 + 2j, 1, 25j),
+)
+
+
+@pytest.mark.parametrize("s, lam, x", _HANKEL_REGION)
+def test_evaluate_hankel_region_against_mpmath(s, lam, x):
+    res = evaluate(s, lam, x)
+    truth = _mp_polyexp(s, lam, x)
+    assert res.method == "hankel"
+    err = abs(res.value - truth)
+    assert err <= res.abs_err_estimate
+    assert err <= 1e-12 * max(1.0, abs(truth))
+
+
+@pytest.mark.parametrize(
+    "s, lam, x", _HANKEL_REGION + ((2.5, 1, 8), (2.5, 1, 10), (0.5, 1, 30), (3, 1, 15), (0.3 + 2j, 0.7, 20))
+)
+def test_hankel_large_x_against_mpmath(s, lam, x):
+    # at x > 0 a unit circle would carry e^(x e^z) up to e^(x e), far above
+    # the answer
+    res = eval_hankel(s, lam, x)
+    truth = _mp_polyexp(s, lam, x)
+    err = abs(res.value - truth)
+    assert err <= res.abs_err_estimate
+    assert err <= 1e-9 * max(1.0, abs(truth))
 
 
 def test_lower_inc_gamma_large_x():

@@ -7,7 +7,7 @@ import pytest
 
 from polyexp.quadrature import (
     chebyshev_tail_rule,
-    gauss_legendre,
+    clenshaw_curtis,
     quad_semiinfinite,
     tanh_sinh,
 )
@@ -101,40 +101,26 @@ def test_handle_validation():
 # -- memoized rule tables -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7, 8, 16, 31, 32, 64, 100, 127, 128, 255, 256))
-def test_gauss_legendre_matches_leggauss(n):
-    nodes, weights = gauss_legendre(n)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
-    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+@pytest.mark.parametrize("m", (2, 3, 4, 5, 7, 8, 16, 31, 32, 64, 100, 127, 128, 255, 256))
+def test_clenshaw_curtis_is_last_row_of_tail_rule(m):
+    t, weights = clenshaw_curtis(m)
+    t_ref, matrix = chebyshev_tail_rule(m)
+    assert np.array_equal(t, t_ref)
+    assert np.max(np.abs(weights - matrix[-1])) <= 1e-15
 
 
-def test_gauss_legendre_end_weights_against_mpmath():
-    # at n = 246 leggauss's end weights are off by 2e-14 (1.6e-10 relative);
-    # the Newton-built table stays at rounding level there
-    mp = pytest.importorskip("mpmath")
-    n = 246
-    nodes, weights = gauss_legendre(n)
-    with mp.workdps(40):
-        for j in list(range(6)) + [n // 2]:
-            t = mp.mpf(float(nodes[j]))
-            for _ in range(4):
-                prev, cur = mp.mpf(1), t
-                for k in range(2, n + 1):
-                    prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
-                t -= cur * (1 - t * t) / (n * (prev - t * cur))
-            prev, cur = mp.mpf(1), t
-            for k in range(2, n + 1):
-                prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
-            w = 2 * (1 - t * t) / (n * prev) ** 2
-            assert abs(nodes[j] - float(t)) <= 2e-16
-            assert abs(weights[j] - float(w)) <= 1e-15
+def test_clenshaw_curtis_large_m_integrates_polynomials():
+    # m + 1 points integrate every x^k with k <= m + 1 (m even) exactly
+    t, weights = clenshaw_curtis(4096)
+    for k in (0, 1, 2, 10, 101, 1000, 4096, 4097):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(weights, t**k) - exact) <= 1e-15, k
 
 
-def test_gauss_legendre_large_n_integrates_polynomials():
-    nodes, weights = gauss_legendre(2048)
-    assert abs(weights.sum() - 2.0) < 1e-13
-    assert abs(np.dot(weights, nodes**10) - 2.0 / 11.0) < 1e-13
+@pytest.mark.parametrize("m", (64, 512, 4096))
+def test_clenshaw_curtis_points_nest(m):
+    # doubling m keeps every point, so a refinement reuses its values
+    assert np.array_equal(clenshaw_curtis(m)[0], clenshaw_curtis(2 * m)[0][::2])
 
 
 def test_chebyshev_tail_rule_integrates_polynomials():
@@ -149,9 +135,9 @@ def test_chebyshev_tail_rule_integrates_polynomials():
 
 
 def test_rule_tables_are_read_only_and_memoized():
-    tables = (*gauss_legendre(64), *chebyshev_tail_rule(32))
+    tables = (*clenshaw_curtis(64), *chebyshev_tail_rule(32))
     for array in tables:
         with pytest.raises(ValueError):
             array[0] = 0.0
-    assert gauss_legendre(64)[0] is tables[0]
+    assert clenshaw_curtis(64)[1] is tables[1]
     assert chebyshev_tail_rule(32)[1] is tables[3]
