@@ -2,7 +2,8 @@
 
 Routes implemented here, each independently testable against the others:
 
-  * direct series with an analytic factorial-tail bound,
+  * direct series with an analytic factorial-tail bound, at one x or
+    over a 1-D array of x in one vectorized pass,
   * closed form e^x * Q_p(x, lam) at non-positive integer orders,
   * the positive integral of t^(s-1) e^(-lam t) e^(x e^-t) at large x < 0
     (`evaluate` picks among these three and Hankel by a stated region map),
@@ -19,6 +20,8 @@ Also houses the gamma kernel (Lanczos + reflection), the lower incomplete
 gamma via the s = 1 series, the entire function Ein, and a numerically
 stable evaluator for the weighted products e^(-t) e_s(z t, lam) that the
 transform layer integrates, a whole array of quadrature nodes per call.
+`evaluate`, `eval_series` and `series.h_direct` take x as a number or as
+a 1-D numpy array; every array node stops where the number would.
 
 All powers (n+lam)^s, t^(lam-1), z^(s-1) are principal-branch.
 """
@@ -154,8 +157,8 @@ def rising_factorial(s: complex, m: int) -> complex:
 
 
 def series_tail_bound(s: complex, lam: complex, x: complex, n: int) -> float:
-    """Bound on |sum_{k>n} x^k/(k! (k+lam)^s)|, valid once n >= 2|x| and the
-    term ratio has dropped below 1/2 (`_series_stop`).
+    """Bound on |sum_{k>n} x^k/(k! (k+lam)^s)|, valid once n >= 2|x|; NaN
+    while the term ratio is still above 1/2 (`_tail_bound`).
 
     |x|^(n+1)/(n+1)! * max(1, |n+1+lam|^(-Re s)) * 2 * G with
     G = exp(|Im s| * pi / 2) absorbing the branch factor of (k+lam)^(-s)
@@ -164,37 +167,130 @@ def series_tail_bound(s: complex, lam: complex, x: complex, n: int) -> float:
     return _tail_bound(complex(s), complex(lam), complex(x), n, 0.0)
 
 
-def _tail_bound(s: complex, lam: complex, x: complex, n: int, prefix: float) -> float:
-    """`series_tail_bound` plus prefix times its value at s = 0."""
+# The stop rule's arithmetic, shared by the scalar loops and the array sum:
+# each helper takes numbers, or numpy arrays that broadcast (x then |x|).
+
+
+def _tail_bound(s: complex, lam: complex, x, n, prefix):
+    """`series_tail_bound` plus prefix times its value at s = 0; NaN where
+    the term ratio |x|/(n+1), times the growth of |(k+lam)^-s| at Re s < 0,
+    is above 1/2 and the bound does not hold yet."""
+    ax = abs(x)
+    ratio = ax / (n + 1)
+    if s.real < 0:
+        ratio = ratio * (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
     g = math.exp(abs(s.imag) * math.pi / 2.0) if s.imag else 1.0
     # in logs: |x|^(n+1) and (n+1)! overflow separately long before their quotient
-    lead = math.exp((n + 1) * math.log(abs(x)) - math.lgamma(n + 2)) if x != 0 else 0.0
+    if isinstance(n, np.ndarray):  # under the caller's errstate: log 0 and exp past binary64
+        log_factorial = _LOG_FACTORIAL.upto(int(n.max()) + 2)[0][n.astype(np.int64) + 1]
+        lead = np.where(ratio <= 0.5, np.exp((n + 1) * np.log(ax) - log_factorial), np.nan)
+    elif ratio > 0.5:
+        return math.nan
+    else:
+        lead = math.exp((n + 1) * math.log(ax) - math.lgamma(n + 2)) if ax else 0.0
     power = abs(n + 1 + lam) ** -s.real if s.real < 0 else 1.0  # |n+1+lam| > 1
-    return 2.0 * lead * (power * g + prefix)
+    return lead * (2.0 * (power * g + prefix))
+
+
+def _rounding_level(s: complex, lam: complex, n):
+    """eps (2 + 2n + |s| log(2 + n + |lam|)): the relative rounding of a sum
+    of n+1 terms, for the drift of x^k/k! and of a prefix (about eps a
+    step) and of (k+lam)^-s."""
+    log = np.log if isinstance(n, np.ndarray) else math.log
+    return _EPS * (2.0 + 2.0 * n + abs(s) * log(2.0 + n + abs(lam)))
 
 
 def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0):
     """Stop rule of `eval_series` (coefficients (k+lam)^-s) and
     `series.h_direct` (P_k = sum_{j<k} w^j (j+lam)^-s, prefix = P_(n+1))
-    after the term k = n: None to go on, else the tail bound plus rounding,
-    eps (2 + 2n + |s| log(2 + n + |lam|)) sum |terms| for the drift of
-    x^k/k! and of a prefix (about eps a step) and of (k+lam)^-s. Raises
-    ConvergenceError past binary64 or past `_MAX_TERMS` terms.
+    after the term k = n: None to go on, else the tail bound plus the
+    rounding level times sum |terms|. Raises ConvergenceError past binary64
+    or past `_MAX_TERMS` terms. `_series_sum` applies the same rule to a
+    whole array of x.
     """
     if n >= 2.0 * abs(x):
         if not math.isfinite(sum_abs):
             raise _Overflow(f"series terms overflow binary64 at x = {x}")
-        ratio = abs(x) / (n + 1)
-        if s.real < 0:
-            ratio *= (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
-        if ratio <= 0.5:
-            # |P_(n+1)| enters every later term, and the bound at s covers the rest
-            tail = _tail_bound(s, lam, x, n, abs(prefix))
-            if tail <= tol:
-                return tail + _EPS * (2.0 + 2.0 * n + abs(s) * math.log(2.0 + n + abs(lam))) * sum_abs
+        # |P_(n+1)| enters every later term, and the bound at s covers the rest
+        tail = _tail_bound(s, lam, x, n, abs(prefix))
+        if tail <= tol:  # False for the NaN of a term ratio above 1/2
+            return tail + _rounding_level(s, lam, n) * sum_abs
     if n >= _MAX_TERMS:
         raise ConvergenceError(f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={x}")
     return None
+
+
+def _is_nodes(x) -> bool:
+    """True for a numpy array of x (the array path), False for a number."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        return False
+    if x.ndim != 1:
+        raise DomainError(f"x must be a number or a 1-D array, got shape {x.shape}")
+    return True
+
+
+def _series_sum(s: complex, lam: complex, x: np.ndarray, tol: float, table):
+    """sum_n x^n/n! a_n at every node of the 1-D array x, each node stopped
+    after the term where `_series_stop` stops the scalar loop, with the
+    same error estimate (up to the order of summation) and the same
+    ConvergenceError past binary64 or `_MAX_TERMS`. table(lo, hi) returns
+    a_n and |b_n| for lo <= n < hi, b_n the rule's prefix after term n (a
+    number 0 when there is none).
+
+    Terms go in blocks of nodes times n under `_CHUNK` entries, each
+    twice as long as the one before; x^n/n! is built in the scalar loop's
+    order, the sums are numpy's. Returns (values, errs, stop indices).
+    """
+    ax = np.array([abs(v) for v in x.tolist()])  # as the scalar rule takes |x|
+    if np.iscomplexobj(x) and not x.imag.any():
+        x = x.real  # real arithmetic gives the complex loop's values
+    values = np.zeros(x.size, dtype=complex)
+    errs = np.zeros(x.size)
+    stops = np.zeros(x.size, dtype=np.int64)
+    live = np.arange(x.size)  # nodes not yet stopped
+    xpow = acc = sum_abs = 0.0  # per live node where the last block ended: x^(lo-1)/(lo-1)!, sums
+    lo = 0
+    width = int(2.0 * ax.max(initial=0.0)) + 24  # the rule stops ~20 terms past 2|x| at |x| <= 10
+    while live.size:
+        hi = min(lo + max(8, min(width, _CHUNK // live.size)), _MAX_TERMS + 1)
+        n = np.arange(lo, hi, dtype=float)
+        xl, al = x[live, None], ax[live, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a, b = table(lo, hi)
+            xpows = xl / n  # x^n/n! = x^(n-1)/(n-1)! (x/n), in the scalar loop's order
+            if lo:
+                xpows[:, 0] *= xpow
+            else:
+                xpows[:, 0] = 1.0
+            np.cumprod(xpows, axis=1, out=xpows)
+            tail = _tail_bound(s, lam, al, n, b)
+            # a tail past binary64 is where the scalar loop raises
+            event = (n >= 2.0 * al) & ((tail <= tol) | np.isinf(tail))
+            done = event.any(axis=1)
+            last = np.where(done, event.argmax(axis=1), hi - lo - 1)  # each node's last term here
+            terms = np.where(np.arange(hi - lo) <= last[:, None], xpows * a, 0.0)
+            acc = acc + terms.sum(axis=1)
+            sum_abs = sum_abs + np.abs(terms).sum(axis=1)
+        rows = np.flatnonzero(done)
+        k = last[rows]
+        ended = live[rows]
+        fine = np.isfinite(sum_abs[rows]) & (tail[rows, k] <= tol)
+        if not fine.all():
+            raise _Overflow(f"series terms overflow binary64 at x = {complex(x[ended[~fine][0]])}")
+        if hi > _MAX_TERMS and rows.size < live.size:
+            node = live[~done][0]
+            # the scalar loop checks sum |terms| from n >= 2|x| on
+            if not np.isfinite(sum_abs[~done][0]) and 2.0 * ax[node] <= _MAX_TERMS:
+                raise _Overflow(f"series terms overflow binary64 at x = {complex(x[node])}")
+            raise ConvergenceError(
+                f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={complex(x[node])}")
+        values[ended] = acc[rows]
+        stops[ended] = lo + k
+        errs[ended] = tail[rows, k] + _rounding_level(s, lam, lo + k) * sum_abs[rows]
+        going = ~done
+        live, xpow, acc, sum_abs = live[going], xpows[going, -1], acc[going], sum_abs[going]
+        lo, width = hi, 2 * width
+    return values, errs, stops
 
 
 def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -203,25 +299,40 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     (n+lam)^s uses the principal branch of log(n+lam); well defined since
     Re(n+lam) > 0. The error estimate adds a rounding level growing with
     the number of terms (`_series_stop`); past binary64, ConvergenceError.
+
+    x is a number, or a 1-D numpy array summed in one pass over the
+    memoized table of (n+lam)^-s (`_series_sum`): every node stops where
+    the number would, value and abs_err_estimate are then arrays, and
+    work is the total number of terms.
     """
-    s, lam, x = complex(s), complex(lam), complex(x)
+    s, lam = complex(s), complex(lam)
     _require_lam(lam)
     if tol <= 0:
         raise DomainError("tol must be positive")
+    if _is_nodes(x):
+        coefficients = _coefficients(s, lam, 0.0)
+        table = lambda lo, hi: (coefficients.upto(hi)[0][lo:hi], 0.0)
+        values, errs, stops = _series_sum(s, lam, x, tol, table)
+        return EvalResult(values, errs, int(stops.sum()) + x.size, "series")
 
+    x = complex(x)
+    neg_s = -s
     acc = 0.0 + 0.0j
     sum_abs = 0.0
     power_term = 1.0 + 0.0j  # x^n / n!
     n = 0
-    while True:
-        term = power_term * cmath.exp(-s * cmath.log(n + lam))
-        acc += term
-        sum_abs += abs(term)
-        err = _series_stop(s, lam, x, n, sum_abs, tol)
-        if err is not None:
-            return EvalResult(acc, err, n + 1, "series")
-        n += 1
-        power_term *= x / n
+    try:
+        while True:
+            term = power_term * cmath.exp(neg_s * cmath.log(n + lam))
+            acc += term
+            sum_abs += abs(term)
+            err = _series_stop(s, lam, x, n, sum_abs, tol)
+            if err is not None:
+                return EvalResult(acc, err, n + 1, "series")
+            n += 1
+            power_term *= x / n
+    except OverflowError as exc:  # |term| or the tail bound past binary64
+        raise _Overflow(f"series terms overflow binary64 at x = {x}") from exc
 
 
 class _GrowingTable:
@@ -265,6 +376,16 @@ def _grow_log_norm(old, size):
 
 
 _LOG_NORM = _GrowingTable(_grow_log_norm)
+
+
+def _grow_log_factorial(old, size):
+    """log n! for n < size by math.lgamma, as the scalar stop rule takes it."""
+    have = 0 if old is None else len(old[0])
+    new = np.array([math.lgamma(k + 1) for k in range(have, size)])
+    return (new,) if old is None else (np.concatenate([old[0], new]),)
+
+
+_LOG_FACTORIAL = _GrowingTable(_grow_log_factorial)
 
 
 @functools.lru_cache(maxsize=4)
@@ -506,6 +627,17 @@ def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> Ev
     return EvalResult(value, estimate, nodes, "positive_integral")
 
 
+def _route(s: complex, x: complex) -> str:
+    """The route tag `evaluate` picks at one point (see there)."""
+    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
+        return "closed_form"
+    if x.imag == 0.0 and x.real < -_INTEGRAL_X and s.real > 0.0:
+        return "positive_integral"
+    if abs(x) > _INTEGRAL_X and abs(x) - x.real > _CANCEL_LOG:
+        return "hankel"
+    return "series"
+
+
 def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     """e_s(x, lam) by the route that suits the arguments; the result's
     `method` tag records the choice:
@@ -522,18 +654,41 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     The closed form ignores tol; the integral meets it relative to its own
     scale, and Hankel on its contour integral, absolute below 1 and
     relative above. Hankel refuses s within 1e-8 of a positive integer.
+
+    x may be a 1-D numpy array: the series nodes then go through one array
+    `eval_series` call and every other node through its own route, as a
+    number would. value and abs_err_estimate are arrays, work is the
+    total, and method is the route tag when every node took one route,
+    else the tuple of per-node tags.
     """
-    s, lam, x = complex(s), complex(lam), complex(x)
+    s, lam = complex(s), complex(lam)
     _require_lam(lam)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        return eval_negint(int(-s.real), lam, x)
-    if x.imag == 0.0 and x.real < -_INTEGRAL_X and s.real > 0.0:
-        return _positive_integral(s, lam, -x.real, tol)
-    if abs(x) > _INTEGRAL_X and abs(x) - x.real > _CANCEL_LOG:
-        return eval_hankel(s, lam, x, tol)
-    return eval_series(s, lam, x, tol)
+    if not _is_nodes(x):
+        x = complex(x)
+        route = _route(s, x)
+        if route == "closed_form":
+            return eval_negint(int(-s.real), lam, x)
+        if route == "positive_integral":
+            return _positive_integral(s, lam, -x.real, tol)
+        if route == "hankel":
+            return eval_hankel(s, lam, x, tol)
+        return eval_series(s, lam, x, tol)
+    points = [complex(v) for v in x.tolist()]
+    routes = [_route(s, v) for v in points]
+    on_series = np.array([r == "series" for r in routes], dtype=bool)
+    values = np.zeros(len(points), dtype=complex)
+    errs = np.zeros(len(points))
+    work = 0
+    if on_series.any():
+        res = eval_series(s, lam, x[on_series], tol)
+        values[on_series], errs[on_series], work = res.value, res.abs_err_estimate, res.work
+    for i in np.flatnonzero(~on_series):
+        res = evaluate(s, lam, points[i], tol)
+        values[i], errs[i], work = res.value, res.abs_err_estimate, work + res.work
+    method = routes[0] if len(set(routes)) == 1 else tuple(routes)
+    return EvalResult(values, errs, work, method)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ class HSeriesParams:
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "w", complex(self.w))
-        object.__setattr__(self, "x", complex(self.x))
+        x = np.asarray(self.x, dtype=complex) if isinstance(self.x, np.ndarray) else complex(self.x)
+        object.__setattr__(self, "x", x)
         core._require_lam(self.lam)
         if abs(self.w) > 1.0 + 1e-12:
             raise DomainError("|w| must be <= 1")
@@ -61,25 +62,45 @@ class HSeriesParams:
 def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
     """Direct sum with a running prefix, stopped by the rule of
     `core.eval_series` (`core._series_stop`): the prefix enters the tail
-    bound, and the rounding level grows with the number of terms."""
+    bound, and the rounding level grows with the number of terms.
+
+    An array x (1-D) sums every node in one pass (`core._series_sum`) over
+    the prefix sums P_n of the memoized coefficient table; each node stops
+    where the number would, value and abs_err_estimate are arrays, and
+    work is the total."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
+    if core._is_nodes(x):
+        coefficients = core._coefficients(s, lam, cmath.phase(w))
+
+        def table(lo, hi):  # P_n for lo <= n < hi, |P_(n+1)| for the stop rule
+            c = coefficients.upto(hi)[0][:hi]
+            prefix = np.concatenate(([0.0], np.cumsum(c * abs(w) ** np.arange(hi))))
+            return prefix[lo:hi], np.abs(prefix[lo + 1:hi + 1])
+
+        values, errs, stops = core._series_sum(s, lam, x, tol, table)
+        return EvalResult(values, errs, int(stops.sum()), "h_series")
+
+    neg_s = -s
     acc = 0.0 + 0.0j
     sum_abs = 0.0
     prefix = 0.0 + 0.0j  # P_n = sum_{j<n} w^j (j+lam)^-s
     wpow = 1.0 + 0.0j
     xterm = 1.0 + 0.0j  # x^n / n!
     n = 0
-    while True:
-        term = xterm * prefix
-        acc += term
-        sum_abs += abs(term)
-        prefix += wpow * cmath.exp(-s * cmath.log(lam + n))
-        err = core._series_stop(s, lam, x, n, sum_abs, tol, prefix)
-        if err is not None:
-            return EvalResult(acc, err, n, "h_series")
-        n += 1
-        wpow *= w
-        xterm *= x / n
+    try:
+        while True:
+            term = xterm * prefix
+            acc += term
+            sum_abs += abs(term)
+            prefix += wpow * cmath.exp(neg_s * cmath.log(lam + n))
+            err = core._series_stop(s, lam, x, n, sum_abs, tol, prefix)
+            if err is not None:
+                return EvalResult(acc, err, n, "h_series")
+            n += 1
+            wpow *= w
+            xterm *= x / n
+    except OverflowError as exc:  # |term| or the tail bound past binary64
+        raise core._Overflow(f"series terms overflow binary64 at x = {x}") from exc
 
 
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:

@@ -17,10 +17,11 @@ Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
 contaminate quadrature nodes. Each integrand takes a whole tanh-sinh level
-as one array (only the Mellin transform of e_p(-x, lam) still loops over
-its nodes), and the inner tolerance picks each node's Poisson window
-through a tail bound relative to that node's scale (capped at 1), not
-through a fixed width.
+as one array (the Mellin transform of e_p(-x, lam) passes its level to
+`core.evaluate`, which sums the nodes with x <= 10 as one array series),
+and the inner tolerance picks each node's Poisson window through a tail
+bound relative to that node's scale (capped at 1), not through a fixed
+width.
 """
 
 from __future__ import annotations
@@ -156,9 +157,7 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     inner_tol = tol / 50.0
 
     def g(u):
-        # one evaluate per node: e_p(-x, lam) has no array route yet
-        return np.array([cmath.exp(s * v) * core.evaluate(p, lam, -math.exp(v), inner_tol).value
-                         for v in u])
+        return np.exp(s * u) * core.evaluate(p, lam, -np.exp(u), inner_tol).value
 
     # truncation points from the exponential envelopes in u
     u_mid = math.log(core._INTEGRAL_X)

@@ -290,3 +290,74 @@ def test_eval_series_overflow_exit_code(capsys):
         capsys, "eval", "--s", "1", "--lambda", "1", "--x", "800", "--method", "series"
     )
     assert code == 3 and "binary64" in err and "nan" not in out.lower()
+
+
+@pytest.mark.parametrize(
+    "function, fmt, x_range, w",
+    [
+        ("polyexp", "csv", "-12:3:6", "1"),  # x = -12 takes the positive integral or Hankel
+        ("polyexp", "json", "-12:3:6", "1"),
+        ("h", "csv", "-2.8:2.9:5", "0.6+0.3i"),
+        ("h", "json", "-2.8:2.9:5", "-1"),
+    ],
+)
+def test_table_rows_match_point_calls(capsys, function, fmt, x_range, w):
+    """Each (s, lambda) pair is evaluated over its x axis in one call; the
+    rows keep the grid order s, x, lambda and match per-point calls."""
+    from polyexp.core import evaluate
+    from polyexp.series import HSeriesParams, h_direct
+
+    s_axis, x_axis, l_axis = parse_range("-2.1:2.05:3"), parse_range(x_range), parse_range("0.5:2.5:3")
+    code, out, _ = invoke(
+        capsys, "table", "--function", function, "--s-range", "-2.1:2.05:3", "--x-range", x_range,
+        "--lambda-range", "0.5:2.5:3", "--w", w, "--format", fmt,
+    )
+    assert code == 0
+    rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    grid = [(s, x, lam) for s in s_axis for x in x_axis for lam in l_axis]
+    assert len(rows) == len(grid)
+    for row, (s, x, lam) in zip(rows, grid):
+        assert (float(row["s"]), float(row["x"]), float(row["lambda"])) == (s, x, lam)
+        if function == "polyexp":
+            ref = evaluate(s, lam, x, tol=1e-10)
+        else:
+            ref = h_direct(HSeriesParams(s, lam, parse_complex(w), x), tol=1e-10)
+        value = complex(float(row["value_re"]), float(row["value_im"]))
+        assert abs(value - ref.value) <= ref.abs_err_estimate
+        assert float(row["abs_err"]) == pytest.approx(ref.abs_err_estimate, rel=1e-12)
+
+
+@pytest.mark.parametrize("function", ["polyexp", "h"])
+def test_table_past_binary64_exit_code(capsys, function):
+    code, out, err = invoke(
+        capsys, "table", "--function", function, "--s-range", "-1.5:2:3", "--x-range", "700:800:3"
+    )
+    assert code == 3 and "binary64" in err and out == ""
+
+
+def test_run_reuses_parser_without_leaking_defaults(capsys):
+    """run builds its parser once per process; a call with optional flags
+    leaves nothing behind for the next call, whatever its subcommand."""
+    from polyexp import cli
+
+    calls = [
+        ("eval", "--s", "0.5", "--lambda", "1", "--x", "2", "--method", "hankel", "--tolerance", "1e-9"),
+        ("eval", "--s", "0.5", "--lambda", "1", "--x", "2"),
+        ("series", "--s", "2", "--w", "0.5", "--x", "1", "--tolerance", "1e-8"),
+        ("series", "--s", "2", "--x", "1"),
+        ("table", "--function", "polyexp", "--s-range", "1:2:2", "--x-range", "0:1:2", "--format", "json"),
+        ("table", "--function", "polyexp", "--s-range", "1:2:2", "--x-range", "0:1:2"),
+        ("eta", "--s", "2", "--lambda", "2"),
+        ("eta", "--s", "2"),
+        ("eval", "--s", "1", "--lambda", "1"),
+        ("eval", "--s", "0.5", "--lambda", "1", "--x", "-1"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    cli._parser.cache_clear()
+    reused = [invoke(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0] * 8 + [2, 0]
+    assert cli._parser.cache_info().misses == 1

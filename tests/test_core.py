@@ -37,6 +37,7 @@ from polyexp.result import (
     ContourResolutionError,
     ConvergenceError,
     DomainError,
+    EvalResult,
     PoleError,
 )
 
@@ -219,6 +220,99 @@ def test_series_error_estimate_reported():
     # heavy cancellation: estimate must reflect the rounding floor
     assert res.abs_err_estimate >= 1e-10
     assert res.method == "series" and res.work > 60
+
+
+# x nodes for the array paths: real and complex, |x| up to 10, and 0
+_ARRAY_X = np.array(
+    [0.0, 0.3, -1.0, 2.5, -3.0, 6.0, -7.5, 10.0, 0.8j, 2 - 1j, -3 + 4j, 5 * cmath.exp(2.2j), -6 - 8j, 9.5j]
+)
+
+
+@pytest.mark.parametrize("s", [0.5, 2.3, -1.7, -3.0 + 0.0j, 1.5 + 2j, -0.5 - 1j])
+@pytest.mark.parametrize("lam", [1.0, 0.4, 2 + 0.5j])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_series_array_matches_scalar(s, lam, tol):
+    """Every node of the array pass stops at the scalar loop's term, with its
+    estimate; the values differ only by the order of summation."""
+    res = eval_series(s, lam, _ARRAY_X, tol)
+    assert res.method == "series" and isinstance(res.work, int)
+    assert res.value.shape == res.abs_err_estimate.shape == _ARRAY_X.shape
+    scalar = [eval_series(s, lam, x, tol) for x in _ARRAY_X]
+    assert res.work == sum(r.work for r in scalar)
+    for i, (x, ref) in enumerate(zip(_ARRAY_X, scalar)):
+        assert eval_series(s, lam, _ARRAY_X[i:i + 1], tol).work == ref.work
+        assert res.abs_err_estimate[i] == pytest.approx(ref.abs_err_estimate, rel=1e-12, abs=0.0)
+        assert abs(res.value[i] - ref.value) <= ref.abs_err_estimate
+
+
+def test_series_array_blocks_carry_sums():
+    """Nodes needing several blocks of terms (|x| = 300 takes ~700) next to
+    nodes that stop in the first one, and more nodes than one block holds."""
+    x = np.concatenate([[300.0, -150.0 + 20j, 0.5], np.linspace(-3.0, 3.0, 2000)])
+    res = eval_series(1.5, 0.8, x, 1e-12)
+    for i in (0, 1, 2, 500, 2002):
+        ref = eval_series(1.5, 0.8, x[i], 1e-12)
+        assert eval_series(1.5, 0.8, x[i:i + 1], 1e-12).work == ref.work
+        assert res.abs_err_estimate[i] == pytest.approx(ref.abs_err_estimate, rel=1e-12, abs=0.0)
+        assert abs(res.value[i] - ref.value) <= ref.abs_err_estimate
+    assert res.work == sum(eval_series(1.5, 0.8, v, 1e-12).work for v in x)
+
+
+def test_series_array_shapes_and_errors():
+    empty = eval_series(1, 1, np.array([]))
+    assert empty.value.shape == (0,) and empty.work == 0
+    with pytest.raises(DomainError):
+        eval_series(1, 1, np.ones((2, 2)))
+    with pytest.raises(ConvergenceError, match="10000 terms") as info:
+        eval_series(1, 1, np.array([1.0, 30000.0]))
+    assert not isinstance(info.value, OverflowError)  # as the scalar loop: never past 2|x|
+    with pytest.raises(ValueError):
+        EvalResult(np.zeros(2), np.array([1e-16, -1.0]), 0, "series")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_series(-1.5, 1, 700 + 100j),
+        lambda: evaluate(-1.5, 1, 700 + 100j),
+        lambda: eval_series(-1.5, 1, np.array([1.0, 700 + 100j])),
+        lambda: evaluate(-1.5, 1, np.array([700 + 100j, 2.0])),
+        lambda: eval_series(-300, 1, 1.0),  # (n+1)^300 passes binary64 at n = 10
+        lambda: eval_series(-300, 1, np.array([1.0, 0.5])),
+        lambda: eval_series(-300, 1, 1e-13),  # the terms fit, the tail bound's 11^300 does not
+        lambda: eval_series(-300, 1, np.array([1e-13])),
+    ],
+    ids=["series", "evaluate", "series_array", "evaluate_array", "coefficient", "coefficient_array",
+         "tail", "tail_array"],
+)
+def test_series_overflow_is_typed(call):
+    """|term| past binary64 while its parts fit, a coefficient past it, or
+    the tail bound past it, raised a bare OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflow binary64"):
+            call()
+
+
+def test_evaluate_array_mixes_routes():
+    x = np.array([-20.0, 15j, 2.0, -0.5 + 1j])
+    res = evaluate(0.5, 1, x)
+    assert res.method == ("positive_integral", "hankel", "series", "series")
+    scalar = [evaluate(0.5, 1, v) for v in x]
+    assert [r.method for r in scalar] == list(res.method)
+    for i in (0, 1):  # the same scalar call
+        assert res.value[i] == scalar[i].value
+        assert res.abs_err_estimate[i] == scalar[i].abs_err_estimate
+    for i in (2, 3):
+        assert abs(res.value[i] - scalar[i].value) <= scalar[i].abs_err_estimate
+    assert res.work == sum(r.work for r in scalar)
+
+    closed = evaluate(-2, 1.3, x)
+    assert closed.method == "closed_form"
+    assert list(closed.value) == [evaluate(-2, 1.3, v).value for v in x]
+    series_only = evaluate(0.5, 1, np.array([0.5, -2.0]))
+    assert series_only.method == "series"
+    assert series_only.work == eval_series(0.5, 1, np.array([0.5, -2.0])).work
 
 
 # -- weighted product evaluator ------------------------------------------------

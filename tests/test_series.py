@@ -6,6 +6,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polyexp import core, series, transforms
@@ -317,6 +318,46 @@ def test_series_overflow_is_typed_and_prompt(call):
     with pytest.raises(ConvergenceError, match="overflow binary64 at x"):
         call()
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize(
+    "x",
+    [700 + 100j, np.array([0.5, 700 + 100j])],
+    ids=["number", "array"],
+)
+def test_h_direct_overflow_of_modulus_is_typed(x):
+    """|term| past binary64 while its parts fit raised a bare OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflow binary64 at x"):
+            h_direct(HSeriesParams(-1.5, 1, 1, x))
+
+
+# x nodes for the array path: real and complex, |x| up to 10, and 0
+_ARRAY_X = np.array([0.0, 0.4, -1.0, 2.5, -3.0, 6.5, -8.0, 10.0, 1.5j, 2 - 1j, -3 + 4j, -6 - 8j, 9.5j])
+
+
+@pytest.mark.parametrize("w", [1.0, -1.0, 0.5, 0.6 + 0.3j])
+@pytest.mark.parametrize("s, lam", [(0.5, 1.0), (2.3, 0.4), (-1.7, 1.0), (-3.0, 2.0), (1.5 + 2j, 1.0), (-0.5 - 1j, 2 + 0.5j)])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_h_direct_array_matches_scalar(w, s, lam, tol):
+    """Every node of the array pass stops at the scalar loop's term, with its
+    estimate; the values differ only by the order of summation."""
+    res = h_direct(HSeriesParams(s, lam, w, _ARRAY_X), tol)
+    assert res.method == "h_series" and isinstance(res.work, int)
+    scalar = [h_direct(HSeriesParams(s, lam, w, x), tol) for x in _ARRAY_X]
+    assert res.work == sum(r.work for r in scalar)
+    for i, ref in enumerate(scalar):
+        assert h_direct(HSeriesParams(s, lam, w, _ARRAY_X[i:i + 1]), tol).work == ref.work
+        assert res.abs_err_estimate[i] == pytest.approx(ref.abs_err_estimate, rel=1e-12, abs=0.0)
+        assert abs(res.value[i] - ref.value) <= ref.abs_err_estimate
+
+
+def test_h_params_convert_numbers_and_arrays():
+    number = HSeriesParams(1, 2, 0.5, 3)
+    assert all(type(v) is complex for v in (number.s, number.lam, number.w, number.x))
+    array = HSeriesParams(1, 2, 0.5, np.array([1.0, -2.0]))
+    assert array.x.dtype == complex and list(array.x) == [1.0, -2.0]
 
 
 # -- ODE relation -----------------------------------------------------------------
