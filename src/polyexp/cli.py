@@ -240,7 +240,7 @@ def _table_rows(args):
         else:
             header = ["s", "lambda", "w", "x", "value_re", "value_im", "abs_err"]
             along_x = lambda s, lam: series.h_direct(series.HSeriesParams(s, lam, w, xs), tol=inner_tol)
-            w_cell = w.real if w.imag == 0 else w
+            w_cell = w.real if w.imag == 0 else f"{_fmt(w.real)}{w.imag:+.17g}i"  # the a+bi grammar
             inputs = lambda s, lam, x: [s, lam, w_cell, x]
         for s in s_grid:
             columns = []

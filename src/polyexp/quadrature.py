@@ -10,11 +10,9 @@ A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
 able to absorb integrable endpoint singularities (its integrand maps one
 level's array of nodes to an array of values), plus the semi-infinite
 driver used by the transform layer: double-exponential core on
-(0, split), then a tail handled under the integrand's declared decay
-envelope. Exponential envelopes get a truncated log-space integration
-with an explicit remainder bound; pure power-law envelopes get a
-Richardson ladder over doubling truncation points, since no binary64
-truncation point is far enough out on its own.
+(0, split), then a log-space tail cut where the integrand's declared
+exponential envelope leaves less than the target, that remainder going
+into the error estimate.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ _HALF_PI = math.pi / 2.0
 _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
 _MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
 _MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver's core and tail
-_LADDER_POINTS = 9  # partial integrals of the power-law tail ladder
 
 
 def _read_only(*arrays):
@@ -194,88 +191,42 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
     return c * T**power * math.exp(-rate * T) / (rate * slack)
 
 
-def _log_panel(f: Callable, t0: float, t1: float, tol: float, max_level: int):
-    """Integrate f over [t0, t1] after the substitution t = t0 * e^v."""
-    vmax = math.log(t1 / t0)
-    g = lambda v: f(t0 * np.exp(v)) * t0 * np.exp(v)
-    return tanh_sinh(g, 0.0, vmax, tol, max_level=max_level)
+def _head_and_panel(f: Callable, split: float, T: float, tol: float):
+    """(value, err, nodes) of f over (0, T): tanh-sinh on (0, split), then in
+    t = split e^v on (split, T), each to tol/4."""
+    core, core_err, work, ok = tanh_sinh(f, 0.0, split, tol / 4, max_level=_MAX_LEVEL)
+    if not ok:
+        raise _not_converged(f"core interval (0, {split:g})", core, core_err, tol / 4)
+    g = lambda v: f(split * np.exp(v)) * split * np.exp(v)
+    tail, tail_err, nev, ok = tanh_sinh(g, 0.0, math.log(T / split), tol / 4, max_level=_MAX_LEVEL)
+    if not ok:
+        raise _not_converged(f"tail integration over ({split:g}, {T:g})", tail, tail_err, tol / 4)
+    return core + tail, core_err + tail_err, work + nev
 
 
-def _richardson_tail(f: Callable, sigma: complex, core: complex, split: float, tol: float):
-    """Power-law tails: extrapolate I(T_j) over T_j = split * 2^j.
-
-    With f ~ C t^-sigma (Re sigma > 1) the partial integrals satisfy
-    I(inf) - I(T) = T^(1-sigma) * (b0 + b1/T + ...), so a Richardson
-    ladder with exponents sigma - 1 + i converges fast.
-    """
-    partials = []
-    work = 0
-    inner_err = 0.0
-    current = core
-    t_lo = split
-    for _ in range(_LADDER_POINTS):
-        t_hi = t_lo * 2.0
-        val, err, nev, ok = _log_panel(f, t_lo, t_hi, tol / (6 * _LADDER_POINTS), max_level=10)
-        if not ok:
-            raise _not_converged(f"tail panel [{t_lo:g}, {t_hi:g}]", val, err, tol / (6 * _LADDER_POINTS))
-        current += val
-        partials.append(current)
-        inner_err += err
-        work += nev
-        t_lo = t_hi
-    # Richardson ladder, ratio 2, exponent ladder sigma-1, sigma, sigma+1, ...
-    rows = [list(partials)]
-    stages = min(len(partials) - 1, 6)
-    for i in range(stages):
-        mu = sigma - 1.0 + i
-        factor = 2.0**mu - 1.0
-        prev = rows[-1]
-        rows.append([prev[j + 1] + (prev[j + 1] - prev[j]) / factor for j in range(len(prev) - 1)])
-    best = rows[-1][-1]
-    second = rows[-2][-1]
-    err = abs(best - second) + inner_err
-    return best, err, work
-
-
-def quad_semiinfinite(f: Callable, rate: float, power: complex, tol: float, split: float) -> EvalResult:
+def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split: float) -> EvalResult:
     """Integrate f over (0, inf), where f maps an array of nodes to an array
     of values as in `tanh_sinh` and |f(t)| <= C t^power e^(-rate t) for
-    large t (power real when rate > 0), with C estimated by sampling.
+    large t, rate > 0 and power real, with C estimated by sampling.
 
     Core interval (0, split) by tanh-sinh; the tail by log-space
-    tanh-sinh out to a truncation point justified by the envelope, with
-    the envelope remainder added to the error estimate. Power-law
-    envelopes (rate 0, which needs Re power < -1) use the extrapolation
-    ladder instead, since the remainder bound alone would force absurd
-    truncation points; there power is the exact complex exponent of
-    f ~ t^power.
+    tanh-sinh out to a truncation point where the envelope's remainder
+    falls under tol/4, with that remainder added to the error estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if split <= 0:
         raise ValueError("split must be positive")
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
-    if rate == 0 and power.real >= -1:
-        raise ValueError("power-law tails need Re power < -1")
-    core, core_err, work, ok = tanh_sinh(f, 0.0, split, tol / 4, max_level=_MAX_LEVEL)
-    if not ok:
-        raise _not_converged(f"core interval (0, {split:g})", core, core_err, tol / 4)
-
-    if rate > 0.0:
-        c = _envelope_constant(f, rate, power, split)
-        T = split * 2.0
-        hops = 0
-        while (remainder := _exp_tail_bound(c, rate, power, T)) > tol / 4:
-            if hops == 59:
-                raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
-                                      f"its bound {remainder:g} (target {tol / 4:g})")
-            T *= 1.5
-            hops += 1
-        tail, tail_err, nev, ok = _log_panel(f, split, T, tol / 4, max_level=_MAX_LEVEL)
-        if not ok:
-            raise _not_converged(f"tail integration over ({split:g}, {T:g})", tail, tail_err, tol / 4)
-        return EvalResult(core + tail, core_err + tail_err + remainder, work + nev, "quadrature")
-
-    value, tail_err, nev = _richardson_tail(f, -power, core, split, tol)
-    return EvalResult(value, core_err + tail_err, work + nev, "quadrature+tail_extrapolation")
+    if rate <= 0 or isinstance(power, complex):
+        raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
+    c = _envelope_constant(f, rate, power, split)
+    T = split * 2.0
+    hops = 0
+    while (remainder := _exp_tail_bound(c, rate, power, T)) > tol / 4:
+        if hops == 59:
+            raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
+                                  f"its bound {remainder:g} (target {tol / 4:g})")
+        T *= 1.5
+        hops += 1
+    value, err, work = _head_and_panel(f, split, T, tol)
+    return EvalResult(value, err + remainder, work, "quadrature")

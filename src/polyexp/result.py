@@ -18,9 +18,8 @@ class EvalResult:
     last count m.
     `method` is the route tag: {series, closed_form, positive_integral,
     recursion, hankel, taylor_shift, asymptotic} in core, {h_series,
-    h_quadrature} for the h family, {quadrature,
-    quadrature+tail_extrapolation} in the transforms and {line_integral,
-    mellin_expression} in the Mellin-Barnes layer. "positive_integral"
+    h_quadrature} for the h family, quadrature in the transforms and
+    {line_integral, mellin_expression} in the Mellin-Barnes layer. "positive_integral"
     (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes.
 
     For a 1-D array of x (`core.evaluate`, `core.eval_series`,

@@ -21,7 +21,8 @@ as one array (the Mellin transform of e_p(-x, lam) passes its level to
 `core.evaluate`, which sums the nodes with x <= 10 as one array series),
 and the inner tolerance picks each node's Poisson window through a tail
 bound relative to that node's scale (capped at 1), not through a fixed
-width.
+width. The z = 1 (Hurwitz) integrand decays only like t^(-Re s); its
+tail past a finite T is summed in closed form (`_power_tail`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from . import core
-from .quadrature import _not_converged, quad_semiinfinite, tanh_sinh
+from .quadrature import _head_and_panel, _not_converged, quad_semiinfinite, tanh_sinh
 from .result import ConditioningError, DomainError, EvalResult, PoleError
 
 __all__ = [
@@ -54,8 +55,46 @@ def _split_point(weight_scale: float, lam: complex) -> float:
     return max(10.0, 5.0 * weight_scale + abs(lam))
 
 
+_TAIL_TERMS = 61  # terms k = 0..60 of the Hurwitz tail expansion, ending at an even k
+_CHERNOFF_HALF = 0.5 - 0.5 * math.log(2.0)  # P(N <= t/2) <= e^(-0.153 t), N ~ Poisson(t)
+
+
+def _power_tail(s: complex, lam: complex, T: float, target: float):
+    """integral_T^inf e^(-t) e_s(t, lam) dt, Re s > 1, as (value, err).
+
+    The integrand E[(N+lam)^-s], N ~ Poisson(t), is expanded about N = t as
+    sum_k (-1)^k (s)_k/k! mu_k(t) (t+lam)^(-s-k), central moments mu_(k+1) =
+    t (k mu_(k-1) + mu_k'), and integrated termwise in v = (t+lam)/U,
+    U = T+lam, where p_k(v) = mu_k(t) U^-k is a polynomial. The sum stops at
+    the first even k whose term plus the odd one before it (mu_1 = 0: odd
+    terms are small) is under target, else at the last even k: err is that pair.
+    """
+    big_u = T + lam
+    i = np.arange(_TAIL_TERMS // 2 + 2)
+    p_prev, p = np.zeros(i.size, dtype=complex), (i == 0).astype(complex)
+    coeff = big_u ** (1.0 - s)  # U^(1-s) (-1)^k (s)_k / k!
+    total = term = 0.0j
+    for k in range(_TAIL_TERMS):
+        n = k // 2 + 1  # p_k has degree k/2
+        term, odd = coeff * complex(np.sum(p[:n] / (s + k - i[:n] - 1.0))), term
+        total += term
+        if k % 2 == 0:
+            err = abs(term) + abs(odd)
+            if err <= target:
+                break
+        coeff *= -(s + k) / (k + 1.0)
+        inner = k * p_prev + np.append(i[1:] * p[1:], 0.0)  # k p_(k-1) + p_k'
+        p_prev, p = p, (np.append(0.0, inner[:-1]) - lam / big_u * inner) / big_u  # times (v - lam/U) / U
+    return total, err
+
+
 def _laplace_weighted(s, lam, z, tol):
-    """integral_0^inf e^(-t) e_s(z t, lam) dt with envelope chosen from z."""
+    """integral_0^inf e^(-t) e_s(z t, lam) dt with envelope chosen from z.
+
+    At z = 1 (within rounding) the tail past T is `_power_tail`. It misses
+    the Poisson mass below N = t/2, at most e^(-0.153 t) |lam^-s|: T starts
+    where that integrates to tol/8, and doubles until the tail meets tol/8.
+    """
     s, lam, z = complex(s), complex(lam), complex(z)
     inner_tol = tol / 100.0
 
@@ -63,10 +102,18 @@ def _laplace_weighted(s, lam, z, tol):
         return core.exp_weighted_series(s, lam, z, t, inner_tol)[0]
 
     split = _split_point(abs(z), lam)
-    if abs(z - 1.0) <= 1e-14:
-        # pure power-law tail t^(-s), z = 1 within rounding: extrapolation ladder
-        return quad_semiinfinite(f, 0.0, -s, tol, split)
-    return quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
+    if abs(z - 1.0) > 1e-14:
+        return quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
+    log_first = core._log_coefficient_bound(s, lam, 0.0)
+    start = max(2.0 * split, (log_first - math.log(_CHERNOFF_HALF * tol / 8.0)) / _CHERNOFF_HALF)
+    for T in (start * 2.0**d for d in range(8)):  # up to 7 doublings
+        if (tail := _power_tail(s, lam, T, tol / 8.0))[1] <= tol / 8.0:
+            break
+    else:
+        raise _not_converged(f"Hurwitz tail expansion at T = {T:g}", *tail, tol / 8.0)
+    value, err, work = _head_and_panel(f, split, T, tol)
+    missed = math.exp(log_first - _CHERNOFF_HALF * T) / _CHERNOFF_HALF
+    return EvalResult(value + tail[0], err + tail[1] + missed, work, "quadrature")
 
 
 def lerch_phi(x, s, lam, tol: float = 1e-10) -> EvalResult:
@@ -91,7 +138,8 @@ def hurwitz_zeta(s, lam, tol: float = 1e-10) -> EvalResult:
     """zeta(s, lam) as integral_0^inf e_s(t, lam) e^(-t) dt, Re s > 1 only.
 
     The integrand decays like t^(-Re s): the representation simply does not
-    converge for Re s <= 1, so that region is refused.
+    converge for Re s <= 1, so that region is refused. Past a T of a few
+    hundred the integral is summed in closed form (`_laplace_weighted`).
     """
     s, lam = complex(s), complex(lam)
     if s.real <= 1.0:

@@ -327,6 +327,24 @@ def test_table_rows_match_point_calls(capsys, function, fmt, x_range, w):
         assert float(row["abs_err"]) == pytest.approx(ref.abs_err_estimate, rel=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("w", ["0.5+0.5i", "-1.25e-07-0.75i", "-0.5"])
+def test_table_w_cell_reads_back(capsys, fmt, w):
+    """A complex w is written in the CLI's own a+bi grammar, a real w as a number."""
+    code, out, _ = invoke(
+        capsys, "table", "--function", "h", "--s-range", "2:2:1", "--x-range", "0.5:1:2",
+        "--w", w, "--format", fmt,
+    )
+    assert code == 0
+    rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2
+    for row in rows:
+        cell = row["w"]
+        if fmt == "json":
+            assert isinstance(cell, str if parse_complex(w).imag else float)
+        assert parse_complex(str(cell)) == parse_complex(w)
+
+
 @pytest.mark.parametrize("function", ["polyexp", "h"])
 def test_table_past_binary64_exit_code(capsys, function):
     code, out, err = invoke(

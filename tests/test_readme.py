@@ -1,0 +1,18 @@
+"""The fenced python blocks of README.md run as written."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(code):
+    exec(compile(code, str(README), "exec"), {})

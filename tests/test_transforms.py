@@ -90,6 +90,41 @@ def test_hurwitz_domain():
         transforms.hurwitz_zeta(0.5, 1.0)
 
 
+def _hurwitz_truth(s, lam):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return complex(mp.zeta(s, lam))
+
+
+@pytest.mark.parametrize("s, lam", [
+    (1.5 + 30j, 1.0),  # the expansion needs T doubled once
+    (1.001, 1.0),
+    (2.5 + 5j, 0.5 + 0.5j),
+    (20.0, 1.0),  # Poisson mass near N = 0 missed at a fixed T = 20: e^-20 relative
+    (8.0, 0.1),  # there: 0.21 absolute
+])
+def test_hurwitz_against_mpmath(s, lam):
+    truth = _hurwitz_truth(s, lam)
+    res = transforms.hurwitz_zeta(s, lam, tol=1e-10)
+    assert abs(res.value - truth) <= 1e-10 * max(1.0, abs(truth))
+
+
+@pytest.mark.parametrize("s", [1.1, 2.0, 4.5])  # 4.5: stopping at an odd k leaves 5.8x the estimate
+def test_hurwitz_error_within_estimate(s):
+    res = transforms.hurwitz_zeta(s, 1.0, tol=1e-10)
+    assert abs(res.value - _hurwitz_truth(s, 1.0)) <= res.abs_err_estimate
+
+
+def test_hurwitz_node_budget():
+    # the tail past T is closed form: no panels out to t ~ 5000
+    assert transforms.hurwitz_zeta(3.5, 1.5, tol=1e-10).work <= 600
+
+
+def test_hurwitz_tail_expansion_refuses_huge_imaginary_s():
+    with pytest.raises(QuadratureError, match="Hurwitz tail expansion"):
+        transforms.hurwitz_zeta(1.5 + 1000j, 1.0)
+
+
 # -- eta ------------------------------------------------------------------------
 
 
