@@ -574,12 +574,21 @@ def _horner(coeffs, y):
 
 
 def eval_negint(p: int, lam, x) -> EvalResult:
-    """e_{-p}(x, lam) = e^x * Q_p(x, lam), Q_p collapsed at lam and
-    evaluated in binary64 (`_closed_form`); past its range, ConvergenceError."""
+    """e_{-p}(x, lam) = e^x * Q_p(x, lam) at a number or 1-D array x, Q_p collapsed
+    at lam and evaluated in binary64 (`_closed_form`); past its range, ConvergenceError."""
     if p < 0:
         raise DomainError("p must be >= 0")
-    lam, x = complex(lam), complex(x)
+    lam = complex(lam)
     _require_lam(lam)
+    if _is_nodes(x):
+        x = x.astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, estimate = _closed_form(p, lam, x, x)
+        finite = np.isfinite(value) & np.isfinite(estimate)
+        if not finite.all():
+            raise _Overflow(f"e^x Q_{p}(x, lam) overflows binary64 at x = {x[np.argmin(finite)]}")
+        return EvalResult(value, estimate, (p + 1) * x.size, "closed_form")
+    x = complex(x)
     try:
         value, estimate = _closed_form(p, lam, x, x)
     except OverflowError:
@@ -589,8 +598,8 @@ def eval_negint(p: int, lam, x) -> EvalResult:
     return EvalResult(value, estimate, p + 1, "closed_form")
 
 
-def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> EvalResult:
-    """e_s(-X, lam), X = big_x > 0, Re s > 0, from the positive integral
+def _positive_integral(s: complex, lam: complex, big_x, tol: float) -> EvalResult:
+    """e_s(-X, lam) at the nodes X = big_x > 0, Re s > 0, from the positive integral
     Gamma(s) e_s(-X, lam) = int_0^inf t^(s-1) e^(-lam t) e^(-X e^-t) dt.
 
     |e^(-lam t) e^(-X e^-t)| peaks on t >= 0 at t_p = max(0, log(X/a)),
@@ -598,32 +607,36 @@ def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> Ev
     front, so the integrand is t^(s-1) exp(lam (t_p - t) - r expm1(t_p - t))
     for any size of X and lam. The rule runs in t, keeping the t^(s-1)
     singularity exactly on t = 0; below t_p - log(1490/a + 2) the
-    integrand is under e^-745 of its peak.
+    integrand is under e^-745 of its peak. One batched `tanh_sinh` call
+    integrates every X to its own target; value and abs_err_estimate are
+    arrays, also for a number X.
     """
+    big_x = np.atleast_1d(np.asarray(big_x, dtype=float))
     a = lam.real
-    t_peak = max(0.0, math.log(big_x / a))
-    r = min(a, big_x)
+    t_peak = np.maximum(0.0, np.log(big_x / a))
+    r = np.minimum(a, big_x)
     rate = a if lam.imag == 0.0 else lam  # real arithmetic for real parameters
     power = s.real - 1.0 if s.imag == 0.0 else s - 1.0
 
-    def g(t):
-        d = t_peak - t
-        return t ** power * np.exp(rate * d - r * np.expm1(d))
+    def g(t, idx):
+        d = t_peak[idx] - t
+        return t ** power * np.exp(rate * d - r[idx] * np.expm1(d))
 
     # the integral's rough size; tanh_sinh turns relative above 1
-    target = tol * min(1.0, max(1.0, t_peak) ** (s.real - 1.0) / max(1.0, math.sqrt(a)))
-    t_lo = max(0.0, t_peak - math.log(1490.0 / a + 2.0))
-    span = 10.0 / max(a, 0.05)
-    while (s.real - 1.0) * math.log(t_peak + span) - a * span + r > math.log(target) - 3.0:
-        span *= 1.3
+    target = tol * np.minimum(1.0, np.maximum(1.0, t_peak) ** (s.real - 1.0) / max(1.0, math.sqrt(a)))
+    t_lo = np.maximum(0.0, t_peak - math.log(1490.0 / a + 2.0))
+    span = np.full(t_peak.size, 10.0 / max(a, 0.05))
+    while (short := (s.real - 1.0) * np.log(t_peak + span) - a * span + r > np.log(target) - 3.0).any():
+        span[short] *= 1.3
     val, err, nodes, ok = tanh_sinh(g, t_lo, t_peak + span, target, max_level=11)
-    if not ok:
-        raise _not_converged(f"positive integral at x = {-big_x}", val, err, target)
+    if not ok.all():
+        i = np.argmin(ok)
+        raise _not_converged(f"positive integral at x = {-big_x[i]}", val[i], err[i], target[i])
     exponent = -lam * t_peak - r
-    front = cmath.exp(exponent) / gamma_fn(s)
+    front = np.exp(exponent) / gamma_fn(s)
     value = front * val
     # rounding: the rule's sum, Gamma(s), and eps |exponent| from the front factor
-    estimate = abs(front) * (err + 0.05 * target) + (32.0 + 2.0 * abs(exponent)) * _EPS * abs(value)
+    estimate = np.abs(front) * (err + 0.05 * target) + (32.0 + 2.0 * np.abs(exponent)) * _EPS * np.abs(value)
     return EvalResult(value, estimate, nodes, "positive_integral")
 
 
@@ -655,11 +668,11 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     scale, and Hankel on its contour integral, absolute below 1 and
     relative above. Hankel refuses s within 1e-8 of a positive integer.
 
-    x may be a 1-D numpy array: the series nodes then go through one array
-    `eval_series` call and every other node through its own route, as a
-    number would. value and abs_err_estimate are arrays, work is the
-    total, and method is the route tag when every node took one route,
-    else the tuple of per-node tags.
+    x may be a 1-D numpy array: each route but Hankel then takes all of its
+    nodes in one call (the series, the positive integral, the closed form).
+    value and abs_err_estimate are arrays, work is the total, and method is
+    the route tag when every node took one route, else the tuple of
+    per-node tags.
     """
     s, lam = complex(s), complex(lam)
     _require_lam(lam)
@@ -668,27 +681,32 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     if not _is_nodes(x):
         x = complex(x)
         route = _route(s, x)
-        if route == "closed_form":
-            return eval_negint(int(-s.real), lam, x)
-        if route == "positive_integral":
-            return _positive_integral(s, lam, -x.real, tol)
-        if route == "hankel":
-            return eval_hankel(s, lam, x, tol)
-        return eval_series(s, lam, x, tol)
-    points = [complex(v) for v in x.tolist()]
-    routes = [_route(s, v) for v in points]
-    on_series = np.array([r == "series" for r in routes], dtype=bool)
-    values = np.zeros(len(points), dtype=complex)
-    errs = np.zeros(len(points))
+        if route in ("closed_form", "positive_integral"):  # one node, in the arithmetic of an array
+            res = _on_route(route, s, lam, np.array([x]), tol)
+            return EvalResult(complex(res.value[0]), float(res.abs_err_estimate[0]), res.work, route)
+        return _on_route(route, s, lam, x, tol)
+    routes = [_route(s, v) for v in x.astype(complex).tolist()]
+    values = np.zeros(x.size, dtype=complex)
+    errs = np.zeros(x.size)
     work = 0
-    if on_series.any():
-        res = eval_series(s, lam, x[on_series], tol)
-        values[on_series], errs[on_series], work = res.value, res.abs_err_estimate, res.work
-    for i in np.flatnonzero(~on_series):
-        res = evaluate(s, lam, points[i], tol)
-        values[i], errs[i], work = res.value, res.abs_err_estimate, work + res.work
+    for route in set(routes):
+        on = np.array([r == route for r in routes])
+        for at in np.flatnonzero(on) if route == "hankel" else [on]:  # a contour from each x
+            res = _on_route(route, s, lam, x[at], tol)
+            values[at], errs[at], work = res.value, res.abs_err_estimate, work + res.work
     method = routes[0] if len(set(routes)) == 1 else tuple(routes)
     return EvalResult(values, errs, work, method)
+
+
+def _on_route(route: str, s: complex, lam: complex, x, tol: float) -> EvalResult:
+    """`evaluate` by one route: x an array of nodes, or for the series and Hankel a number."""
+    if route == "closed_form":
+        return eval_negint(int(-s.real), lam, x)
+    if route == "positive_integral":
+        return _positive_integral(s, lam, -x.real, tol)
+    if route == "hankel":
+        return eval_hankel(s, lam, x, tol)
+    return eval_series(s, lam, x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ and tanh-sinh, the abscissae and weights of each level.
 
 A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
 able to absorb integrable endpoint singularities (its integrand maps one
-level's array of nodes to an array of values), plus the semi-infinite
-driver used by the transform layer: double-exponential core on
-(0, split), then a log-space tail cut where the integrand's declared
-exponential envelope leaves less than the target, that remainder going
-into the error estimate.
+level's array of nodes to an array of values). The same rule takes arrays
+of intervals: each level then evaluates every interval still open in one
+(nodes x intervals) array, in blocks of at most `_BLOCK` entries, and an
+interval drops out once it meets its own tolerance. A single interval is
+the batch of one. Plus the semi-infinite driver used by the transform
+layer: double-exponential core on (0, split), then a log-space tail cut
+where the integrand's declared exponential envelope leaves less than the
+target, that remainder going into the error estimate.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ _HALF_PI = math.pi / 2.0
 _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
 _MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
 _MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver's core and tail
+# nodes x intervals per call of a batched integrand: the peak of traced
+# allocations over a transforms benchmark round is 0.77 MB up to here and
+# 1.72 MB at 32768, with no change in speed
+_BLOCK = 8192
 
 
 def _read_only(*arrays):
@@ -93,12 +100,14 @@ def chebyshev_tail_rule(m: int):
 
 @functools.lru_cache(maxsize=32)
 def _level_nodes(level: int, previous_only_odd: bool):
-    """tanh-sinh abscissae for mesh h = 2^-level on [-1, 1].
+    """tanh-sinh abscissae for mesh h = 2^-level on [-1, 1], in increasing order.
 
-    Returns read-only (offset_a, offset_b, weight) arrays where
-    offset_a = 1 + x and offset_b = 1 - x are computed in a
-    cancellation-free form, so endpoint distances stay meaningful down to
-    ~1e-160. Memoized: every `tanh_sinh` call shares one table per level.
+    Returns read-only (offset, weight, near_b) arrays, near_b a column:
+    offset is 1 + x of the nodes with x <= 0 and -(1 - x) of the rest
+    (near_b), computed in a cancellation-free form, so endpoint distances
+    stay meaningful down to ~1e-160; a node of [a, b] is then
+    (b if near_b else a) + (b - a)/2 offset. Memoized: every `tanh_sinh`
+    call shares one table per level.
     """
     h = 2.0 ** (-level)
     if previous_only_odd and level > 0:
@@ -108,20 +117,12 @@ def _level_nodes(level: int, previous_only_odd: bool):
     u = j * h
     v = _HALF_PI * np.sinh(u)
     w = h * _HALF_PI * np.cosh(u) / np.cosh(v) ** 2
-    # 1 -+ tanh(v) without cancellation
-    far = 2.0 / (np.exp(2.0 * v) + 1.0)  # 1 - tanh(v)
-    near = 2.0 - far  # 1 + tanh(v)
-    # mirror to negative u; node at u=0 must not be duplicated
-    if not previous_only_odd or level == 0:
-        mask = j > 0
-        off_a = np.concatenate([far[mask][::-1], near])
-        off_b = np.concatenate([near[mask][::-1], far])
-        weight = np.concatenate([w[mask][::-1], w])
-    else:
-        off_a = np.concatenate([far[::-1], near])
-        off_b = np.concatenate([near[::-1], far])
-        weight = np.concatenate([w[::-1], w])
-    return _read_only(off_a, off_b, weight)
+    far = 2.0 / (np.exp(2.0 * v) + 1.0)  # 1 - tanh(v) without cancellation
+    # mirror to negative u; the node at u = 0 must not be duplicated
+    positive = j > 0
+    offset = np.concatenate([far[::-1], -far[positive]])
+    near_b = np.arange(offset.size)[:, None] >= j.size
+    return _read_only(offset, np.concatenate([w[::-1], w[positive]]), near_b)
 
 
 def _not_converged(what: str, estimate, difference: float, target: float) -> QuadratureError:
@@ -132,45 +133,101 @@ def _not_converged(what: str, estimate, difference: float, target: float) -> Qua
 
 def tanh_sinh(
     f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-12,
+    a,
+    b,
+    tol=1e-12,
     max_level: int = 11,
 ):
     """Integrate f over [a, b] by level-doubling tanh-sinh quadrature.
 
-    f maps the numpy array of a level's new nodes to an array of values, one
-    call per level. Returns (value, err_estimate, nevals, converged). The
-    integrand may return complex values and may blow up at either endpoint
-    as long as the singularity is integrable; nodes never land on a or b.
+    For numbers a and b, f maps the numpy array of a level's new nodes to
+    an array of values, one call per level, and the call returns
+    (value, err_estimate, nevals, converged).
+
+    a, b and tol may instead be 1-D arrays of k intervals (tol may stay a
+    number). f is then called as f(t, idx): t is the (nodes x open
+    intervals) array of abscissae, idx the indices of those intervals, and
+    it returns values of t's shape. Each interval keeps its own test
+    err <= max(tol, tol |value|) and drops out once it meets it, so a new
+    level evaluates only the intervals still open. value, err and
+    converged are then per-interval arrays, and nevals the node total.
+
+    The integrand may return complex values and may blow up at either
+    endpoint as long as the singularity is integrable. A node that rounds
+    onto an endpoint of its interval gets weight 0 and the interval's
+    midpoint as abscissa, and does not count; the nodes that do so on every
+    interval of a block are left out, so a single interval's f sees only
+    interior nodes. Intervals go to f in blocks of at most `_BLOCK`
+    nodes x intervals.
     """
-    if b == a:
-        return 0.0 + 0.0j, 0.0, 0, True
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(tol, np.ndarray)):
+        if b == a:
+            return 0.0 + 0.0j, 0.0, 0, True
+        value, err, nevals, ok = _tanh_sinh(lambda t, idx: np.asarray(f(t[:, 0])).reshape(-1, 1),
+                                            *np.array([[a], [b], [tol]], dtype=float), max_level)
+        return complex(value[0]), float(err[0]), nevals, bool(ok[0])
+    a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, tol)))
+    value, err, ok = np.zeros(a.size, dtype=complex), np.zeros(a.size), b == a
+    wide = np.flatnonzero(~ok)  # a zero-width interval is 0, converged, with no nodes
+    value[wide], err[wide], nevals, ok[wide] = _tanh_sinh(lambda t, idx: f(t, wide[idx]), a[wide], b[wide],
+                                                          tol[wide], max_level)
+    return value, err, nevals, ok
+
+
+def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_level: int):
+    """The batched rule of `tanh_sinh` over the intervals [a_i, b_i], a_i != b_i."""
     r = 0.5 * (b - a)
+    value, err, ok = np.zeros(a.size, dtype=complex), np.full(a.size, math.inf), np.zeros(a.size, dtype=bool)
+    live = np.arange(a.size)  # the open intervals; below, their bounds, tol and sums
+    nevals = 0
+    for level in range(_MIN_LEVEL, max_level + 1):
+        nodes = _level_nodes(level, level > _MIN_LEVEL)
+        step = max(1, _BLOCK // nodes[0].size)
+        if live.size <= step:
+            sums, count = _block_sums(f, nodes, a, b, r, live)
+        else:
+            blocks = [_block_sums(f, nodes, a[k:k + step], b[k:k + step], r[k:k + step], live[k:k + step])
+                      for k in range(0, live.size, step)]
+            sums, count = np.concatenate([s for s, _ in blocks]), sum(n for _, n in blocks)
+        nevals += count
+        if level == _MIN_LEVEL:
+            value[live] = current = r * sums
+            continue
+        new = 0.5 * current + r * sums
+        diff = np.abs(new - current)
+        value[live], err[live], current = new, diff, new
+        done = diff <= tol * np.maximum(1.0, np.abs(new))  # max(tol, tol |value|)
+        if done.any():
+            ok[live[done]] = True
+            if done.all():
+                break
+            going = ~done
+            live, a, b, r, tol, current = (v[going] for v in (live, a, b, r, tol, current))
+    return value, err, nevals, ok
 
-    def evaluate(level, only_odd):
-        off_a, off_b, weight = _level_nodes(level, only_odd)
-        t = np.where(off_a <= off_b, a + r * off_a, b - r * off_b)
-        keep = (t > a) & (t < b)
-        t, weight = t[keep], weight[keep]
-        vals = np.asarray(f(t), dtype=complex)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            vals = np.where(bad, 0.0, vals)
-        return complex(np.sum(vals * weight)), len(t)
 
-    total, nev = evaluate(_MIN_LEVEL, only_odd=False)
-    value = r * total
-    err = math.inf
-    for level in range(_MIN_LEVEL + 1, max_level + 1):
-        extra, n2 = evaluate(level, only_odd=True)
-        new_value = 0.5 * value + r * extra
-        nev += n2
-        err = abs(new_value - value)
-        value = new_value
-        if err <= max(tol, tol * abs(value)):
-            return value, err, nev, True
-    return value, err, nev, False
+def _block_sums(f: Callable, nodes, a: np.ndarray, b: np.ndarray, r: np.ndarray, idx: np.ndarray):
+    """One level's weighted sums of f over the intervals idx, and the nodes counted."""
+    offset, weight, near_b = nodes
+    t = np.where(near_b, b, a) + r * offset[:, None]
+    # the nodes increase, so the rows with a node inside some interval are one run
+    if idx.size == 1:  # found by bisection
+        rows = slice(np.searchsorted(t[:, 0], a[0], "right"), np.searchsorted(t[:, 0], b[0]))
+        t, w = t[rows], weight[rows, None]
+        count = len(w)
+    else:
+        inside = (t > a) & (t < b)
+        flat = inside.ravel()
+        rows = slice(flat.argmax() // idx.size, (flat.size - flat[::-1].argmax() - 1) // idx.size + 1)
+        t, inside, w = t[rows], inside[rows], weight[rows, None]
+        count = int(np.count_nonzero(inside))
+        if count < inside.size:
+            t = np.where(inside, t, a + r)
+            w = np.where(inside, w, 0.0)
+    vals = np.asarray(f(t, idx), dtype=complex)
+    if not np.isfinite(vals).all():
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+    return np.add.reduce(vals * w), count
 
 
 def _envelope_constant(f: Callable, rate: float, power: float, split: float) -> float:

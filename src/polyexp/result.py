@@ -20,12 +20,15 @@ class EvalResult:
     recursion, hankel, taylor_shift, asymptotic} in core, {h_series,
     h_quadrature} for the h family, quadrature in the transforms and
     {line_integral, mellin_expression} in the Mellin-Barnes layer. "positive_integral"
-    (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes.
+    (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes;
+    `mellin_transform_polyexp` counts its own nodes plus the work of the
+    e_p evaluations at them.
 
     For a 1-D array of x (`core.evaluate`, `core.eval_series`,
-    `series.h_direct`), value and abs_err_estimate are arrays with one
-    entry per node, work is the total over the nodes, and `evaluate`'s
-    method is a tuple of per-node tags when the nodes took several routes.
+    `core.eval_negint`, `series.h_direct`), value and abs_err_estimate
+    are arrays with one entry per node, work is the total over the nodes,
+    and `evaluate`'s method is a tuple of per-node tags when the nodes
+    took several routes.
     """
 
     value: complex

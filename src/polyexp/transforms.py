@@ -17,8 +17,9 @@ Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
 contaminate quadrature nodes. Each integrand takes a whole tanh-sinh level
-as one array (the Mellin transform of e_p(-x, lam) passes its level to
-`core.evaluate`, which sums the nodes with x <= 10 as one array series),
+as one array (the Mellin transform of e_p(-x, lam) passes the level of
+both its panels to `core.evaluate`, which sums the nodes with x <= 10 as
+one array series and integrates the rest in one batched tanh-sinh call),
 and the inner tolerance picks each node's Poisson window through a tail
 bound relative to that node's scale (capped at 1), not through a fixed
 width. The z = 1 (Hurwitz) integrand decays only like t^(-Re s); its
@@ -94,6 +95,7 @@ def _laplace_weighted(s, lam, z, tol):
     At z = 1 (within rounding) the tail past T is `_power_tail`. It misses
     the Poisson mass below N = t/2, at most e^(-0.153 t) |lam^-s|: T starts
     where that integrates to tol/8, and doubles until the tail meets tol/8.
+    The estimate adds a rounding level (32 + 2 |s log lam|) eps |value|.
     """
     s, lam, z = complex(s), complex(lam), complex(z)
     inner_tol = tol / 100.0
@@ -112,8 +114,12 @@ def _laplace_weighted(s, lam, z, tol):
     else:
         raise _not_converged(f"Hurwitz tail expansion at T = {T:g}", *tail, tol / 8.0)
     value, err, work = _head_and_panel(f, split, T, tol)
+    value += tail[0]
     missed = math.exp(log_first - _CHERNOFF_HALF * T) / _CHERNOFF_HALF
-    return EvalResult(value + tail[0], err + tail[1] + missed, work, "quadrature")
+    # rounding relative to the value: integrands of size |lam^-s| near t = 0
+    # are exponentials of logs of size |s log lam|
+    rounding = (32.0 + 2.0 * abs(s * cmath.log(lam))) * core._EPS * abs(value)
+    return EvalResult(value, err + tail[1] + missed + rounding, work, "quadrature")
 
 
 def lerch_phi(x, s, lam, tol: float = 1e-10) -> EvalResult:
@@ -196,6 +202,8 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     and Re(lam - s) on the right); e_p(-x, lam) at large x comes from its
     own positive-integrand representation, since the alternating series is
     hopeless there (`core.evaluate`; the panels split where it switches).
+    Both panels go through one batched `tanh_sinh` call; work counts the
+    outer nodes plus the work of every `evaluate` call.
     """
     s, lam = complex(s), complex(lam)
     if p < 0:
@@ -203,9 +211,13 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     if not (0.0 < s.real < lam.real):
         raise DomainError(f"need 0 < Re s < Re lam, got s={s}, lam={lam}")
     inner_tol = tol / 50.0
+    work = 0  # every evaluate call's work, then the outer nodes
 
-    def g(u):
-        return np.exp(s * u) * core.evaluate(p, lam, -np.exp(u), inner_tol).value
+    def g(u, idx):
+        nonlocal work
+        inner = core.evaluate(p, lam, -np.exp(u.ravel()), inner_tol)
+        work += inner.work
+        return np.exp(s * u) * inner.value.reshape(u.shape)
 
     # truncation points from the exponential envelopes in u
     u_mid = math.log(core._INTEGRAL_X)
@@ -215,17 +227,12 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     while (p - 1) * math.log(max(u_right, 2.0)) - rate_right * u_right > math.log(tol / 6.0):
         u_right *= 1.3
 
-    work = 0
-    total = 0.0 + 0.0j
-    err = 0.0
-    for a, b in ((u_left, u_mid), (u_mid, u_right)):
-        val, e, nev, ok = tanh_sinh(g, a, b, tol / 4.0, max_level=10)
-        if not ok:
-            raise _not_converged(f"mellin transform panel [{a:g}, {b:g}]", val, e, tol / 4.0)
-        total += val
-        err += e
-        work += nev
-    return EvalResult(total, err + tol / 3.0, work, "quadrature")
+    a, b = np.array([u_left, u_mid]), np.array([u_mid, u_right])
+    val, err, nodes, ok = tanh_sinh(g, a, b, tol / 4.0, max_level=10)
+    if not ok.all():
+        i = np.argmin(ok)
+        raise _not_converged(f"mellin transform panel [{a[i]:g}, {b[i]:g}]", val[i], err[i], tol / 4.0)
+    return EvalResult(complex(val.sum()), float(err.sum()) + tol / 3.0, work + nodes, "quadrature")
 
 
 def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:

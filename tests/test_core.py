@@ -39,6 +39,7 @@ from polyexp.result import (
     DomainError,
     EvalResult,
     PoleError,
+    QuadratureError,
 )
 
 E = math.e
@@ -313,6 +314,40 @@ def test_evaluate_array_mixes_routes():
     series_only = evaluate(0.5, 1, np.array([0.5, -2.0]))
     assert series_only.method == "series"
     assert series_only.work == eval_series(0.5, 1, np.array([0.5, -2.0])).work
+
+
+def test_evaluate_array_one_call_per_route():
+    # several positive-integral, Hankel and series nodes: one batched
+    # integral, one array series, and a contour per Hankel node
+    x = np.array([-20.0, 15j, 2.0, -1e6, -0.5 + 1j, -10.5, -40j, -1e12, 3.0 - 1j])
+    res = evaluate(0.5 + 0.5j, 1.3, x)
+    scalar = [evaluate(0.5 + 0.5j, 1.3, v) for v in x]
+    assert list(res.method) == [r.method for r in scalar]
+    assert sorted(set(res.method)) == ["hankel", "positive_integral", "series"]
+    for i, r in enumerate(scalar):
+        assert abs(res.value[i] - r.value) <= r.abs_err_estimate
+    assert res.work == sum(r.work for r in scalar)
+    closed = evaluate(-3, 0.7, x)
+    assert list(closed.value) == [evaluate(-3, 0.7, v).value for v in x]
+    assert closed.work == sum(evaluate(-3, 0.7, v).work for v in x)
+
+
+@pytest.mark.parametrize("s, lam", [(0.5, 1.0), (2.5, 0.3), (1 + 2j, 1.0), (0.7, 1.5 - 0.8j)])
+def test_positive_integral_takes_an_array_of_x(s, lam):
+    big_x = np.array([10.5, 11.0, 40.0, 1e3, 1e6, 1e9, 1e12])
+    res = _positive_integral(complex(s), complex(lam), big_x, 1e-12)
+    single = [_positive_integral(complex(s), complex(lam), big_x[i:i + 1], 1e-12) for i in range(big_x.size)]
+    assert res.value.shape == res.abs_err_estimate.shape == big_x.shape
+    for i, r in enumerate(single):
+        assert abs(res.value[i] - r.value[0]) <= r.abs_err_estimate[0]
+        assert r.value[0] == evaluate(s, lam, -big_x[i]).value  # the route a number takes
+    assert res.work == sum(r.work for r in single)
+
+
+def test_positive_integral_array_names_first_failing_x():
+    # Re lam = 0.05: the peak sits past t = 5 and the target stays near tol
+    with pytest.raises(QuadratureError, match=r"positive integral at x = -10\.5 did not converge"):
+        _positive_integral(0.01 + 0j, 0.05 + 0j, np.array([1e6, 10.5, 12.0]), 1e-12)
 
 
 # -- weighted product evaluator ------------------------------------------------

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 
+import numpy as np
 import pytest
 
 from polyexp import core, transforms
@@ -115,6 +116,14 @@ def test_hurwitz_error_within_estimate(s):
     assert abs(res.value - _hurwitz_truth(s, 1.0)) <= res.abs_err_estimate
 
 
+@pytest.mark.parametrize("s, lam", [(20.0, 0.1), (5 + 20j, 0.3 + 3j)])
+def test_hurwitz_rounding_within_estimate(s, lam):
+    # |truth| 1e20 and 2.4e10: rounding relative to the value, 25 and 17 eps
+    # |truth|, is far above the quadrature's own estimate
+    res = transforms.hurwitz_zeta(s, lam, tol=1e-10)
+    assert abs(res.value - _hurwitz_truth(s, lam)) <= res.abs_err_estimate
+
+
 def test_hurwitz_node_budget():
     # the tail past T is closed form: no panels out to t ~ 5000
     assert transforms.hurwitz_zeta(3.5, 1.5, tol=1e-10).work <= 600
@@ -212,6 +221,28 @@ def test_mellin_transform_generic_point():
     res = transforms.mellin_transform_polyexp(0.7, 2, 1.4, tol=1e-8)
     expect = core.gamma_fn(0.7) / 0.7**2
     assert abs(res.value - expect) < 1e-7
+
+
+def test_mellin_transform_work_counts_inner_work(monkeypatch):
+    outer, inner = [], []
+    original_rule, original_evaluate = transforms.tanh_sinh, core.evaluate
+
+    def rule(*args, **kwargs):
+        out = original_rule(*args, **kwargs)
+        outer.append(out[2])
+        return out
+
+    def evaluate(s, lam, x, tol=core.DEFAULT_TOL):
+        res = original_evaluate(s, lam, x, tol)
+        inner.append((res.work, np.min(x.real)))
+        return res
+
+    monkeypatch.setattr(transforms, "tanh_sinh", rule)
+    monkeypatch.setattr(core, "evaluate", evaluate)
+    res = transforms.mellin_transform_polyexp(1.505, 1, 1.756)
+    assert min(x for _, x in inner) < -core._INTEGRAL_X  # positive-integral nodes ran
+    assert res.work == sum(outer) + sum(w for w, _ in inner)
+    assert res.work > 100 * sum(outer)
 
 
 def test_mellin_transform_strip_enforced():
