@@ -178,7 +178,8 @@ def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_l
     """The batched rule of `tanh_sinh` over the intervals [a_i, b_i], a_i != b_i."""
     r = 0.5 * (b - a)
     value, err, ok = np.zeros(a.size, dtype=complex), np.full(a.size, math.inf), np.zeros(a.size, dtype=bool)
-    live = np.arange(a.size)  # the open intervals; below, their bounds, tol and sums
+    live = np.arange(a.size)  # the open intervals; below, their bounds, tol and last two sums
+    current, diff = value.copy(), err.copy()
     nevals = 0
     for level in range(_MIN_LEVEL, max_level + 1):
         nodes = _level_nodes(level, level > _MIN_LEVEL)
@@ -191,18 +192,21 @@ def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_l
             sums, count = np.concatenate([s for s, _ in blocks]), sum(n for _, n in blocks)
         nevals += count
         if level == _MIN_LEVEL:
-            value[live] = current = r * sums
+            current = r * sums
             continue
         new = 0.5 * current + r * sums
         diff = np.abs(new - current)
-        value[live], err[live], current = new, diff, new
+        current = new
         done = diff <= tol * np.maximum(1.0, np.abs(new))  # max(tol, tol |value|)
+        if done.all():
+            value[live], err[live], ok[live] = new, diff, True
+            return value, err, nevals, ok
         if done.any():
-            ok[live[done]] = True
-            if done.all():
-                break
+            ended = live[done]
+            value[ended], err[ended], ok[ended] = new[done], diff[done], True
             going = ~done
-            live, a, b, r, tol, current = (v[going] for v in (live, a, b, r, tol, current))
+            live, a, b, r, tol, current, diff = (v[going] for v in (live, a, b, r, tol, current, diff))
+    value[live], err[live] = current, diff  # still open after max_level
     return value, err, nevals, ok
 
 
