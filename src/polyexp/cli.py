@@ -13,10 +13,11 @@ Exit codes: 0 success; 1 check-suite failure; 2 flag or grammar errors;
 from __future__ import annotations
 
 import argparse
-import csv
+import cmath
 import functools
-import io
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,8 +34,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def parse_complex(text: str) -> complex:
-    """Parse the "a+bi" / "a-bi" grammar; plain reals get a zero imaginary
+def parse_complex(text: str, flag: str = "value") -> complex:
+    """Parse the "a+bi" / "a-bi" grammar (`_complex_literal`); a non-finite
+    value is an error that names the flag."""
+    value = _complex_literal(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {text!r}")
+    return value
+
+
+def _complex_literal(text: str) -> complex:
+    """The "a+bi" / "a-bi" grammar; plain reals get a zero imaginary
     part, and a bare "i" means 1i."""
     t = text.strip().replace(" ", "")
     if not t:
@@ -57,8 +67,8 @@ def parse_complex(text: str) -> complex:
     return complex(re, im)
 
 
-def parse_range(text: str) -> list[float]:
-    """"start:stop:count" -> inclusive linear grid."""
+def parse_range(text: str, flag: str = "range") -> list[float]:
+    """"start:stop:count" -> inclusive linear grid of finite values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:count, got {text!r}")
@@ -67,9 +77,13 @@ def parse_range(text: str) -> list[float]:
     if count < 1:
         raise ValueError("range count must be >= 1")
     if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+        grid = [start]
+    else:
+        step = (stop - start) / (count - 1)
+        grid = [start + i * step for i in range(count)]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"{flag} must be finite, got {text!r}")
+    return grid
 
 
 def _fmt(v: float) -> str:
@@ -145,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> str:
-    s = parse_complex(args.s)
-    lam = parse_complex(args.lam)
-    x = parse_complex(args.x)
+    s = parse_complex(args.s, "--s")
+    lam = parse_complex(args.lam, "--lambda")
+    x = parse_complex(args.x, "--x")
     tol = args.tolerance
     method = args.method
     if method == "auto":
@@ -204,68 +218,50 @@ def _cmd_check(args) -> tuple[str, int]:
     return "\n".join(lines), 0 if n_fail == 0 else 1
 
 
-def _table_rows(args):
+def _table_rows(args) -> tuple[list[str], list[tuple]]:
+    """The table's header and its rows, in grid order s, x, lambda."""
     func = args.function
     if not args.s_range:
         raise ValueError("--s-range is required")
-    s_grid = parse_range(args.s_range)
-    lam_grid = parse_range(args.lambda_range)
-    if func in ("polyexp", "h"):
-        if not args.x_range:
-            raise ValueError(f"--x-range is required for {func}")
-        x_grid = parse_range(args.x_range)
-    else:
-        x_grid = [None]
-    w = parse_complex(args.w)
+    s_grid = parse_range(args.s_range, "--s-range")
+    lam_grid = parse_range(args.lambda_range, "--lambda-range")
     tol = args.tolerance
 
+    cells = lambda res: (res.value.real, res.value.imag, res.abs_err_estimate)
     if func == "zeta":
-        header = ["s", "value_re", "value_im", "abs_err"]
-        for s in s_grid:
-            res = transforms.riemann_zeta(s, tol=tol)
-            yield header, [s, res.value.real, res.value.imag, res.abs_err_estimate]
-    elif func == "eta":
-        header = ["s", "lambda", "value_re", "value_im", "abs_err"]
-        for s in s_grid:
-            for lam in lam_grid:
-                res = transforms.eta(s, lam, tol=tol)
-                yield header, [s, lam, res.value.real, res.value.imag, res.abs_err_estimate]
-    else:  # polyexp or h: one call per (s, lambda) pair over the whole x axis
-        xs = np.array(x_grid)
-        inner_tol = min(tol, 1e-10)
-        if func == "polyexp":
-            header = ["s", "lambda", "x", "value_re", "value_im", "abs_err"]
-            along_x = lambda s, lam: core.evaluate(s, lam, xs, tol=inner_tol)
-            inputs = lambda s, lam, x: [s, lam, x]
-        else:
-            header = ["s", "lambda", "w", "x", "value_re", "value_im", "abs_err"]
-            along_x = lambda s, lam: series.h_direct(series.HSeriesParams(s, lam, w, xs), tol=inner_tol)
-            w_cell = w.real if w.imag == 0 else f"{_fmt(w.real)}{w.imag:+.17g}i"  # the a+bi grammar
-            inputs = lambda s, lam, x: [s, lam, w_cell, x]
-        for s in s_grid:
-            columns = []
-            for lam in lam_grid:
-                res = along_x(s, lam)
-                columns.append((res.value.tolist(), res.abs_err_estimate.tolist()))
-            # rows in grid order s, x, lambda
-            for i, x in enumerate(x_grid):
-                for lam, (values, errs) in zip(lam_grid, columns):
-                    yield header, inputs(s, lam, x) + [values[i].real, values[i].imag, errs[i]]
+        rows = [(s, *cells(transforms.riemann_zeta(s, tol=tol))) for s in s_grid]
+        return ["s", "value_re", "value_im", "abs_err"], rows
+    if func == "eta":
+        rows = [(s, lam, *cells(transforms.eta(s, lam, tol=tol))) for s in s_grid for lam in lam_grid]
+        return ["s", "lambda", "value_re", "value_im", "abs_err"], rows
+
+    # polyexp or h: the whole grid in one call, flattened in row order s, x, lambda
+    if not args.x_range:
+        raise ValueError(f"--x-range is required for {func}")
+    x_grid = parse_range(args.x_range, "--x-range")
+    s, x, lam = (v.ravel() for v in np.meshgrid(s_grid, x_grid, lam_grid, indexing="ij"))
+    inner_tol = min(tol, 1e-10)
+    if func == "polyexp":
+        header = ["s", "lambda", "x", "value_re", "value_im", "abs_err"]
+        res = core.evaluate(s, lam, x, tol=inner_tol)
+        inputs = [s.tolist(), lam.tolist(), x.tolist()]
+    else:
+        w = parse_complex(args.w, "--w")
+        header = ["s", "lambda", "w", "x", "value_re", "value_im", "abs_err"]
+        res = series.h_direct(series.HSeriesParams(s, lam, w, x), tol=inner_tol)
+        w_cell = w.real if w.imag == 0 else f"{_fmt(w.real)}{w.imag:+.17g}i"  # the a+bi grammar
+        inputs = [s.tolist(), lam.tolist(), itertools.repeat(w_cell), x.tolist()]
+    outputs = [res.value.real.tolist(), res.value.imag.tolist(), res.abs_err_estimate.tolist()]
+    return header, list(zip(*inputs, *outputs))
 
 
 def _cmd_table(args) -> str:
-    rows = list(_table_rows(args))
-    if not rows:
-        return ""
-    header = rows[0][0]
+    header, rows = _table_rows(args)
     if args.format == "json":
-        return json.dumps([dict(zip(header, r)) for _, r in rows])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for _, r in rows:
-        writer.writerow(_fmt(v) if isinstance(v, float) else v for v in r)
-    return buf.getvalue().rstrip("\n")
+        return json.dumps([dict(zip(header, r)) for r in rows])
+    # no field needs CSV quoting: each is a float or the a+bi w cell
+    row_format = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+    return "\n".join([",".join(header)] + [row_format % r for r in rows])
 
 
 _VALUE_FLAGS = {
@@ -309,25 +305,28 @@ def run(argv=None) -> int:
         if args.subcommand == "eval":
             print(_cmd_eval(args))
         elif args.subcommand == "zeta":
-            s = parse_complex(args.s)
+            s = parse_complex(args.s, "--s")
             if args.method == "laplace":
                 res = transforms.hurwitz_zeta(s, 1.0, tol=args.tolerance)
             else:
                 res = transforms.riemann_zeta(s, tol=args.tolerance)
             print(_result_json(res))
         elif args.subcommand == "eta":
-            res = transforms.eta(parse_complex(args.s), parse_complex(args.lam), tol=args.tolerance)
+            s, lam = parse_complex(args.s, "--s"), parse_complex(args.lam, "--lambda")
+            res = transforms.eta(s, lam, tol=args.tolerance)
             print(_result_json(res))
         elif args.subcommand == "lerch":
             res = transforms.lerch_phi(
-                parse_complex(args.x), parse_complex(args.s), parse_complex(args.lam), tol=args.tolerance
+                parse_complex(args.x, "--x"), parse_complex(args.s, "--s"), parse_complex(args.lam, "--lambda"),
+                tol=args.tolerance,
             )
             print(_result_json(res))
         elif args.subcommand == "mellin":
             print(_cmd_mellin(args))
         elif args.subcommand == "series":
             params = series.HSeriesParams(
-                parse_complex(args.s), parse_complex(args.lam), parse_complex(args.w), parse_complex(args.x)
+                parse_complex(args.s, "--s"), parse_complex(args.lam, "--lambda"), parse_complex(args.w, "--w"),
+                parse_complex(args.x, "--x"),
             )
             print(_result_json(series.h_direct(params, tol=args.tolerance)))
         elif args.subcommand == "check":

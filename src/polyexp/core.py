@@ -3,7 +3,8 @@
 Routes implemented here, each independently testable against the others:
 
   * direct series with an analytic factorial-tail bound, at one x or
-    over a 1-D array of x in one vectorized pass,
+    over a 1-D array of x (s and lam per node, or shared) in one
+    vectorized pass,
   * closed form e^x * Q_p(x, lam) at non-positive integer orders,
   * the positive integral of t^(s-1) e^(-lam t) e^(x e^-t) at large x < 0
     (`evaluate` picks among these three and Hankel by a stated region map),
@@ -21,7 +22,10 @@ gamma via the s = 1 series, the entire function Ein, and a numerically
 stable evaluator for the weighted products e^(-t) e_s(z t, lam) that the
 transform layer integrates, a whole array of quadrature nodes per call.
 `evaluate`, `eval_series` and `series.h_direct` take x as a number or as
-a 1-D numpy array; every array node stops where the number would.
+a 1-D numpy array, and s and lam as numbers or as arrays of x's shape (one
+(s, lam) pair per node, so a whole (s, x, lam) grid is one call); every
+array node stops where the number would, and a non-finite s, lam or x is
+a DomainError.
 
 All powers (n+lam)^s, t^(lam-1), z^(s-1) are principal-branch.
 """
@@ -174,20 +178,28 @@ def series_tail_bound(s: complex, lam: complex, x: complex, n: int) -> float:
 def _tail_bound(s: complex, lam: complex, x, n, prefix):
     """`series_tail_bound` plus prefix times its value at s = 0; NaN where
     the term ratio |x|/(n+1), times the growth of |(k+lam)^-s| at Re s < 0,
-    is above 1/2 and the bound does not hold yet."""
+    is above 1/2 and the bound does not hold yet. With an array n, s and
+    lam may be arrays too (one pair per node of x)."""
     ax = abs(x)
     ratio = ax / (n + 1)
-    if s.real < 0:
-        ratio = ratio * (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
-    g = math.exp(abs(s.imag) * math.pi / 2.0) if s.imag else 1.0
     # in logs: |x|^(n+1) and (n+1)! overflow separately long before their quotient
     if isinstance(n, np.ndarray):  # under the caller's errstate: log 0 and exp past binary64
+        per_node = isinstance(s, np.ndarray)  # columns of per-node s and lam
+        grow = np.maximum(-s.real, 0.0) if per_node else -s.real  # x^0 = 1 exactly where Re s >= 0
+        growing = grow.any() if per_node else grow > 0
+        g = np.exp(np.abs(s.imag) * math.pi / 2.0) if per_node else math.exp(abs(s.imag) * math.pi / 2.0)
+        if growing:
+            ratio = ratio * (1.0 + 1.0 / (n + lam.real)) ** grow
         log_factorial = _LOG_FACTORIAL.upto(int(n.max()) + 2)[0][n.astype(np.int64) + 1]
         lead = np.where(ratio <= 0.5, np.exp((n + 1) * np.log(ax) - log_factorial), np.nan)
-    elif ratio > 0.5:
+        power = abs(n + 1 + lam) ** grow if growing else 1.0
+        return lead * (2.0 * (power * g + prefix))
+    if s.real < 0:
+        ratio = ratio * (1.0 + 1.0 / (n + lam.real)) ** (-s.real)
+    if ratio > 0.5:
         return math.nan
-    else:
-        lead = math.exp((n + 1) * math.log(ax) - math.lgamma(n + 2)) if ax else 0.0
+    g = math.exp(abs(s.imag) * math.pi / 2.0) if s.imag else 1.0
+    lead = math.exp((n + 1) * math.log(ax) - math.lgamma(n + 2)) if ax else 0.0
     power = abs(n + 1 + lam) ** -s.real if s.real < 0 else 1.0  # |n+1+lam| > 1
     return lead * (2.0 * (power * g + prefix))
 
@@ -229,67 +241,124 @@ def _is_nodes(x) -> bool:
     return True
 
 
-def _series_sum(s: complex, lam: complex, x: np.ndarray, tol: float, table):
+def _grid_args(s, lam, x):
+    """The checked s, lam and x of `evaluate`, `eval_series` and
+    `series.h_direct`, and whether x is an array: complex numbers, or for
+    a 1-D array x that array with s, lam both numbers or both complex
+    arrays of its shape (one pair per node). DomainError for another
+    shape, a non-finite value, or Re lam <= 0."""
+    if not (isinstance(x, np.ndarray) or isinstance(s, np.ndarray) or isinstance(lam, np.ndarray)):
+        s, lam, x = complex(s), complex(lam), complex(x)  # numbers: no more than this on the scalar loops' path
+        if not (cmath.isfinite(s) and cmath.isfinite(lam) and cmath.isfinite(x)):
+            raise DomainError(f"s, lam and x must be finite, got s = {s}, lam = {lam}, x = {x}")
+        if lam.real <= 0:
+            _require_lam(lam)
+        return s, lam, x, False
+    nodes = _is_nodes(x)
+    per_node = isinstance(s, np.ndarray) and s.ndim or isinstance(lam, np.ndarray) and lam.ndim
+    if per_node:
+        if not nodes or any(np.ndim(v) and np.shape(v) != x.shape for v in (s, lam)):
+            raise DomainError(f"s and lam must be numbers or arrays of the shape of an array x, got shapes "
+                              f"{np.shape(s)} and {np.shape(lam)} for x of shape {np.shape(x)}")
+        s, lam = (np.array(np.broadcast_to(v, x.shape), dtype=complex) for v in (s, lam))
+        finite = np.isfinite(s).all() and np.isfinite(lam).all()
+    else:
+        s, lam = complex(s), complex(lam)
+        finite = cmath.isfinite(s) and cmath.isfinite(lam)
+    x = x if nodes else complex(x)
+    if not (finite and np.isfinite(x).all()):
+        raise DomainError(f"s, lam and x must be finite, got s = {s}, lam = {lam}, x = {x}")
+    _require_lam(lam.real.min(initial=1.0) if per_node else lam)
+    return s, lam, x, nodes
+
+
+def _pairs(s, lam):
+    """The distinct (s, lam) pairs of `_grid_args`' s and lam, and each
+    node's pair index: None for numbers, the one pair."""
+    if not isinstance(s, np.ndarray):
+        return (s,), (lam,), None
+    index = {}
+    pair = np.array([index.setdefault(p, len(index)) for p in zip(s.tolist(), lam.tolist())], dtype=np.intp)
+    s_pairs, lam_pairs = np.array(list(index), dtype=complex).reshape(-1, 2).T
+    return s_pairs, lam_pairs, pair
+
+
+_SUM_BLOCK = 1 << 13  # nodes x terms per block of `_series_sum`, so memory stays flat
+
+
+def _series_sum(s, lam, x: np.ndarray, tol: float, table):
     """sum_n x^n/n! a_n at every node of the 1-D array x, each node stopped
     after the term where `_series_stop` stops the scalar loop, with the
     same error estimate (up to the order of summation) and the same
-    ConvergenceError past binary64 or `_MAX_TERMS`. table(lo, hi) returns
-    a_n and |b_n| for lo <= n < hi, b_n the rule's prefix after term n (a
-    number 0 when there is none).
+    ConvergenceError past binary64 or `_MAX_TERMS`. s and lam are numbers
+    or arrays of x's shape (`_grid_args`). table(s_pairs, lam_pairs, lo,
+    hi) returns a_n and |b_n| for lo <= n < hi as one row per distinct
+    pair (`_pairs`), b_n the rule's prefix after term n (a number 0 when
+    there is none); each node reads its pair's row, and its own s and lam
+    enter the tail bound and the rounding level.
 
-    Terms go in blocks of nodes times n under `_CHUNK` entries, each
-    twice as long as the one before; x^n/n! is built in the scalar loop's
-    order, the sums are numpy's. Returns (values, errs, stop indices).
+    Nodes go in passes whose first block of terms is 2 max|x| + 24 long,
+    each next one twice as long, every block under `_SUM_BLOCK` nodes x
+    terms; x^n/n! is built in the scalar loop's order, the sums are
+    numpy's. Returns (values, errs, stop indices).
     """
+    s_pairs, lam_pairs, pair = _pairs(s, lam)
     ax = np.array([abs(v) for v in x.tolist()])  # as the scalar rule takes |x|
     if np.iscomplexobj(x) and not x.imag.any():
         x = x.real  # real arithmetic gives the complex loop's values
     values = np.zeros(x.size, dtype=complex)
     errs = np.zeros(x.size)
     stops = np.zeros(x.size, dtype=np.int64)
-    live = np.arange(x.size)  # nodes not yet stopped
-    xpow = acc = sum_abs = 0.0  # per live node where the last block ended: x^(lo-1)/(lo-1)!, sums
-    lo = 0
     width = int(2.0 * ax.max(initial=0.0)) + 24  # the rule stops ~20 terms past 2|x| at |x| <= 10
-    while live.size:
-        hi = min(lo + max(8, min(width, _CHUNK // live.size)), _MAX_TERMS + 1)
-        n = np.arange(lo, hi, dtype=float)
-        xl, al = x[live, None], ax[live, None]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a, b = table(lo, hi)
-            xpows = xl / n  # x^n/n! = x^(n-1)/(n-1)! (x/n), in the scalar loop's order
-            if lo:
-                xpows[:, 0] *= xpow
-            else:
-                xpows[:, 0] = 1.0
-            np.cumprod(xpows, axis=1, out=xpows)
-            tail = _tail_bound(s, lam, al, n, b)
-            # a tail past binary64 is where the scalar loop raises
-            event = (n >= 2.0 * al) & ((tail <= tol) | np.isinf(tail))
-            done = event.any(axis=1)
-            last = np.where(done, event.argmax(axis=1), hi - lo - 1)  # each node's last term here
-            terms = np.where(np.arange(hi - lo) <= last[:, None], xpows * a, 0.0)
-            acc = acc + terms.sum(axis=1)
-            sum_abs = sum_abs + np.abs(terms).sum(axis=1)
-        rows = np.flatnonzero(done)
-        k = last[rows]
-        ended = live[rows]
-        fine = np.isfinite(sum_abs[rows]) & (tail[rows, k] <= tol)
-        if not fine.all():
-            raise _Overflow(f"series terms overflow binary64 at x = {complex(x[ended[~fine][0]])}")
-        if hi > _MAX_TERMS and rows.size < live.size:
-            node = live[~done][0]
-            # the scalar loop checks sum |terms| from n >= 2|x| on
-            if not np.isfinite(sum_abs[~done][0]) and 2.0 * ax[node] <= _MAX_TERMS:
-                raise _Overflow(f"series terms overflow binary64 at x = {complex(x[node])}")
-            raise ConvergenceError(
-                f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={complex(x[node])}")
-        values[ended] = acc[rows]
-        stops[ended] = lo + k
-        errs[ended] = tail[rows, k] + _rounding_level(s, lam, lo + k) * sum_abs[rows]
-        going = ~done
-        live, xpow, acc, sum_abs = live[going], xpows[going, -1], acc[going], sum_abs[going]
-        lo, width = hi, 2 * width
+    step = max(1, _SUM_BLOCK // width)  # nodes per pass: a pass's first block is width terms long
+    for first in range(0, x.size, step):
+        live = np.arange(first, min(first + step, x.size))  # nodes not yet stopped
+        xpow = acc = sum_abs = 0.0  # per live node where the last block ended: x^(lo-1)/(lo-1)!, sums
+        lo, length = 0, width
+        while live.size:
+            hi = min(lo + max(8, min(length, _SUM_BLOCK // live.size)), _MAX_TERMS + 1)
+            n = np.arange(lo, hi, dtype=float)
+            xl, al = x[live, None], ax[live, None]
+            sl, ll = (s, lam) if pair is None else (s[live, None], lam[live, None])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                a, b = table(s_pairs, lam_pairs, lo, hi)
+                if pair is not None:  # each live node's row
+                    a = a[pair[live]]
+                    b = b[pair[live]] if np.ndim(b) else b
+                xpows = xl / n  # x^n/n! = x^(n-1)/(n-1)! (x/n), in the scalar loop's order
+                if lo:
+                    xpows[:, 0] *= xpow
+                else:
+                    xpows[:, 0] = 1.0
+                np.cumprod(xpows, axis=1, out=xpows)
+                tail = _tail_bound(sl, ll, al, n, b)
+                # a tail past binary64 is where the scalar loop raises
+                event = (n >= 2.0 * al) & ((tail <= tol) | np.isinf(tail))
+                done = event.any(axis=1)
+                last = np.where(done, event.argmax(axis=1), hi - lo - 1)  # each node's last term here
+                terms = np.where(np.arange(hi - lo) <= last[:, None], xpows * a, 0.0)
+                acc = acc + terms.sum(axis=1)
+                sum_abs = sum_abs + np.abs(terms).sum(axis=1)
+            rows = np.flatnonzero(done)
+            k = last[rows]
+            ended = live[rows]
+            fine = np.isfinite(sum_abs[rows]) & (tail[rows, k] <= tol)
+            if not fine.all():
+                raise _Overflow(f"series terms overflow binary64 at x = {complex(x[ended[~fine][0]])}")
+            if hi > _MAX_TERMS and rows.size < live.size:
+                node = live[~done][0]
+                # the scalar loop checks sum |terms| from n >= 2|x| on
+                if not np.isfinite(sum_abs[~done][0]) and 2.0 * ax[node] <= _MAX_TERMS:
+                    raise _Overflow(f"series terms overflow binary64 at x = {complex(x[node])}")
+                raise ConvergenceError(
+                    f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={complex(x[node])}")
+            values[ended] = acc[rows]
+            stops[ended] = lo + k
+            se, le = (s, lam) if pair is None else (s[ended], lam[ended])
+            errs[ended] = tail[rows, k] + _rounding_level(se, le, lo + k) * sum_abs[rows]
+            going = ~done
+            live, xpow, acc, sum_abs = live[going], xpows[going, -1], acc[going], sum_abs[going]
+            lo, length = hi, 2 * length
     return values, errs, stops
 
 
@@ -300,22 +369,20 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     Re(n+lam) > 0. The error estimate adds a rounding level growing with
     the number of terms (`_series_stop`); past binary64, ConvergenceError.
 
-    x is a number, or a 1-D numpy array summed in one pass over the
-    memoized table of (n+lam)^-s (`_series_sum`): every node stops where
-    the number would, value and abs_err_estimate are then arrays, and
-    work is the total number of terms.
+    x is a number, or a 1-D numpy array summed in one pass (`_series_sum`)
+    over the rows of (n+lam)^-s: s and lam are then numbers or arrays of
+    x's shape, every node stops where the number would, value and
+    abs_err_estimate are arrays, and work is the total number of terms.
+    Non-finite arguments raise DomainError.
     """
-    s, lam = complex(s), complex(lam)
-    _require_lam(lam)
+    s, lam, x, nodes = _grid_args(s, lam, x)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if _is_nodes(x):
-        coefficients = _coefficients(s, lam, 0.0)
-        table = lambda lo, hi: (coefficients.upto(hi)[0][lo:hi], 0.0)
+    if nodes:
+        table = lambda s_pairs, lam_pairs, lo, hi: (_coefficient_rows(s_pairs, lam_pairs, 0.0, lo, hi), 0.0)
         values, errs, stops = _series_sum(s, lam, x, tol, table)
         return EvalResult(values, errs, int(stops.sum()) + x.size, "series")
 
-    x = complex(x)
     neg_s = -s
     acc = 0.0 + 0.0j
     sum_abs = 0.0
@@ -388,27 +455,39 @@ def _grow_log_factorial(old, size):
 _LOG_FACTORIAL = _GrowingTable(_grow_log_factorial)
 
 
+def _coefficient_values(s, lam, theta: float, n):
+    """c_n = (n+lam)^-s e^(i n theta) at the integers n, s and lam numbers
+    or columns of pairs that broadcast with n; real arrays when every c_n
+    is real."""
+    if theta in (0.0, math.pi) and not (np.any(np.imag(s)) or np.any(np.imag(lam))):
+        c = np.exp(-np.real(s) * np.log(n + np.real(lam)))
+        if theta:
+            c[..., n % 2 == 1] *= -1.0
+        return c
+    return np.exp(-s * np.log(n + lam) + 1j * theta * n)
+
+
 @functools.lru_cache(maxsize=4)
 def _coefficients(s: complex, lam: complex, theta: float) -> _GrowingTable:
     """Table of c_n = (n+lam)^-s e^(i n theta) and |c_n|, the factors of
-    e^(-t) e_s(z t, lam) that do not depend on t (theta = arg z); real
-    arrays when every c_n is real."""
-    real = s.imag == 0.0 and lam.imag == 0.0 and theta in (0.0, math.pi)
+    e^(-t) e_s(z t, lam) that do not depend on t (theta = arg z)."""
 
     def grow(old, size):
         have = 0 if old is None else len(old[0])
-        n = np.arange(have, size)
-        if real:
-            c = np.exp(-s.real * np.log(n + lam.real))
-            if theta:
-                c[n % 2 == 1] *= -1.0
-        else:
-            c = np.exp(-s * np.log(n + lam) + 1j * theta * n)
+        c = _coefficient_values(s, lam, theta, np.arange(have, size))
         if old is not None:
             c = np.concatenate([old[0], c])
         return c, np.abs(c)
 
     return _GrowingTable(grow)
+
+
+def _coefficient_rows(s_pairs, lam_pairs, theta: float, lo: int, hi: int):
+    """c_n for lo <= n < hi, row i for the pair (s_pairs[i], lam_pairs[i]):
+    one pair reads the memoized table, several are computed here."""
+    if len(s_pairs) == 1:
+        return _coefficients(complex(s_pairs[0]), complex(lam_pairs[0]), theta).upto(hi)[0][None, lo:hi]
+    return _coefficient_values(s_pairs[:, None], lam_pairs[:, None], theta, np.arange(lo, hi))
 
 
 _CHUNK = 4096  # terms per pass of the windowed kernel, so memory stays flat
@@ -668,38 +747,49 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     scale, and Hankel on its contour integral, absolute below 1 and
     relative above. Hankel refuses s within 1e-8 of a positive integer.
 
-    x may be a 1-D numpy array: each route but Hankel then takes all of its
-    nodes in one call (the series, the positive integral, the closed form).
-    value and abs_err_estimate are arrays, work is the total, and method is
-    the route tag when every node took one route, else the tuple of
-    per-node tags.
+    x may be a 1-D numpy array, and s and lam then numbers or arrays of its
+    shape (one pair per node): the series takes all of its nodes in one
+    call, the positive integral and the closed form one call per (s, lam)
+    pair, and Hankel one call per node. value and abs_err_estimate are
+    arrays, work is the total, and method is the route tag when every node
+    took one route, else the tuple of per-node tags. Non-finite arguments
+    raise DomainError.
     """
-    s, lam = complex(s), complex(lam)
-    _require_lam(lam)
+    s, lam, x, nodes = _grid_args(s, lam, x)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if not _is_nodes(x):
-        x = complex(x)
+    if not nodes:
         route = _route(s, x)
         if route in ("closed_form", "positive_integral"):  # one node, in the arithmetic of an array
             res = _on_route(route, s, lam, np.array([x]), tol)
             return EvalResult(complex(res.value[0]), float(res.abs_err_estimate[0]), res.work, route)
         return _on_route(route, s, lam, x, tol)
-    routes = [_route(s, v) for v in x.astype(complex).tolist()]
+    routes = [_route(a, b) for a, b in zip(np.broadcast_to(s, x.shape).tolist(), x.tolist())]
+    pair = _pairs(s, lam)[2]
     values = np.zeros(x.size, dtype=complex)
     errs = np.zeros(x.size)
     work = 0
     for route in set(routes):
         on = np.array([r == route for r in routes])
-        for at in np.flatnonzero(on) if route == "hankel" else [on]:  # a contour from each x
-            res = _on_route(route, s, lam, x[at], tol)
+        if route == "hankel":
+            calls = np.flatnonzero(on)  # a contour from each x
+        elif route == "series" or pair is None:
+            calls = [on]
+        else:  # one (s, lam) pair a call
+            calls = [on & (pair == p) for p in np.unique(pair[on])]
+        for at in calls:
+            res = _on_route(route, *((s, lam) if pair is None else (s[at], lam[at])), x[at], tol)
             values[at], errs[at], work = res.value, res.abs_err_estimate, work + res.work
     method = routes[0] if len(set(routes)) == 1 else tuple(routes)
     return EvalResult(values, errs, work, method)
 
 
-def _on_route(route: str, s: complex, lam: complex, x, tol: float) -> EvalResult:
-    """`evaluate` by one route: x an array of nodes, or for the series and Hankel a number."""
+def _on_route(route: str, s, lam, x, tol: float) -> EvalResult:
+    """`evaluate` by one route: x an array of nodes, or for the series and
+    Hankel a number; s and lam numbers, or arrays like x that hold one
+    pair except for the series."""
+    if route in ("closed_form", "positive_integral") and isinstance(s, np.ndarray):
+        s, lam = complex(s[0]), complex(lam[0])
     if route == "closed_form":
         return eval_negint(int(-s.real), lam, x)
     if route == "positive_integral":

@@ -25,7 +25,8 @@ class EvalResult:
     e_p evaluations at them.
 
     For a 1-D array of x (`core.evaluate`, `core.eval_series`,
-    `core.eval_negint`, `series.h_direct`), value and abs_err_estimate
+    `core.eval_negint`, `series.h_direct`; all but `eval_negint` also
+    with s and lam per node), value and abs_err_estimate
     are arrays with one entry per node, work is the total over the nodes,
     and `evaluate`'s method is a tuple of per-node tags when the nodes
     took several routes.

@@ -43,20 +43,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HSeriesParams:
+    """Arguments of h_s(x, lam, w), checked and converted: complex numbers,
+    or for a 1-D numpy array x a complex array with s and lam numbers or
+    complex arrays of its shape, one pair per node (`core._grid_args`); w
+    stays a number. DomainError for non-finite values, Re lam <= 0 or
+    |w| > 1."""
+
     s: complex
     lam: complex
     w: complex
     x: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "lam", complex(self.lam))
-        object.__setattr__(self, "w", complex(self.w))
-        x = np.asarray(self.x, dtype=complex) if isinstance(self.x, np.ndarray) else complex(self.x)
-        object.__setattr__(self, "x", x)
-        core._require_lam(self.lam)
-        if abs(self.w) > 1.0 + 1e-12:
-            raise DomainError("|w| must be <= 1")
+        s, lam, x, nodes = core._grid_args(self.s, self.lam, self.x)
+        if nodes:
+            x = x.astype(complex)
+        w = complex(self.w)
+        for name, value in (("s", s), ("lam", lam), ("w", w), ("x", x)):
+            object.__setattr__(self, name, value)
+        if not abs(w) <= 1.0 + 1e-12:  # NaN fails too
+            raise DomainError(f"w must be finite with |w| <= 1, got w = {w}")
 
 
 def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
@@ -65,17 +71,18 @@ def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
     bound, and the rounding level grows with the number of terms.
 
     An array x (1-D) sums every node in one pass (`core._series_sum`) over
-    the prefix sums P_n of the memoized coefficient table; each node stops
-    where the number would, value and abs_err_estimate are arrays, and
-    work is the total."""
+    the rows of prefix sums P_n of each (s, lam) pair, s and lam numbers or
+    per node; each node stops where the number would, value and
+    abs_err_estimate are arrays, and work is the total."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
-    if core._is_nodes(x):
-        coefficients = core._coefficients(s, lam, cmath.phase(w))
+    if isinstance(x, np.ndarray):
+        theta = cmath.phase(w)
 
-        def table(lo, hi):  # P_n for lo <= n < hi, |P_(n+1)| for the stop rule
-            c = coefficients.upto(hi)[0][:hi]
-            prefix = np.concatenate(([0.0], np.cumsum(c * abs(w) ** np.arange(hi))))
-            return prefix[lo:hi], np.abs(prefix[lo + 1:hi + 1])
+        def table(s_pairs, lam_pairs, lo, hi):  # P_n for lo <= n < hi, |P_(n+1)| for the stop rule
+            c = core._coefficient_rows(s_pairs, lam_pairs, theta, 0, hi)
+            partial = np.cumsum(c * abs(w) ** np.arange(hi), axis=1)
+            prefix = np.concatenate((np.zeros((len(s_pairs), 1)), partial), axis=1)
+            return prefix[:, lo:hi], np.abs(prefix[:, lo + 1:hi + 1])
 
         values, errs, stops = core._series_sum(s, lam, x, tol, table)
         return EvalResult(values, errs, int(stops.sum()), "h_series")

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from polyexp.cli import parse_complex, parse_range, run
@@ -292,24 +294,29 @@ def test_eval_series_overflow_exit_code(capsys):
     assert code == 3 and "binary64" in err and "nan" not in out.lower()
 
 
+_ROW_CASES = [
+    ("polyexp", "csv", "-12:3:6", "1"),  # x = -12 takes the positive integral or Hankel
+    ("polyexp", "json", "-12:3:6", "1"),
+    ("h", "csv", "-2.8:2.9:5", "0.6+0.3i"),
+    ("h", "json", "-2.8:2.9:5", "-1"),
+]
+
+
 @pytest.mark.parametrize(
-    "function, fmt, x_range, w",
-    [
-        ("polyexp", "csv", "-12:3:6", "1"),  # x = -12 takes the positive integral or Hankel
-        ("polyexp", "json", "-12:3:6", "1"),
-        ("h", "csv", "-2.8:2.9:5", "0.6+0.3i"),
-        ("h", "json", "-2.8:2.9:5", "-1"),
-    ],
+    "function, fmt, x_range, w, s_range",
+    [pytest.param(*case, "-2.1:2.05:3", id="-".join(case)) for case in _ROW_CASES]
+    # s = -2, -1, 0 take the closed form
+    + [pytest.param(*case, "-2:2:5", id="-".join(case) + "-integer_s") for case in _ROW_CASES],
 )
-def test_table_rows_match_point_calls(capsys, function, fmt, x_range, w):
-    """Each (s, lambda) pair is evaluated over its x axis in one call; the
-    rows keep the grid order s, x, lambda and match per-point calls."""
+def test_table_rows_match_point_calls(capsys, function, fmt, x_range, w, s_range):
+    """The whole grid is evaluated in one call; the rows keep the grid
+    order s, x, lambda and match per-point calls."""
     from polyexp.core import evaluate
     from polyexp.series import HSeriesParams, h_direct
 
-    s_axis, x_axis, l_axis = parse_range("-2.1:2.05:3"), parse_range(x_range), parse_range("0.5:2.5:3")
+    s_axis, x_axis, l_axis = parse_range(s_range), parse_range(x_range), parse_range("0.5:2.5:3")
     code, out, _ = invoke(
-        capsys, "table", "--function", function, "--s-range", "-2.1:2.05:3", "--x-range", x_range,
+        capsys, "table", "--function", function, "--s-range", s_range, "--x-range", x_range,
         "--lambda-range", "0.5:2.5:3", "--w", w, "--format", fmt,
     )
     assert code == 0
@@ -343,6 +350,136 @@ def test_table_w_cell_reads_back(capsys, fmt, w):
         if fmt == "json":
             assert isinstance(cell, str if parse_complex(w).imag else float)
         assert parse_complex(str(cell)) == parse_complex(w)
+
+
+def _per_pair_table(function, fmt, s_range, x_range, l_range, w_text, tol=1e-10):
+    """The table text as the per-pair renderer wrote it: one call per
+    (s, lambda) pair over the x axis, rows reordered to s, x, lambda, and
+    csv.writer over %.17g floats (json.dumps of dict rows)."""
+    from polyexp import transforms
+    from polyexp.core import evaluate
+    from polyexp.series import HSeriesParams, h_direct
+
+    fmt17 = lambda v: f"{v:.17g}"
+    s_grid, l_grid = parse_range(s_range), parse_range(l_range)
+    rows = []
+    if function == "zeta":
+        header = ["s", "value_re", "value_im", "abs_err"]
+        for s in s_grid:
+            res = transforms.riemann_zeta(s, tol=tol)
+            rows.append([s, res.value.real, res.value.imag, res.abs_err_estimate])
+    elif function == "eta":
+        header = ["s", "lambda", "value_re", "value_im", "abs_err"]
+        for s in s_grid:
+            for lam in l_grid:
+                res = transforms.eta(s, lam, tol=tol)
+                rows.append([s, lam, res.value.real, res.value.imag, res.abs_err_estimate])
+    else:
+        x_grid = parse_range(x_range)
+        xs = np.array(x_grid)
+        w = parse_complex(w_text)
+        w_cell = w.real if w.imag == 0 else f"{fmt17(w.real)}{w.imag:+.17g}i"
+        if function == "polyexp":
+            header = ["s", "lambda", "x", "value_re", "value_im", "abs_err"]
+        else:
+            header = ["s", "lambda", "w", "x", "value_re", "value_im", "abs_err"]
+        for s in s_grid:
+            columns = []
+            for lam in l_grid:
+                if function == "polyexp":
+                    res = evaluate(s, lam, xs, tol=tol)
+                else:
+                    res = h_direct(HSeriesParams(s, lam, w, xs), tol=tol)
+                columns.append((res.value.tolist(), res.abs_err_estimate.tolist()))
+            for i, x in enumerate(x_grid):
+                for lam, (values, errs) in zip(l_grid, columns):
+                    inputs = [s, lam, x] if function == "polyexp" else [s, lam, w_cell, x]
+                    rows.append(inputs + [values[i].real, values[i].imag, errs[i]])
+    if fmt == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for r in rows:
+        writer.writerow(fmt17(v) if isinstance(v, float) else v for v in r)
+    return buf.getvalue().rstrip("\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "function, s_range, x_range, l_range, w",
+    [
+        ("polyexp", "-2:2:5", "-12:3:6", "0.5:2.5:3", "1"),  # closed form, positive integral, Hankel
+        ("polyexp", "-0.0:1:1", "-0.0:2:1", "0.5:1:2", "1"),  # -0.0 cells
+        ("polyexp", "-2.1:2.05:4", "-2.9:2.8:7", "0.5:2.5:3", "1"),
+        ("h", "-2.1:2.05:3", "-2.8:2.9:5", "0.5:2.5:3", "-1.25e-07-0.75i"),
+        ("h", "-2.1:2.05:3", "-0.0:2.9:1", "0.5:2.5:3", "0.6+0.3i"),
+        ("h", "-2.1:2.05:3", "-2.8:2.9:5", "0.5:2.5:2", "-1"),
+        ("eta", "0.5:2:2", "", "0.5:1:2", "1"),
+        ("zeta", "2:5:4", "", "1:1:1", "1"),
+    ],
+)
+def test_table_text_matches_per_pair_renderer(capsys, fmt, function, s_range, x_range, l_range, w):
+    """One call over the grid and one format string per row write the same
+    text, byte for byte, as per-pair calls through csv.writer did."""
+    argv = ["table", "--function", function, "--s-range", s_range, "--lambda-range", l_range, "--w", w,
+            "--format", fmt]
+    code, out, _ = invoke(capsys, *argv, *(["--x-range", x_range] if x_range else []))
+    assert code == 0
+    expect = _per_pair_table(function, fmt, s_range, x_range, l_range, w)
+    assert out == expect + "\n"
+    if fmt == "csv" and x_range.startswith("-0.0"):
+        assert ",-0," in out
+
+
+@pytest.mark.parametrize("function", ["polyexp", "h"])
+def test_table_of_series_nodes_makes_one_series_call(capsys, monkeypatch, function):
+    from polyexp import core
+
+    sizes = []
+    original = core._series_sum
+
+    def counted(s, lam, x, tol, table):
+        sizes.append(x.size)
+        return original(s, lam, x, tol, table)
+
+    monkeypatch.setattr(core, "_series_sum", counted)
+    code, _, _ = invoke(
+        capsys, "table", "--function", function, "--s-range", "-2.1:2.05:4", "--x-range", "-3:3:7",
+        "--lambda-range", "0.5:2.5:3",
+    )
+    assert code == 0 and sizes == [4 * 7 * 3]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("table", "--function", "polyexp", "--s-range", "1:2:2", "--x-range", "nan:1:2"), "--x-range"),
+        (("table", "--function", "h", "--s-range", "1:inf:2", "--x-range", "0:1:2"), "--s-range"),
+        (("table", "--function", "eta", "--s-range", "-1e308:1e308:3"), "--s-range"),
+        (("eta", "--s", "nan"), "--s"),
+        (("eval", "--s", "nan", "--lambda", "1", "--x", "1"), "--s"),
+        (("eval", "--s", "1", "--lambda", "1", "--x", "inf"), "--x"),
+        (("series", "--s", "1", "--w", "1+nani", "--x", "1"), "--w"),
+        (("lerch", "--x", "0.5", "--s", "2", "--lambda", "-infi"), "--lambda"),
+    ],
+)
+def test_non_finite_flags_exit_2(capsys, argv, flag):
+    """A NaN or infinite flag value is an argument error that names the
+    flag, raised before any evaluation (and any numpy warning)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{flag} must be finite" in err
+
+
+def test_parse_rejects_non_finite():
+    for text in ("nan", "inf", "-inf", "1+nani", "infi"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_complex(text)
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_range("0:nan:3")
 
 
 @pytest.mark.parametrize("function", ["polyexp", "h"])

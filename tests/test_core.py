@@ -262,6 +262,9 @@ def test_series_array_blocks_carry_sums():
 def test_series_array_shapes_and_errors():
     empty = eval_series(1, 1, np.array([]))
     assert empty.value.shape == (0,) and empty.work == 0
+    for call in (eval_series, evaluate):
+        empty = call(np.array([]), np.array([]), np.array([]))
+        assert empty.value.shape == (0,) and empty.work == 0
     with pytest.raises(DomainError):
         eval_series(1, 1, np.ones((2, 2)))
     with pytest.raises(ConvergenceError, match="10000 terms") as info:
@@ -330,6 +333,87 @@ def test_evaluate_array_one_call_per_route():
     closed = evaluate(-3, 0.7, x)
     assert list(closed.value) == [evaluate(-3, 0.7, v).value for v in x]
     assert closed.work == sum(evaluate(-3, 0.7, v).work for v in x)
+
+
+def _assert_nodes_match(res, scalar, one_node, estimates=None):
+    """An array call against per-node scalar calls: each node's work (from
+    a one-node array call), its estimate to 1e-12 relative (or equal to
+    estimates[i] where given), and its value within its estimate."""
+    assert res.value.shape == res.abs_err_estimate.shape == (len(scalar),)
+    assert res.work == sum(r.work for r in scalar)
+    for i, ref in enumerate(scalar):
+        assert one_node(i).work == ref.work
+        if estimates and i in estimates:
+            assert res.abs_err_estimate[i] == estimates[i]
+        else:
+            assert res.abs_err_estimate[i] == pytest.approx(ref.abs_err_estimate, rel=1e-12, abs=0.0)
+        assert abs(res.value[i] - ref.value) <= ref.abs_err_estimate
+
+
+# (s, lam, x) per node: closed form at s = -2 and 0, the positive integral
+# at x = -12, Hankel at x = 15j, and series nodes with repeated pairs
+_PER_NODE = [
+    (-2.0, 1.3, 0.7), (0.0, 0.5, -2.0), (1.5, 0.8, -12.0), (1.5, 0.8, -20.0), (0.5, 1.0, 15j),
+    (1.5, 0.8, 2.0), (-1.7, 2.5, -0.5 + 1j), (1.5, 0.8, 3.0), (2.3, 0.4, 0.0), (-2.0, 1.3, -12.0),
+]
+
+
+@pytest.mark.parametrize("complex_orders", [False, True], ids=["real", "complex"])
+def test_evaluate_takes_s_and_lam_per_node(complex_orders):
+    nodes = [(s + 0.3j, lam - 0.2j, x) if complex_orders and s not in (-2.0, 0.0) else (s, lam, x)
+             for s, lam, x in _PER_NODE]
+    s, lam, x = (np.array(v) for v in zip(*nodes))
+    res = evaluate(s, lam, x, tol=1e-12)
+    scalar = [evaluate(*node, tol=1e-12) for node in nodes]
+    assert list(res.method) == [r.method for r in scalar]
+    assert {"closed_form", "positive_integral", "hankel", "series"} <= set(res.method)
+    # the positive integral batches each pair's X in one tanh-sinh call, as
+    # a number pair does, and its estimate depends on the batch
+    batched = {}
+    for i, (a, b, _) in enumerate(nodes):
+        if res.method[i] == "positive_integral":
+            group = [j for j, node in enumerate(nodes) if node[:2] == (a, b) and res.method[j] == res.method[i]]
+            batched[i] = evaluate(a, b, x[group], tol=1e-12).abs_err_estimate[group.index(i)]
+    assert len(batched) == 2
+    _assert_nodes_match(res, scalar, lambda i: evaluate(s[i:i + 1], lam[i:i + 1], x[i:i + 1], tol=1e-12), batched)
+    # a number pair is the one-pair case of the same call
+    same = evaluate(np.full(x.size, 1.5), np.full(x.size, 0.8), x, tol=1e-12)
+    assert np.array_equal(same.value, evaluate(1.5, 0.8, x, tol=1e-12).value)
+
+
+@pytest.mark.parametrize("s, lam", [(np.array([0.5, 2.3, -1.7, -3.0, 1.5 + 2j, -0.5 - 1j]), 0.4),
+                                    (1.5, np.array([1.0, 0.4, 2 + 0.5j, 1.0, 0.4, 7.0]))])
+def test_eval_series_takes_s_and_lam_per_node(s, lam):
+    x = np.array([0.3, -7.5, 2 - 1j, 9.5j, -3.0, 6.0])
+    s_node, lam_node = np.broadcast_to(s, x.shape), np.broadcast_to(lam, x.shape)
+    res = eval_series(s, lam, x, 1e-12)
+    scalar = [eval_series(a, b, v, 1e-12) for a, b, v in zip(s_node, lam_node, x)]
+    _assert_nodes_match(res, scalar, lambda i: eval_series(s_node[i:i + 1], lam_node[i:i + 1], x[i:i + 1], 1e-12))
+
+
+@pytest.mark.parametrize("call", [evaluate, eval_series])
+def test_per_node_arguments_are_checked(call):
+    x = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(DomainError, match="shape"):
+        call(np.array([1.0, 2.0]), 1.0, x)
+    with pytest.raises(DomainError, match="shape"):
+        call(np.array([1.0]), 1.0, 0.5)
+    with pytest.raises(DomainError, match="Re lam must be positive"):
+        call(1.5, np.array([1.0, -0.5, 2.0]), x)
+
+
+@pytest.mark.parametrize("call", [evaluate, eval_series])
+@pytest.mark.parametrize(
+    "args",
+    [(math.nan, 1.0, 0.5), (1.0, complex(1, math.inf), 0.5), (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf),
+     (1.0, 1.0, np.array([0.5, math.nan])), (np.array([1.0, math.nan]), 1.0, np.array([0.5, 1.0])),
+     (1.0, np.array([1.0, math.inf]), np.array([0.5, 1.0]))],
+)
+def test_non_finite_arguments_raise_domain_error(call, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            call(*args)
 
 
 @pytest.mark.parametrize("s, lam", [(0.5, 1.0), (2.5, 0.3), (1 + 2j, 1.0), (0.7, 1.5 - 0.8j)])

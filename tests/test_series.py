@@ -353,6 +353,39 @@ def test_h_direct_array_matches_scalar(w, s, lam, tol):
         assert abs(res.value[i] - ref.value) <= ref.abs_err_estimate
 
 
+@pytest.mark.parametrize("w", [1.0, -1.0, 0.5, 0.6 + 0.3j])
+def test_h_direct_takes_s_and_lam_per_node(w):
+    """One pass over nodes with their own (s, lam), pairs repeated and
+    complex, against per-node scalar calls: work, estimate and value."""
+    s = np.array([0.5, 2.3, -1.7, 0.5, 1.5 + 2j, -3.0, -0.5 - 1j, 2.3, 0.5])
+    lam = np.array([1.0, 0.4, 1.0, 1.0, 1.0, 2.0, 2 + 0.5j, 0.4, 3.0])
+    x = np.array([0.4, -1.0, 2.5, -8.0, 2 - 1j, 6.5, -3 + 4j, 9.5j, 0.0])
+    res = h_direct(HSeriesParams(s, lam, w, x), 1e-12)
+    scalar = [h_direct(HSeriesParams(a, b, w, v), 1e-12) for a, b, v in zip(s, lam, x)]
+    assert res.work == sum(r.work for r in scalar)
+    for i, ref in enumerate(scalar):
+        assert h_direct(HSeriesParams(s[i:i + 1], lam[i:i + 1], w, x[i:i + 1]), 1e-12).work == ref.work
+        assert res.abs_err_estimate[i] == pytest.approx(ref.abs_err_estimate, rel=1e-12, abs=0.0)
+        assert abs(res.value[i] - ref.value) <= ref.abs_err_estimate
+
+
+@pytest.mark.parametrize(
+    "s, lam, w, x, match",
+    [
+        (np.array([1.0, 2.0]), 1.0, 0.5, np.array([0.5, 1.0, 2.0]), "shape"),
+        (1.0, np.array([1.0, -0.5]), 0.5, np.array([0.5, 1.0]), "Re lam must be positive"),
+        (math.nan, 1.0, 0.5, 1.0, "finite"),
+        (1.0, 1.0, 0.5, math.inf, "finite"),
+        (1.0, 1.0, math.nan, 1.0, "finite"),
+        (np.array([1.0, math.nan]), 1.0, 0.5, np.array([0.5, 1.0]), "finite"),
+        (1.0, 1.0, 0.5, np.array([0.5, -math.inf]), "finite"),
+    ],
+)
+def test_h_params_reject_bad_arguments(s, lam, w, x, match):
+    with pytest.raises(DomainError, match=match):
+        h_direct(HSeriesParams(s, lam, w, x))
+
+
 def test_h_params_convert_numbers_and_arrays():
     number = HSeriesParams(1, 2, 0.5, 3)
     assert all(type(v) is complex for v in (number.s, number.lam, number.w, number.x))
