@@ -34,6 +34,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of mellin's --x and --c: a finite float (argparse exits 2 otherwise)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def parse_complex(text: str, flag: str = "value") -> complex:
     """Parse the "a+bi" / "a-bi" grammar (`_complex_literal`); a non-finite
     value is an error that names the flag."""
@@ -130,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mellin = sub.add_parser("mellin", help="evaluate (1/2 pi i) int x^-s R(s) Gamma(s) ds")
     p_mellin.add_argument("--rational", required=True)
-    p_mellin.add_argument("--x", type=float, required=True)
-    p_mellin.add_argument("--c", type=float, required=True)
+    p_mellin.add_argument("--x", type=_finite_float, required=True)
+    p_mellin.add_argument("--c", type=_finite_float, required=True)
     p_mellin.add_argument("--verify", action="store_true")
     p_mellin.add_argument("--tolerance", type=_positive_float, default=1e-9)
 

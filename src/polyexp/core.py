@@ -83,6 +83,19 @@ def _require_lam(lam: complex):
         raise DomainError(f"Re lam must be positive, got lam = {lam}")
 
 
+def _not_finite(**args) -> DomainError:
+    """The error for arguments that are not all finite, each named with its value."""
+    *rest, last = args
+    got = ", ".join(f"{name} = {value}" for name, value in args.items())
+    return DomainError(f"{', '.join(rest) + ' and ' if rest else ''}{last} must be finite, got {got}")
+
+
+def _require_finite(**args):
+    """DomainError unless every keyword argument is a finite number."""
+    if not all(cmath.isfinite(v) for v in args.values()):
+        raise _not_finite(**args)
+
+
 class _Overflow(ConvergenceError, OverflowError):
     """Past binary64; still an OverflowError for callers catching the builtin."""
 
@@ -250,7 +263,7 @@ def _grid_args(s, lam, x):
     if not (isinstance(x, np.ndarray) or isinstance(s, np.ndarray) or isinstance(lam, np.ndarray)):
         s, lam, x = complex(s), complex(lam), complex(x)  # numbers: no more than this on the scalar loops' path
         if not (cmath.isfinite(s) and cmath.isfinite(lam) and cmath.isfinite(x)):
-            raise DomainError(f"s, lam and x must be finite, got s = {s}, lam = {lam}, x = {x}")
+            raise _not_finite(s=s, lam=lam, x=x)
         if lam.real <= 0:
             _require_lam(lam)
         return s, lam, x, False
@@ -267,7 +280,7 @@ def _grid_args(s, lam, x):
         finite = cmath.isfinite(s) and cmath.isfinite(lam)
     x = x if nodes else complex(x)
     if not (finite and np.isfinite(x).all()):
-        raise DomainError(f"s, lam and x must be finite, got s = {s}, lam = {lam}, x = {x}")
+        raise _not_finite(s=s, lam=lam, x=x)
     _require_lam(lam.real.min(initial=1.0) if per_node else lam)
     return s, lam, x, nodes
 

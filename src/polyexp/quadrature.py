@@ -7,15 +7,13 @@ cumulative-integration matrix (the recursion route's tail integrations),
 and tanh-sinh, the abscissae and weights of each level.
 
 A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
-able to absorb integrable endpoint singularities (its integrand maps one
-level's array of nodes to an array of values). The same rule takes arrays
-of intervals: each level then evaluates every interval still open in one
-(nodes x intervals) array, in blocks of at most `_BLOCK` entries, and an
-interval drops out once it meets its own tolerance. A single interval is
-the batch of one. Plus the semi-infinite driver used by the transform
-layer: double-exponential core on (0, split), then a log-space tail cut
-where the integrand's declared exponential envelope leaves less than the
-target, that remainder going into the error estimate.
+able to absorb integrable endpoint singularities, over arrays of intervals
+too (each level evaluates the open ones in one array); its estimate adds
+each node's 16 eps |f| and the error the integrand may return. Plus the
+semi-infinite driver of the transform layer: one tanh-sinh interval in
+v = log1p(t/split), linear near 0 and logarithmic past split, out to where
+the integrand's declared exponential envelope leaves less than the
+target, that remainder going into the estimate.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from .result import EvalResult, QuadratureError
 _HALF_PI = math.pi / 2.0
 _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
 _MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
-_MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver's core and tail
+_MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver
+_NOISE = 16.0 * 2.0**-52  # rounding charged to each node, relative to its |f|
 # nodes x intervals per call of a batched integrand: the peak of traced
 # allocations over a transforms benchmark round is 0.77 MB up to here and
 # 1.72 MB at 32768, with no change in speed
@@ -141,21 +140,22 @@ def tanh_sinh(
     """Integrate f over [a, b] by level-doubling tanh-sinh quadrature.
 
     For numbers a and b, f maps the numpy array of a level's new nodes to
-    an array of values, one call per level, and the call returns
+    an array of values, or to (values, errs) with errs bounding each
+    value's own error, one call per level; the call returns
     (value, err_estimate, nevals, converged).
 
     a, b and tol may instead be 1-D arrays of k intervals (tol may stay a
-    number). f is then called as f(t, idx): t is the (nodes x open
-    intervals) array of abscissae, idx the indices of those intervals, and
-    it returns values of t's shape. Each interval keeps its own test
-    err <= max(tol, tol |value|) and drops out once it meets it, so a new
-    level evaluates only the intervals still open. value, err and
-    converged are then per-interval arrays, and nevals the node total.
+    number). f is then called as f(t, idx) with the (nodes x open
+    intervals) array t and the indices idx of those intervals, and returns
+    arrays of t's shape. An interval drops out once its level difference
+    meets max(tol, tol |value|); value, err and converged are then
+    per-interval arrays, and nevals the node total.
 
-    The integrand may return complex values and may blow up at either
-    endpoint as long as the singularity is integrable. A node that rounds
-    onto an endpoint of its interval gets weight 0 and the interval's
-    midpoint as abscissa, and does not count; the nodes that do so on every
+    err adds to the last level difference the rule applied to 16 eps |f|
+    + errs. f may be complex and blow up integrably at either endpoint; a
+    non-finite value counts as 0, with its errs. A node that rounds onto
+    an endpoint of its interval gets weight 0 and the interval's midpoint
+    as abscissa, and does not count; the nodes that do so on every
     interval of a block are left out, so a single interval's f sees only
     interior nodes. Intervals go to f in blocks of at most `_BLOCK`
     nodes x intervals.
@@ -163,7 +163,7 @@ def tanh_sinh(
     if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(tol, np.ndarray)):
         if b == a:
             return 0.0 + 0.0j, 0.0, 0, True
-        value, err, nevals, ok = _tanh_sinh(lambda t, idx: np.asarray(f(t[:, 0])).reshape(-1, 1),
+        value, err, nevals, ok = _tanh_sinh(lambda t, idx: f(t[:, 0]),
                                             *np.array([[a], [b], [tol]], dtype=float), max_level)
         return complex(value[0]), float(err[0]), nevals, bool(ok[0])
     a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, tol)))
@@ -178,40 +178,46 @@ def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_l
     """The batched rule of `tanh_sinh` over the intervals [a_i, b_i], a_i != b_i."""
     r = 0.5 * (b - a)
     value, err, ok = np.zeros(a.size, dtype=complex), np.full(a.size, math.inf), np.zeros(a.size, dtype=bool)
-    live = np.arange(a.size)  # the open intervals; below, their bounds, tol and last two sums
-    current, diff = value.copy(), err.copy()
+    live = np.arange(a.size)  # the open intervals; below, their bounds, tol, last two sums and noise
+    current, diff, noise = value.copy(), err.copy(), err.copy()
     nevals = 0
     for level in range(_MIN_LEVEL, max_level + 1):
         nodes = _level_nodes(level, level > _MIN_LEVEL)
         step = max(1, _BLOCK // nodes[0].size)
         if live.size <= step:
-            sums, count = _block_sums(f, nodes, a, b, r, live)
+            sums, noise_sums, count = _block_sums(f, nodes, a, b, r, live)
         else:
             blocks = [_block_sums(f, nodes, a[k:k + step], b[k:k + step], r[k:k + step], live[k:k + step])
                       for k in range(0, live.size, step)]
-            sums, count = np.concatenate([s for s, _ in blocks]), sum(n for _, n in blocks)
+            sums, noise_sums, counts = zip(*blocks)
+            sums, noise_sums, count = np.concatenate(sums), np.concatenate(noise_sums), sum(counts)
         nevals += count
         if level == _MIN_LEVEL:
-            current = r * sums
+            current, noise = r * sums, np.abs(r) * noise_sums
             continue
-        new = 0.5 * current + r * sums
+        new, noise = 0.5 * current + r * sums, 0.5 * noise + np.abs(r) * noise_sums
         diff = np.abs(new - current)
         current = new
         done = diff <= tol * np.maximum(1.0, np.abs(new))  # max(tol, tol |value|)
         if done.all():
-            value[live], err[live], ok[live] = new, diff, True
+            value[live], err[live], ok[live] = new, diff + noise, True
             return value, err, nevals, ok
         if done.any():
             ended = live[done]
-            value[ended], err[ended], ok[ended] = new[done], diff[done], True
+            value[ended], err[ended], ok[ended] = new[done], diff[done] + noise[done], True
             going = ~done
-            live, a, b, r, tol, current, diff = (v[going] for v in (live, a, b, r, tol, current, diff))
-    value[live], err[live] = current, diff  # still open after max_level
+            live, a, b, r, tol, current, diff, noise = (v[going] for v in (live, a, b, r, tol, current, diff, noise))
+    value[live], err[live] = current, diff + noise  # still open after max_level
     return value, err, nevals, ok
 
 
+def _values_errs(out):
+    """An integrand's values and errs: errs is None when it returns values only."""
+    return out if isinstance(out, tuple) else (out, None)
+
+
 def _block_sums(f: Callable, nodes, a: np.ndarray, b: np.ndarray, r: np.ndarray, idx: np.ndarray):
-    """One level's weighted sums of f over the intervals idx, and the nodes counted."""
+    """One level's weighted sums of f and of its noise over the intervals idx, and the nodes counted."""
     offset, weight, near_b = nodes
     t = np.where(near_b, b, a) + r * offset[:, None]
     # the nodes increase, so the rows with a node inside some interval are one run
@@ -228,17 +234,19 @@ def _block_sums(f: Callable, nodes, a: np.ndarray, b: np.ndarray, r: np.ndarray,
         if count < inside.size:
             t = np.where(inside, t, a + r)
             w = np.where(inside, w, 0.0)
-    vals = np.asarray(f(t, idx), dtype=complex)
-    if not np.isfinite(vals).all():
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-    return np.add.reduce(vals * w), count
+    vals, errs = _values_errs(f(t, idx))
+    vals = np.asarray(vals, dtype=complex).reshape(t.shape)
+    noise = _NOISE * np.abs(vals) + (0.0 if errs is None else np.reshape(errs, t.shape))
+    if not (finite := np.isfinite(vals)).all():
+        vals, noise = np.where(finite, vals, 0.0), np.where(finite, noise, 0.0)
+    return np.add.reduce(vals * w), np.add.reduce(noise * w), count
 
 
 def _envelope_constant(f: Callable, rate: float, power: float, split: float) -> float:
     t = split * np.array([1.0, 1.5, 2.5, 4.0])
     ref = t**power * np.exp(-rate * t)
     seen = ref != 0.0
-    ratios = np.abs(np.asarray(f(t), dtype=complex))[seen] / ref[seen]
+    ratios = np.abs(np.asarray(_values_errs(f(t))[0], dtype=complex))[seen] / ref[seen]
     return 2.0 * float(np.max(ratios, initial=0.0))  # safety factor
 
 
@@ -252,27 +260,26 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
     return c * T**power * math.exp(-rate * T) / (rate * slack)
 
 
-def _head_and_panel(f: Callable, split: float, T: float, tol: float):
-    """(value, err, nodes) of f over (0, T): tanh-sinh on (0, split), then in
-    t = split e^v on (split, T), each to tol/4."""
-    core, core_err, work, ok = tanh_sinh(f, 0.0, split, tol / 4, max_level=_MAX_LEVEL)
+def _integrate_to(f: Callable, split: float, T: float, tol: float):
+    """(value, err, nodes) of f over (0, T) by one tanh-sinh interval to tol/2
+    in v = log1p(t/split), linear in t near 0 and logarithmic past split."""
+    def g(v):  # dt = (split + t) dv
+        values, errs = _values_errs(f(t := split * np.expm1(v)))
+        return values * (split + t), None if errs is None else errs * (split + t)
+
+    value, err, nodes, ok = tanh_sinh(g, 0.0, math.log1p(T / split), tol / 2, max_level=_MAX_LEVEL)
     if not ok:
-        raise _not_converged(f"core interval (0, {split:g})", core, core_err, tol / 4)
-    g = lambda v: f(split * np.exp(v)) * split * np.exp(v)
-    tail, tail_err, nev, ok = tanh_sinh(g, 0.0, math.log(T / split), tol / 4, max_level=_MAX_LEVEL)
-    if not ok:
-        raise _not_converged(f"tail integration over ({split:g}, {T:g})", tail, tail_err, tol / 4)
-    return core + tail, core_err + tail_err, work + nev
+        raise _not_converged(f"integration over (0, {T:g})", value, err, tol / 2)
+    return value, err, nodes
 
 
 def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split: float) -> EvalResult:
     """Integrate f over (0, inf), where f maps an array of nodes to an array
-    of values as in `tanh_sinh` and |f(t)| <= C t^power e^(-rate t) for
-    large t, rate > 0 and power real, with C estimated by sampling.
-
-    Core interval (0, split) by tanh-sinh; the tail by log-space
-    tanh-sinh out to a truncation point where the envelope's remainder
-    falls under tol/4, with that remainder added to the error estimate.
+    of values (or to (values, errs), as in `tanh_sinh`) and |f(t)| <=
+    C t^power e^(-rate t) for large t, rate > 0 and power real, with C
+    estimated by sampling. One tanh-sinh interval to tol/2 in
+    v = log1p(t/split) runs out to the T where the envelope's remainder
+    falls under tol/4, and that remainder joins the error estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -281,13 +288,11 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
     if rate <= 0 or isinstance(power, complex):
         raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
     c = _envelope_constant(f, rate, power, split)
-    T = split * 2.0
-    hops = 0
-    while (remainder := _exp_tail_bound(c, rate, power, T)) > tol / 4:
-        if hops == 59:
-            raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
-                                  f"its bound {remainder:g} (target {tol / 4:g})")
-        T *= 1.5
-        hops += 1
-    value, err, work = _head_and_panel(f, split, T, tol)
+    for T in (split * 2.0 * 1.5**hops for hops in range(60)):
+        if (remainder := _exp_tail_bound(c, rate, power, T)) <= tol / 4:
+            break
+    else:
+        raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
+                              f"its bound {remainder:g} (target {tol / 4:g})")
+    value, err, work = _integrate_to(f, split, T, tol)
     return EvalResult(value, err + remainder, work, "quadrature")

@@ -21,8 +21,9 @@ class EvalResult:
     h_quadrature} for the h family, quadrature in the transforms and
     {line_integral, mellin_expression} in the Mellin-Barnes layer. "positive_integral"
     (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes;
-    `mellin_transform_polyexp` counts its own nodes plus the work of the
-    e_p evaluations at them.
+    `eta`, `lerch_phi`, `hurwitz_zeta`, `riemann_zeta` and "h_quadrature"
+    add the weighted series' terms to their nodes, and
+    `mellin_transform_polyexp` the work of its e_p evaluations.
 
     For a 1-D array of x (`core.evaluate`, `core.eval_series`,
     `core.eval_negint`, `series.h_direct`; all but `eval_negint` also

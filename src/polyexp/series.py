@@ -121,23 +121,21 @@ def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
     if abs(x) - x.real > math.log(sys.float_info.max):
         raise ConditioningError(f"h quadrature weight e^((|x| - Re x) u) overflows binary64 at x = {x}")
     inner_tol = tol / 100.0
-    inner_err = 0.0
+    terms = 0
 
     def f(u):
-        nonlocal inner_err
-        values, errs, _ = core.exp_weighted_series(s, lam, x * w / abs(x), abs(x) * u, inner_tol)
+        nonlocal terms
+        values, errs, n = core.exp_weighted_series(s, lam, x * w / abs(x), abs(x) * u, inner_tol)
+        terms += n
         factor = np.exp((abs(x) - x) * u)
-        inner_err = max(inner_err, float(np.max(errs * np.abs(factor))))
-        return values * factor
+        return values * factor, errs * np.abs(factor)
 
     scale = x * cmath.exp(x)
     target = tol / max(abs(scale), 1.0)
-    val, err, work, ok = tanh_sinh(f, 0.0, 1.0, target)
+    val, err, nodes, ok = tanh_sinh(f, 0.0, 1.0, target)
     if not ok:
         raise _not_converged(f"h quadrature at x = {x}", val, err, target)
-    return EvalResult(
-        scale * val, abs(scale) * (err + inner_err), work, "h_quadrature"
-    )
+    return EvalResult(scale * val, abs(scale) * err, nodes + terms, "h_quadrature")
 
 
 def h1_closed(w, x) -> complex:

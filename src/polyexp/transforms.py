@@ -22,8 +22,9 @@ both its panels to `core.evaluate`, which sums the nodes with x <= 10 as
 one array series and integrates the rest in one batched tanh-sinh call),
 and the inner tolerance picks each node's Poisson window through a tail
 bound relative to that node's scale (capped at 1), not through a fixed
-width. The z = 1 (Hurwitz) integrand decays only like t^(-Re s); its
-tail past a finite T is summed in closed form (`_power_tail`).
+width; each integrand returns its error beside its values. The z = 1
+(Hurwitz) integrand decays only like t^(-Re s); its tail past a finite T
+is summed in closed form (`_power_tail`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from . import core
-from .quadrature import _head_and_panel, _not_converged, quad_semiinfinite, tanh_sinh
+from .quadrature import _integrate_to, _not_converged, quad_semiinfinite, tanh_sinh
 from .result import ConditioningError, DomainError, EvalResult, PoleError
 
 __all__ = [
@@ -95,17 +96,21 @@ def _laplace_weighted(s, lam, z, tol):
     At z = 1 (within rounding) the tail past T is `_power_tail`. It misses
     the Poisson mass below N = t/2, at most e^(-0.153 t) |lam^-s|: T starts
     where that integrates to tol/8, and doubles until the tail meets tol/8.
-    The estimate adds a rounding level (32 + 2 |s log lam|) eps |value|.
     """
     s, lam, z = complex(s), complex(lam), complex(z)
     inner_tol = tol / 100.0
+    terms = 0
 
     def f(t):
-        return core.exp_weighted_series(s, lam, z, t, inner_tol)[0]
+        nonlocal terms
+        values, errs, n = core.exp_weighted_series(s, lam, z, t, inner_tol)
+        terms += n
+        return values, errs
 
     split = _split_point(abs(z), lam)
     if abs(z - 1.0) > 1e-14:
-        return quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
+        res = quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
+        return EvalResult(res.value, res.abs_err_estimate, res.work + terms, res.method)
     log_first = core._log_coefficient_bound(s, lam, 0.0)
     start = max(2.0 * split, (log_first - math.log(_CHERNOFF_HALF * tol / 8.0)) / _CHERNOFF_HALF)
     for T in (start * 2.0**d for d in range(8)):  # up to 7 doublings
@@ -113,13 +118,9 @@ def _laplace_weighted(s, lam, z, tol):
             break
     else:
         raise _not_converged(f"Hurwitz tail expansion at T = {T:g}", *tail, tol / 8.0)
-    value, err, work = _head_and_panel(f, split, T, tol)
-    value += tail[0]
+    value, err, nodes = _integrate_to(f, split, T, tol)
     missed = math.exp(log_first - _CHERNOFF_HALF * T) / _CHERNOFF_HALF
-    # rounding relative to the value: integrands of size |lam^-s| near t = 0
-    # are exponentials of logs of size |s log lam|
-    rounding = (32.0 + 2.0 * abs(s * cmath.log(lam))) * core._EPS * abs(value)
-    return EvalResult(value, err + tail[1] + missed + rounding, work, "quadrature")
+    return EvalResult(value + tail[0], err + tail[1] + missed, nodes + terms, "quadrature")
 
 
 def lerch_phi(x, s, lam, tol: float = 1e-10) -> EvalResult:
@@ -129,6 +130,7 @@ def lerch_phi(x, s, lam, tol: float = 1e-10) -> EvalResult:
     Domain: |x| < 1 for any s, or |x| <= 1 with Re s > 1.
     """
     x, s, lam = complex(x), complex(s), complex(lam)
+    core._require_finite(x=x, s=s, lam=lam)
     core._require_lam(lam)
     if abs(x) >= 1.0 + 1e-14 or (abs(x) > 1.0 - 1e-14 and s.real <= 1.0):
         raise DomainError(
@@ -148,6 +150,7 @@ def hurwitz_zeta(s, lam, tol: float = 1e-10) -> EvalResult:
     hundred the integral is summed in closed form (`_laplace_weighted`).
     """
     s, lam = complex(s), complex(lam)
+    core._require_finite(s=s, lam=lam)
     if s.real <= 1.0:
         raise DomainError("hurwitz_zeta integral converges only for Re s > 1")
     core._require_lam(lam)
@@ -161,6 +164,7 @@ def eta(s, lam, tol: float = 1e-10) -> EvalResult:
     integral converges for every complex s.
     """
     s, lam = complex(s), complex(lam)
+    core._require_finite(s=s, lam=lam)
     core._require_lam(lam)
     return _laplace_weighted(s, lam, -1.0, tol)
 
@@ -173,6 +177,7 @@ def riemann_zeta(s, tol: float = 1e-10) -> EvalResult:
     would amplify the quadrature error out of control).
     """
     s = complex(s)
+    core._require_finite(s=s)
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
     denom = 1.0 - 2.0 ** complex(1.0 - s)
@@ -206,6 +211,7 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     outer nodes plus the work of every `evaluate` call.
     """
     s, lam = complex(s), complex(lam)
+    core._require_finite(s=s, p=p, lam=lam)
     if p < 0:
         raise DomainError("p must be >= 0")
     if not (0.0 < s.real < lam.real):
@@ -217,7 +223,8 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
         nonlocal work
         inner = core.evaluate(p, lam, -np.exp(u.ravel()), inner_tol)
         work += inner.work
-        return np.exp(s * u) * inner.value.reshape(u.shape)
+        front = np.exp(s * u)
+        return front * inner.value.reshape(u.shape), np.abs(front) * inner.abs_err_estimate.reshape(u.shape)
 
     # truncation points from the exponential envelopes in u
     u_mid = math.log(core._INTEGRAL_X)
@@ -238,14 +245,14 @@ def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
 def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
     """integral_0^inf x^(lam-1) e^(-x) Q_p(-x, lam) dx; identically zero for
     p >= 1 (the s = lam endpoint of the Mellin strip)."""
+    lam = complex(lam)
+    core._require_finite(p=p, lam=lam)
     if p < 1:
         raise DomainError("vanishing moments are stated for p >= 1")
-    lam = complex(lam)
     core._require_lam(lam)
-    coeffs = core._q_coeffs(p, lam)
 
-    def f(x):
-        return np.exp((lam - 1.0) * np.log(x) - x) * core._horner(coeffs, -x)
+    def f(x):  # values and their rounding bound
+        return core._closed_form(p, lam, -x, (lam - 1.0) * np.log(x) - x)
 
     return quad_semiinfinite(f, 1.0, float(p) + lam.real - 1.0, tol, _split_point(1.0, lam))
 
@@ -261,6 +268,7 @@ def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     """integral_0^inf t^(s-1) e^(-lam t) e^(x e^(-t)) dt = Gamma(s) e_s(x, lam),
     for Re s > 0."""
     s, lam, x = complex(s), complex(lam), complex(x)
+    core._require_finite(s=s, lam=lam, x=x)
     if s.real <= 0:
         raise DomainError("need Re s > 0")
     core._require_lam(lam)
@@ -277,6 +285,7 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     """
     s, lam = complex(s), complex(lam)
     x = float(x)
+    core._require_finite(s=s, lam=lam, x=x)
     if s.real <= 1:
         raise DomainError("need Re s > 1")
     core._require_lam(lam)

@@ -474,6 +474,17 @@ def test_non_finite_flags_exit_2(capsys, argv, flag):
     assert f"{flag} must be finite" in err
 
 
+@pytest.mark.parametrize("flag", ["--x", "--c"])
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_mellin_non_finite_flags_exit_2(capsys, flag, value):
+    argv = {"--rational": "1/(2-s)", "--x": "1", "--c": "1", flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, "mellin", *(item for pair in argv.items() for item in pair))
+    assert code == 2 and out == ""
+    assert f"argument {flag}: must be finite" in err
+
+
 def test_parse_rejects_non_finite():
     for text in ("nan", "inf", "-inf", "1+nani", "infi"):
         with pytest.raises(ValueError, match="must be finite"):

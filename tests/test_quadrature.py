@@ -123,6 +123,44 @@ def test_batch_endpoint_singularity_raises_no_warning():
     assert ok[0] and abs(values[0] - 10.0) < 1e-9 and np.isfinite(values[1])
 
 
+def test_integrand_errors_go_into_the_estimate():
+    # f returns (values, errs): err holds at least the integral of errs, 1.5e-6,
+    # and a rounding level of 16 eps |f| on top of the level difference
+    val, err, _, ok = tanh_sinh(lambda t: (np.exp(t), 1e-6 * (1.0 + t)), 0.0, 1.0, 1e-12)
+    assert ok and abs(val - (math.e - 1)) < 1e-12 and err >= 1.5e-6 * (1.0 - 1e-9)
+    val, err, _, ok = tanh_sinh(lambda t: np.full(t.shape, 1e20), 0.0, 1.0, 1e-12)
+    assert ok and val == 1e20 and err >= 16 * _EPS * 1e20 * (1.0 - 1e-9)
+
+
+def test_batch_integrand_errors_go_into_the_estimate():
+    errs = lambda t, i: 1e-6 * np.abs(_integrand(t, i))
+    reference = tanh_sinh(errs, _A, _B, 1e-12)[0].real
+    values, err, _, ok = tanh_sinh(lambda t, i: (_integrand(t, i), errs(t, i)), _A, _B, 1e-12)
+    plain = tanh_sinh(_integrand, _A, _B, 1e-12)
+    assert (ok == plain[3]).all() and (values == plain[0]).all()  # the test of each interval is unchanged
+    assert (err >= reference * (1.0 - 1e-6)).all() and (reference[[0, 1, 2, 5]] > 0).all()
+
+
+def test_non_finite_values_drop_their_errs():
+    # the centre node t = 1/2 returns NaN with an infinite err: both count as 0
+    f = lambda t: (np.where(t == 0.5, np.nan, 1.0), np.where(t == 0.5, np.inf, 0.0))
+    val, err, _, _ = tanh_sinh(f, 0.0, 1.0, 1e-12, max_level=5)
+    assert math.isfinite(err) and math.isfinite(val.real) and val.imag == 0.0
+
+
+def test_semiinfinite_is_one_tanh_sinh_call(monkeypatch):
+    calls = []
+    original = quadrature.tanh_sinh
+
+    def rule(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", rule)
+    res = quad_semiinfinite(lambda t: t * np.exp(-2 * t), 2.0, 1.0, 1e-11, 10.0)
+    assert abs(res.value - 0.25) < 1e-10 and len(calls) == 1 and calls[0][0] == 0.0
+
+
 def test_semiinfinite_exponential():
     res = quad_semiinfinite(lambda t: np.exp(-t), 1.0, 0.0, 1e-11, 10.0)
     assert abs(res.value - 1.0) < 1e-10

@@ -96,6 +96,26 @@ def test_h_quadrature_refuses_overflowing_weight(w):
             h_quadrature(HSeriesParams(1.5, 0.7, w, -400.0))
 
 
+def test_h_quadrature_work_counts_kernel_terms(monkeypatch):
+    nodes, terms = [], []
+    rule, kernel = series.tanh_sinh, core.exp_weighted_series
+
+    def counted_rule(*args, **kwargs):
+        out = rule(*args, **kwargs)
+        nodes.append(out[2])
+        return out
+
+    def counted_kernel(*args):
+        out = kernel(*args)
+        terms.append(out[2])
+        return out
+
+    monkeypatch.setattr(series, "tanh_sinh", counted_rule)
+    monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
+    res = h_quadrature(HSeriesParams(1.5, 0.7, -1.0, 20.0), tol=1e-10)
+    assert res.work == sum(nodes) + sum(terms) and sum(terms) > 10 * sum(nodes)
+
+
 def _h_mpmath(mp, s, lam, w, x):
     """sum_n x^n/n! P_n at 30 digits, P_n = sum_{j<n} w^j (j+lam)^-s."""
     with mp.workdps(30):

@@ -3,11 +3,12 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from polyexp import core, transforms
+from polyexp import core, quadrature, transforms
 from polyexp.exact import euler_poly
 from polyexp.result import ConditioningError, DomainError, PoleError, QuadratureError
 
@@ -124,9 +125,33 @@ def test_hurwitz_rounding_within_estimate(s, lam):
     assert abs(res.value - _hurwitz_truth(s, lam)) <= res.abs_err_estimate
 
 
-def test_hurwitz_node_budget():
+def _tanh_sinh_nodes(monkeypatch):
+    """The node count of every `quadrature.tanh_sinh` call from here on."""
+    nodes = []
+    original = quadrature.tanh_sinh
+
+    def rule(*args, **kwargs):
+        out = original(*args, **kwargs)
+        nodes.append(out[2])
+        return out
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", rule)
+    return nodes
+
+
+def test_hurwitz_node_budget(monkeypatch):
     # the tail past T is closed form: no panels out to t ~ 5000
-    assert transforms.hurwitz_zeta(3.5, 1.5, tol=1e-10).work <= 600
+    nodes = _tanh_sinh_nodes(monkeypatch)
+    transforms.hurwitz_zeta(3.5, 1.5, tol=1e-10)
+    assert sum(nodes) <= 600
+
+
+@pytest.mark.parametrize("transform, args", [("hurwitz_zeta", (3.5, 1.5)), ("eta", (-1.5 + 2j, 1.0)),
+                                             ("lerch_phi", (0.5, 2.5, 1.0)), ("vanishing_moment", (2, 1.5))])
+def test_one_tanh_sinh_call_per_integral(monkeypatch, transform, args):
+    nodes = _tanh_sinh_nodes(monkeypatch)
+    getattr(transforms, transform)(*args)
+    assert len(nodes) == 1
 
 
 def test_hurwitz_tail_expansion_refuses_huge_imaginary_s():
@@ -245,6 +270,21 @@ def test_mellin_transform_work_counts_inner_work(monkeypatch):
     assert res.work > 100 * sum(outer)
 
 
+@pytest.mark.parametrize("transform, args", [("eta", (0.5, 1.0)), ("hurwitz_zeta", (3.5, 1.5))])
+def test_work_counts_kernel_terms(monkeypatch, transform, args):
+    nodes, terms = _tanh_sinh_nodes(monkeypatch), []
+    kernel = core.exp_weighted_series
+
+    def counted_kernel(*args):
+        out = kernel(*args)
+        terms.append(out[2])
+        return out
+
+    monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
+    res = getattr(transforms, transform)(*args)
+    assert res.work == sum(nodes) + sum(terms) and sum(terms) > 10 * sum(nodes)
+
+
 def test_mellin_transform_strip_enforced():
     with pytest.raises(DomainError):
         transforms.mellin_transform_polyexp(1.2, 1, 1.0)
@@ -354,3 +394,29 @@ def test_quadrature_error_reports_its_numbers():
     assert found, str(info.value)
     estimate, difference, target = complex(found[1]), float(found[2]), float(found[3])
     assert difference > target > 0.0 and cmath.isfinite(estimate)
+
+
+# -- non-finite arguments ---------------------------------------------------------------
+
+_VALID_ARGS = {
+    "lerch_phi": (0.5, 2.0, 1.0),
+    "hurwitz_zeta": (2.0, 1.0),
+    "eta": (0.5, 1.0),
+    "riemann_zeta": (2.0,),
+    "mellin_transform_polyexp": (0.5, 1, 2.0),
+    "vanishing_moment": (2, 1.0),
+    "mellin_s_representation": (1.5, 1.0, 0.5),
+    "h_mellin_representation": (2.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("transform, position", [(name, i) for name, args in _VALID_ARGS.items()
+                                                 for i in range(len(args))])
+def test_non_finite_argument_is_a_domain_error(transform, position, bad):
+    args = list(_VALID_ARGS[transform])
+    args[position] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be finite"):
+            getattr(transforms, transform)(*args)
