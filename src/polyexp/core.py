@@ -40,7 +40,7 @@ import threading
 import numpy as np
 
 from . import exact
-from .quadrature import _not_converged, _read_only, chebyshev_tail_rule, clenshaw_curtis, tanh_sinh
+from .quadrature import _not_converged, _read_only, _tail_integrate, chebyshev_tail_rule, clenshaw_curtis, tanh_sinh
 from .result import (
     ConditioningError,
     ContourResolutionError,
@@ -817,24 +817,26 @@ def _on_route(route: str, s, lam, x, tol: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 _PANEL_DEGREES = (8, 16, 32, 64, 128)
-_MAX_PANELS = 1024
+_MAX_PANELS = 1024  # panels of the recursion grid
 
 
-def _recursion_cutoff(p: int, lam: complex, x: complex, target: float, t_max: float):
+def _recursion_cutoff(p: int, lam: complex, x: complex, target: float):
     """Cut-off T for the tail integrations and the bound on what it drops.
 
     For sigma >= T, |e_q(x e^-sigma)| <= C_q = |lam|^-q + expm1(|x| e^-T)
-    (|n + lam| > 1 for n >= 1), so R_q = int_T^inf |g_q| <= C_q e^(-a T) / a
-    with a = Re lam. Dropping (T, inf) at every level moves g_p(0) by at
-    most sum_q R_q T^(p-1-q) / (p-1-q)!. T climbs a 1.1 ladder from 1/a
-    until that bound is <= target; returns (T, bound). Raises
-    ConvergenceError once T passes t_max.
+    (|n + lam| > 1 for n >= 1), and C_q = lam^-q for real x <= 0 at real
+    lam, so R_q = int_T^inf |g_q| <= C_q e^(-a T) / a with a = Re lam.
+    Dropping (T, inf) at every level moves g_p(0) by at most
+    sum_q R_q T^(p-1-q) / (p-1-q)!. T climbs a 1.1 ladder from 1/a until
+    that bound is <= target; returns (T, bound). Raises ConvergenceError
+    once T passes 2 `_MAX_PANELS`.
     """
     a = lam.real
+    bounded = x.imag == 0.0 and x.real <= 0.0 and lam.imag == 0.0
     T = 1.0 / a
-    while T <= t_max:
-        spill = math.expm1(abs(x) * math.exp(-T))
+    while T <= 2.0 * _MAX_PANELS:
         try:
+            spill = 0.0 if bounded else math.expm1(abs(x) * math.exp(-T))
             bound = sum(
                 (abs(lam) ** -q + spill) * T ** (p - 1 - q) / math.factorial(p - 1 - q)
                 for q in range(p)
@@ -844,25 +846,66 @@ def _recursion_cutoff(p: int, lam: complex, x: complex, target: float, t_max: fl
         if bound <= target:
             return T, bound
         T *= 1.1
-    raise ConvergenceError(
-        f"recursion route at p = {p}, lam = {lam} needs a cut-off beyond "
-        f"T = {t_max:.4g} (more than {_MAX_PANELS} panels)"
-    )
+    raise ConvergenceError(f"recursion route at p = {p}, lam = {lam} needs a cut-off beyond "
+                           f"T = {2 * _MAX_PANELS} (more than {_MAX_PANELS} panels)")
 
 
-def _tail_integrate(values, matrix, h):
-    """int_sigma^T of a function sampled on equal panels of length h.
+def _recursion_grid(lam: complex, x: complex, left: float, right: float, tol: float, coefs, weight=None):
+    """The tail integrations g_{q+1}(tau) = int_tau^right g_q, q < p =
+    len(coefs), of g_0(tau) = exp(-lam tau + x e^-tau) over [left, right],
+    read out as sum_q coefs[q-1] g_q(left), plus int_left^right
+    e^(weight tau) g_p(tau) dtau for a number weight: (value, estimate, work).
 
-    values[k, j] sits at sigma = (k + (1 + t_j) / 2) h for the Chebyshev
-    points t_j of `matrix` (chebyshev_tail_rule); the result has the same
-    layout. Inside a panel the cumulative rule integrates up to the
-    panel's right end; the totals of the panels to the right follow as a
-    running sum.
+    One grid holds every level: equal panels of length <= min(2, 2/|lam|),
+    which keep rounding local, each with the cumulative Clenshaw-Curtis
+    rule of `chebyshev_tail_rule`, its degree doubled from 8 to 128 until
+    two values agree within max(tol, tol |value|). estimate is the last
+    difference plus a rounding floor (eps |arg| relative in each e_0 value,
+    a few eps of the integral of |g| a level); work counts e_0 evaluations.
+    ConvergenceError past `_MAX_PANELS` panels, when e_0 overflows
+    binary64, or when the last two degrees disagree.
     """
-    local = (0.5 * h) * (values @ matrix.T)
-    right = np.cumsum(local[::-1, -1])[::-1]
-    local[:-1] += right[1:, None]
-    return local
+    p = len(coefs)
+    panels = math.ceil((right - left) * max(0.5, abs(lam) / 2.0))
+    if panels > _MAX_PANELS:
+        raise ConvergenceError(f"recursion grid over [{left:g}, {right:g}] needs {panels} panels "
+                               f"(more than {_MAX_PANELS}) at lam = {lam}")
+    h = (right - left) / panels
+    starts = left / h + np.arange(panels)[:, None]
+    if lam.imag == 0.0 and x.imag == 0.0:  # real arithmetic for real parameters
+        lam, x = lam.real, x.real
+
+    def read_out(g, coefs, front):
+        total = 0.0
+        for c in coefs:
+            g = _tail_integrate(g, matrix, h)
+            if c:
+                total += c * g[0, -1]
+        return total if front is None else total + (0.5 * h) * np.sum((front * g) @ matrix[-1])
+
+    work, prev, diff = 0, None, math.inf
+    for m in _PANEL_DEGREES:
+        t, matrix = chebyshev_tail_rule(m)
+        sigma = h * (starts + 0.5 * (1.0 + t))
+        arg = -lam * sigma + x * np.exp(-sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g0 = np.exp(arg)
+        if not np.isfinite(g0).all():
+            raise ConvergenceError(f"e_0 overflows binary64 on the grid at x = {x}")
+        work += g0.size
+        front = None if weight is None else np.exp(weight * sigma)
+        val = complex(read_out(g0, coefs, front))
+        if prev is not None:
+            diff = abs(val - prev)
+            if diff <= max(tol, tol * abs(val)):
+                scale = read_out(np.abs(g0) * (1.0 + np.abs(arg)), [abs(c) for c in coefs],
+                                 None if front is None else np.abs(front))
+                return val, diff + 4.0 * (p + 1) * _EPS * float(scale), work
+        prev = val
+    raise ConvergenceError(
+        f"recursion route did not converge by panel degree {_PANEL_DEGREES[-1]}: "
+        f"last estimate {prev:.12g}, last difference {diff:g} (tol {tol:g})"
+    )
 
 
 def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
@@ -871,67 +914,17 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
     With g_q(sigma) = e^(-lam sigma) e_q(x e^-sigma), the nested integral
     e_{q+1}(x e^-tau) = int_0^inf e^(-lam t) e_q(x e^-(tau+t)) dt reads
     g_{q+1}(tau) = int_tau^inf g_q(sigma) dsigma, starting from
-    g_0(sigma) = e^(-lam sigma) exp(x e^-sigma); then e_p(x, lam) = g_p(0).
-
-    Every level lives on one grid over [0, T]: equal panels of length at
-    most min(2, 2/|lam|), each carrying the cached Chebyshev
-    cumulative-integration matrix of `quadrature.chebyshev_tail_rule`, so
-    a level is one matrix product plus a running sum of panel totals.
-    Panels keep rounding local: one rule over all of [0, T] spreads the
-    rounding of the large values near sigma = 0 over the whole interval,
-    and the p - 1 integrations that follow multiply it by up to
-    T^(p-1)/(p-1)!. The panel degree doubles from 8 to 128 until two
-    resolutions agree.
-
-    abs_err_estimate is the last difference between resolutions, plus the
-    bound on the integrals dropped beyond T, plus a rounding floor.
-    `work` counts e_0 evaluations on the shared grid, summed over the
-    resolutions tried. Raises ConvergenceError when Re lam is so small
-    that [0, T] needs more than 1024 panels, or when the largest degree
-    still disagrees with the one before.
+    g_0(sigma) = e^(-lam sigma) exp(x e^-sigma); then e_p(x, lam) = g_p(0)
+    on one grid over [0, T] (`_recursion_grid`, whose estimate gains the
+    bound on what the cut at T drops, `_recursion_cutoff`).
     """
     if p < 1:
         raise DomainError("recursion route needs p >= 1")
     lam, x = complex(lam), complex(x)
     _require_lam(lam)
-
-    per_unit = max(0.5, abs(lam) / 2.0)  # panels per unit of sigma
-    T, dropped = _recursion_cutoff(p, lam, x, 0.1 * tol, _MAX_PANELS / per_unit)
-    panels = math.ceil(T * per_unit)
-    h = T / panels
-    starts = np.arange(panels)[:, None]
-
-    work = 0
-    prev = None
-    diff = math.inf
-    for m in _PANEL_DEGREES:
-        t, matrix = chebyshev_tail_rule(m)
-        sigma = h * (starts + 0.5 * (1.0 + t))
-        arg = -lam * sigma + x * np.exp(-sigma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g0 = np.exp(arg)
-        if not np.all(np.isfinite(g0)):
-            raise ConvergenceError(f"e_0 overflows binary64 on the grid at x = {x}")
-        work += g0.size
-        g = g0
-        for _ in range(p):
-            g = _tail_integrate(g, matrix, h)
-        val = complex(g[0, -1])
-        if prev is not None:
-            diff = abs(val - prev)
-            if diff <= max(tol, tol * abs(val)):
-                # rounding floor: each e_0 value is off by ~eps |arg| relative,
-                # each level adds a few eps of the integral of |g|
-                scale = np.abs(g0) * (1.0 + np.abs(arg))
-                for _ in range(p):
-                    scale = _tail_integrate(scale, matrix, h)
-                floor = 4.0 * (p + 1) * _EPS * float(scale[0, -1])
-                return EvalResult(val, diff + dropped + floor, work, "recursion")
-        prev = val
-    raise ConvergenceError(
-        f"recursion route did not converge by panel degree {_PANEL_DEGREES[-1]}: "
-        f"last estimate {prev:.12g}, last difference {diff:g} (tol {tol:g})"
-    )
+    T, dropped = _recursion_cutoff(p, lam, x, 0.1 * tol)
+    value, estimate, work = _recursion_grid(lam, x, 0.0, T, tol, (0.0,) * (p - 1) + (1.0,))
+    return EvalResult(value, estimate + dropped, work, "recursion")
 
 
 # ---------------------------------------------------------------------------
@@ -1191,13 +1184,17 @@ def asymptotic_x_leading(s, lam, x, sign: int) -> complex:
     sign=+1: e^x * x^(-s) as x -> +inf; sign=-1: the decaying direction
     Gamma(lam)/Gamma(s) * (log x)^(s-1) * x^(-lam). At non-positive
     integer s the reciprocal gamma factor is zero and so is the estimate.
+    A complex x is a DomainError, e^x x^-s past binary64 an OverflowError.
     """
-    s, lam = complex(s), complex(lam)
-    x = float(x)
-    if x < 10.0:
-        raise DomainError("leading-order diagnostics need x >= 10")
+    s, lam, x = complex(s), complex(lam), complex(x)
+    if x.imag or not 10.0 <= x.real < math.inf:
+        raise DomainError(f"leading-order diagnostics need a real x >= 10, got x = {x}")
+    x = x.real
     if sign == 1:
-        return cmath.exp(x) * cmath.exp(-s * math.log(x))
+        try:
+            return cmath.exp(x - s * math.log(x))
+        except OverflowError:
+            raise _Overflow(f"e^x x^-s overflows binary64 at x = {x:g}") from None
     if sign == -1:
         try:
             inv_gamma_s = 1.0 / gamma_fn(s)

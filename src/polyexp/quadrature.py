@@ -97,6 +97,19 @@ def chebyshev_tail_rule(m: int):
     return _read_only(t, a @ d)
 
 
+def _tail_integrate(values, matrix, h):
+    """int_sigma^right of a function sampled on equal panels of length h
+    over [left, right]: values[k, j] sits at sigma = left + (k + (1 + t_j)
+    / 2) h for the points t_j of `matrix` (`chebyshev_tail_rule`), and so
+    does the result. Inside a panel the cumulative rule integrates up to its
+    right end; the totals of the panels to the right follow as a running sum.
+    """
+    local = (0.5 * h) * (values @ matrix.T)
+    right = np.cumsum(local[::-1, -1])[::-1]
+    local[:-1] += right[1:, None]
+    return local
+
+
 @functools.lru_cache(maxsize=32)
 def _level_nodes(level: int, previous_only_odd: bool):
     """tanh-sinh abscissae for mesh h = 2^-level on [-1, 1], in increasing order.

@@ -18,12 +18,13 @@ class EvalResult:
     last count m.
     `method` is the route tag: {series, closed_form, positive_integral,
     recursion, hankel, taylor_shift, asymptotic} in core, {h_series,
-    h_quadrature} for the h family, quadrature in the transforms and
-    {line_integral, mellin_expression} in the Mellin-Barnes layer. "positive_integral"
+    h_quadrature} for the h family, quadrature in the transforms but for
+    `mellin_transform_polyexp` (recursion) and {line_integral,
+    mellin_expression} in the Mellin-Barnes layer. "positive_integral"
     (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes;
     `eta`, `lerch_phi`, `hurwitz_zeta`, `riemann_zeta` and "h_quadrature"
     add the weighted series' terms to their nodes, and
-    `mellin_transform_polyexp` the work of its e_p evaluations.
+    `mellin_transform_polyexp` counts grid e_0 evaluations and series terms.
 
     For a 1-D array of x (`core.evaluate`, `core.eval_series`,
     `core.eval_negint`, `series.h_direct`; all but `eval_negint` also

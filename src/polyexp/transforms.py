@@ -9,22 +9,20 @@ The Laplace-type identities evaluated here:
   zeta(s)         = eta(s, 1) / (1 - 2^(1-s))                   (s != 1)
 
 plus the Mellin-transform identities: the transform of e_p(-x, lam) equals
-Gamma(s)/(lam-s)^p on the strip 0 < Re s < Re lam, the vanishing moments
-of e^(-x) Q_p(-x, lam) at s = lam, Gamma(s) e_s(x, lam) as a Mellin
+Gamma(s)/(lam-s)^p on the strip 0 < Re s < Re lam (a series for x <= 1,
+then the recursion route's grid, no tanh-sinh), the vanishing moments of
+e^(-x) Q_p(-x, lam) at s = lam, Gamma(s) e_s(x, lam) as a Mellin
 integral in s, and the corresponding representation of Gamma(s) h_s.
 
 Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
 contaminate quadrature nodes. Each integrand takes a whole tanh-sinh level
-as one array (the Mellin transform of e_p(-x, lam) passes the level of
-both its panels to `core.evaluate`, which sums the nodes with x <= 10 as
-one array series and integrates the rest in one batched tanh-sinh call),
-and the inner tolerance picks each node's Poisson window through a tail
-bound relative to that node's scale (capped at 1), not through a fixed
-width; each integrand returns its error beside its values. The z = 1
-(Hurwitz) integrand decays only like t^(-Re s); its tail past a finite T
-is summed in closed form (`_power_tail`).
+as one array, and the inner tolerance picks each node's Poisson window
+through a tail bound relative to that node's scale (capped at 1), not
+through a fixed width; each integrand returns its error beside its
+values. The z = 1 (Hurwitz) integrand decays only like t^(-Re s); its
+tail past a finite T is summed in closed form (`_power_tail`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import math
 import numpy as np
 
 from . import core
-from .quadrature import _integrate_to, _not_converged, quad_semiinfinite, tanh_sinh
+from .quadrature import _integrate_to, _not_converged, quad_semiinfinite
 from .result import ConditioningError, DomainError, EvalResult, PoleError
 
 __all__ = [
@@ -57,6 +55,7 @@ def _split_point(weight_scale: float, lam: complex) -> float:
     return max(10.0, 5.0 * weight_scale + abs(lam))
 
 
+_LOG_MAX = 709.782712893384  # log of the largest binary64
 _TAIL_TERMS = 61  # terms k = 0..60 of the Hurwitz tail expansion, ending at an even k
 _CHERNOFF_HALF = 0.5 - 0.5 * math.log(2.0)  # P(N <= t/2) <= e^(-0.153 t), N ~ Poisson(t)
 
@@ -199,47 +198,55 @@ def riemann_zeta(s, tol: float = 1e-10) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
-    """integral_0^inf x^(s-1) e_p(-x, lam) dx on the strip 0 < Re s < Re lam.
+_HEAD_TERMS = 30  # of the x <= 1 series of mellin_transform_polyexp: 1/30! < 4e-33
 
-    Must equal Gamma(s)/(lam - s)^p. Evaluated in the log variable
-    x = e^u, where both tails decay exponentially (rates Re s on the left
-    and Re(lam - s) on the right); e_p(-x, lam) at large x comes from its
-    own positive-integrand representation, since the alternating series is
-    hopeless there (`core.evaluate`; the panels split where it switches).
-    Both panels go through one batched `tanh_sinh` call; work counts the
-    outer nodes plus the work of every `evaluate` call.
+
+def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
+    """integral_0^inf x^(s-1) e_p(-x, lam) dx = Gamma(s)/(lam - s)^p, on the
+    strip 0 < Re s < Re lam, with no tanh-sinh and no `evaluate` call.
+
+    With x = e^-tau the integrand is e^(c tau) g_p(tau), c = lam - s, for
+    the tail integrations g_(q+1) = int_tau^inf g_q of g_0(tau) =
+    exp(-lam tau - e^-tau) (`eval_via_recursion` at x = -1). x <= 1 is
+    the series sum_n (-1)^n / (n! (n+lam)^p (n+s)). 1 <= x <= L is
+    `core._recursion_grid` over [tau0, 0], tau0 = -log L, started from
+    zero; the start values g_q(0) = e_q(-1, lam) (one `eval_series` call)
+    add polynomials in tau worth g_q(0) / c^(p-q+1). Past L, g_0 has
+    vanished and g_p is a polynomial in tau: e^(c tau0) sum_q g_q(tau0) /
+    c^(p-q+1). L climbs a 1.1 ladder until the g_0 mass it drops,
+    Gamma(a, L) <= L^(a-1) e^-L / (1 - max(a-1, 0)/L), a = Re lam, times
+    e^(Re c tau0) / (Re c)^p through the p integrations, is under tol/10.
+    The estimate adds that bound, the grid's, and the series' tails and
+    rounding; work counts the grid's e_0 evaluations and the series' terms.
     """
     s, lam = complex(s), complex(lam)
     core._require_finite(s=s, p=p, lam=lam)
-    if p < 0:
-        raise DomainError("p must be >= 0")
+    if p < 0 or p != int(p):
+        raise DomainError(f"p must be an integer >= 0, got p = {p}")
     if not (0.0 < s.real < lam.real):
         raise DomainError(f"need 0 < Re s < Re lam, got s={s}, lam={lam}")
-    inner_tol = tol / 50.0
-    work = 0  # every evaluate call's work, then the outer nodes
+    p, c, a = int(p), lam - s, lam.real
+    target = tol / 10.0
+    n = np.arange(_HEAD_TERMS)
+    head = np.cumprod(np.append(1.0, -1.0 / n[1:])) / ((n + lam) ** p * (n + s))  # term ratio under 1/(n+1)
+    head_err = float(2.0 * abs(head[-1]) / _HEAD_TERMS + 4.0 * _HEAD_TERMS * core._EPS * np.abs(head).sum())
 
-    def g(u, idx):
-        nonlocal work
-        inner = core.evaluate(p, lam, -np.exp(u.ravel()), inner_tol)
-        work += inner.work
-        front = np.exp(s * u)
-        return front * inner.value.reshape(u.shape), np.abs(front) * inner.abs_err_estimate.reshape(u.shape)
+    def log_dropped(big_l):
+        return ((a - 1.0 - c.real) * math.log(big_l) - big_l - math.log1p(-max(a - 1.0, 0.0) / big_l)
+                - p * math.log(c.real))
 
-    # truncation points from the exponential envelopes in u
-    u_mid = math.log(core._INTEGRAL_X)
-    u_left = -(-math.log(tol / 6.0) + abs(p) * 2.0 + 5.0) / s.real
-    rate_right = lam.real - s.real
-    u_right = (-math.log(tol / 6.0) + 5.0) / rate_right
-    while (p - 1) * math.log(max(u_right, 2.0)) - rate_right * u_right > math.log(tol / 6.0):
-        u_right *= 1.3
-
-    a, b = np.array([u_left, u_mid]), np.array([u_mid, u_right])
-    val, err, nodes, ok = tanh_sinh(g, a, b, tol / 4.0, max_level=10)
-    if not ok.all():
-        i = np.argmin(ok)
-        raise _not_converged(f"mellin transform panel [{a[i]:g}, {b[i]:g}]", val[i], err[i], tol / 4.0)
-    return EvalResult(complex(val.sum()), float(err.sum()) + tol / 3.0, work + nodes, "quadrature")
+    big_l = max(10.0, 2.0 * a, -math.log(target))
+    while log_dropped(big_l) > math.log(target):
+        big_l *= 1.1
+    tau0 = -math.log(big_l)
+    powers = c ** -np.arange(float(p), 0.0, -1.0)  # c^-(p-q+1), q = 1..p
+    start = core.eval_series(np.arange(1.0, p + 1.0), lam, np.full(p, -1.0), target)
+    coefs = cmath.exp(c * tau0) * powers  # g_q(tau0) -> the piece past L
+    grid, grid_err, work = core._recursion_grid(lam, -1.0, tau0, 0.0, tol, coefs, weight=c)
+    start_err = (start.abs_err_estimate + 4.0 * p * core._EPS * np.abs(start.value)) @ np.abs(powers)
+    estimate = grid_err + math.exp(log_dropped(big_l)) + head_err + float(start_err)
+    value = complex(head.sum()) + complex(start.value @ powers) + grid
+    return EvalResult(value, estimate, work + start.work + _HEAD_TERMS, "recursion")
 
 
 def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
@@ -259,7 +266,9 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
 
 def _gamma_weighted(g, s, lam, x, tol):
     """integral_0^inf t^(s-1) e^(-lam t) g(t) dt for g bounded at large t:
-    the form of both Mellin representations below."""
+    the form of both Mellin representations below, whose g reaches e^x at t = 0."""
+    if x.real > _LOG_MAX:
+        raise core._Overflow(f"the integrand's e^x overflows binary64 at x = {x}")
     f = lambda t: np.exp((s - 1.0) * np.log(t)) * np.exp(-lam * t) * g(t)
     return quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam))
 
@@ -289,8 +298,7 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     if s.real <= 1:
         raise DomainError("need Re s > 1")
     core._require_lam(lam)
-    ex = math.exp(x)
-    return _gamma_weighted(lambda t: ex * np.expm1(x * np.expm1(-t)) / np.expm1(-t), s, lam, x, tol)
+    return _gamma_weighted(lambda t: math.exp(x) * np.expm1(x * np.expm1(-t)) / np.expm1(-t), s, lam, x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from polyexp.result import (
     DomainError,
     EvalResult,
     PoleError,
+    PolyexpError,
     QuadratureError,
 )
 
@@ -524,6 +525,23 @@ def test_recursion_tiny_re_lam_raises_typed_error():
         eval_via_recursion(2, 1e-3, 1)
 
 
+@pytest.mark.parametrize("x", (-2000.0, 2000.0, -1e4, 1e4, 2000j))
+def test_recursion_far_out_gives_a_value_or_a_typed_error(x):
+    # the cut-off's spill term expm1(|x| e^-T) used to overflow at |x| >= ~1930
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = eval_via_recursion(2, 1, x)
+        except PolyexpError:
+            assert x.real >= 0.0  # real x < 0 at real lam needs no spill term
+            return
+    with mp.workdps(30):  # e_2(x, 1) = -Ein(-x)/x, Ein(w) = gamma + log w + E1(w)
+        w = -mp.mpc(x)
+        truth = complex(-(mp.euler + mp.log(w) + mp.e1(w)) / mp.mpc(x))
+    assert abs(res.value - truth) <= res.abs_err_estimate
+
+
 _RECURSION_X = (-3.0, -1.2, 0.4, 1.5, 3.0, 3j, 2 - 2j, -1.5 + 1j)
 
 
@@ -736,6 +754,14 @@ def test_asymptotic_x_leading_minus():
     assert abs(lead - 1.0 / 20.0) < 1e-14
     ref = eval_series(1.0, 1.0, -20.0, tol=1e-13).value
     assert abs(ref - (1 - math.exp(-20.0)) / 20.0) < 1e-9
+
+
+def test_asymptotic_x_leading_typed_failures():
+    with pytest.raises(DomainError, match="real x"):
+        asymptotic_x_leading(1.0, 1.0, 20.0 + 1.0j, -1)
+    with pytest.raises(ConvergenceError, match="overflows binary64") as info:
+        asymptotic_x_leading(1.5, 1.0, 800.0, +1)
+    assert isinstance(info.value, OverflowError)  # as eval_negint's typed overflow
 
 
 def test_asymptotic_x_trend_s2():

@@ -5,7 +5,8 @@ value within its `abs_err_estimate` of the mpmath truth; a value that
 misses its tol never carries an estimate under tol. The grid covers
 negative Re s, small lam, complex s and lam, and three tolerances.
 `mpmath.zeta` serves only for |s| <= 30: at s = 45+5j it disagrees with
-its own direct sum.
+its own direct sum. The Mellin transform of e_p(-x, lam) has its own grid
+across the strip 0 < Re s < Re lam, where every call must also meet tol.
 """
 
 import functools
@@ -101,3 +102,31 @@ def test_estimates_hold_on_the_grid(tol):
                    "estimate of 2.1e-11")
 def test_zeta_on_the_critical_line_meets_its_estimate():
     assert not _misses("riemann_zeta", (0.5 + 30j,), _at_30_digits(lambda: mp.zeta(0.5 + 30j)), 1e-10)
+
+
+def _mellin_points():
+    """(s, p, lam): s across the strip and 0.1 from both of its edges, and
+    three points next to the right edge."""
+    for p in range(6):
+        for lam in (0.3, 1.0, 2.5, 4.0, 2 + 0.5j, 1 + 2j):
+            a = complex(lam).real
+            for s in (0.1 * a, 0.5 * a, 0.9 * a, 0.1, a - 0.1, 0.5 * lam):
+                yield s, p, lam
+    yield from ((3.857, 2, 3.984), (4.187, 5, 4.311), (0.660, 4, 0.692))
+
+
+@functools.cache
+def _mellin_cases():
+    with mp.workdps(30):
+        return [(s, p, lam, complex(mp.gamma(s) / (mp.mpc(lam) - s) ** p)) for s, p, lam in _mellin_points()]
+
+
+@pytest.mark.parametrize("tol", (1e-9, 1e-12))
+def test_mellin_transform_meets_tol_and_its_estimate(tol):
+    misses = []
+    for s, p, lam, truth in _mellin_cases():
+        res = transforms.mellin_transform_polyexp(s, p, lam, tol=tol)
+        err = abs(res.value - truth)
+        if err > res.abs_err_estimate or err > tol * max(1.0, abs(truth)):
+            misses.append(f"({s}, {p}, {lam}): error {err:.2g}, estimate {res.abs_err_estimate:.2g}")
+    assert not misses, "\n".join(misses)

@@ -248,26 +248,36 @@ def test_mellin_transform_generic_point():
     assert abs(res.value - expect) < 1e-7
 
 
-def test_mellin_transform_work_counts_inner_work(monkeypatch):
-    outer, inner = [], []
-    original_rule, original_evaluate = transforms.tanh_sinh, core.evaluate
+def test_mellin_transform_work_counts_grid_and_series_terms(monkeypatch):
+    counted = []
+    original_grid, original_series = core._recursion_grid, core.eval_series
 
-    def rule(*args, **kwargs):
-        out = original_rule(*args, **kwargs)
-        outer.append(out[2])
+    def grid(*args, **kwargs):
+        out = original_grid(*args, **kwargs)
+        counted.append(out[2])
         return out
 
-    def evaluate(s, lam, x, tol=core.DEFAULT_TOL):
-        res = original_evaluate(s, lam, x, tol)
-        inner.append((res.work, np.min(x.real)))
-        return res
+    def series(*args, **kwargs):
+        out = original_series(*args, **kwargs)
+        counted.append(out.work)
+        return out
 
-    monkeypatch.setattr(transforms, "tanh_sinh", rule)
-    monkeypatch.setattr(core, "evaluate", evaluate)
+    monkeypatch.setattr(core, "_recursion_grid", grid)
+    monkeypatch.setattr(core, "eval_series", series)
     res = transforms.mellin_transform_polyexp(1.505, 1, 1.756)
-    assert min(x for _, x in inner) < -core._INTEGRAL_X  # positive-integral nodes ran
-    assert res.work == sum(outer) + sum(w for w, _ in inner)
-    assert res.work > 100 * sum(outer)
+    assert len(counted) == 2 and min(counted) > 0
+    assert res.work - sum(counted) == transforms._HEAD_TERMS  # the terms of the x <= 1 series
+
+
+def test_mellin_transform_runs_no_evaluate_and_no_tanh_sinh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module, name in ((core, "evaluate"), (core, "_positive_integral"), (quadrature, "_tanh_sinh")):
+        monkeypatch.setattr(module, name, refuse)
+    for s, p, lam in ((1.505, 1, 1.756), (0.5, 3, 1.0), (0.5, 0, 1.0), (4.187, 5, 4.311)):
+        res = transforms.mellin_transform_polyexp(s, p, lam)
+        assert abs(res.value - core.gamma_fn(s) / (lam - s) ** p) <= 1e-9 * abs(res.value)
 
 
 @pytest.mark.parametrize("transform, args", [("eta", (0.5, 1.0)), ("hurwitz_zeta", (3.5, 1.5))])
@@ -320,6 +330,15 @@ def test_vanishing_moment_termwise_gamma_oracle():
 
 
 # -- Mellin representation in s ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("transform", ("mellin_s_representation", "h_mellin_representation"))
+@pytest.mark.parametrize("x", (800.0, 1e4))
+def test_mellin_representations_refuse_e_x_past_binary64(transform, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(core._Overflow, match="overflows binary64"):
+            getattr(transforms, transform)(1.5, 1.0, x)
 
 
 def test_mellin_s_representation_trivial():
