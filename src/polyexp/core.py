@@ -135,25 +135,37 @@ def _lanczos(z):
 def gamma_fn(z):
     """Complex Gamma(z) for a number or a numpy array (a real array stays
     real: numpy's complex power is less accurate); reflection formula for
-    Re z < 1/2. Raises PoleError at the non-positive integers.
+    Re z < 1/2. Raises PoleError at the non-positive integers, and a
+    ConvergenceError (an OverflowError too) where the Lanczos value, of z
+    or of the reflected 1 - z, passes binary64.
     """
     if not isinstance(z, np.ndarray) or z.ndim == 0:
         z = complex(z)
         if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
             raise PoleError(f"gamma pole at z = {z.real:g}")
-        if z.real < 0.5:
+        left = z.real < 0.5
+        try:
+            value = _lanczos(1.0 - z if left else z)
+        except OverflowError:
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise _Overflow(f"the Lanczos sum of Gamma overflows binary64 at z = {z}")
+        if left:
             # sin(pi z) = (-1)^n sin(pi (z - n)): z - n is exact, while the rounding
             # of pi z would be a large relative error of the sine next to n
             n = round(z.real)
             sine = cmath.sin(math.pi * (z - n))
-            return math.pi / ((-sine if n % 2 else sine) * gamma_fn(1.0 - z))
-        return _lanczos(z)
+            return math.pi / ((-sine if n % 2 else sine) * value)
+        return value
     z = np.asarray(z) + 0.0  # integers to float
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
     if pole.any():
         raise PoleError(f"gamma pole at z = {z.real[pole][0]:g}")
     left = z.real < 0.5  # reflected there, so Lanczos never sees Re z < 1/2
-    out = _lanczos(np.where(left, 1.0 - z, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _lanczos(np.where(left, 1.0 - z, z))
+    if not (finite := np.isfinite(out)).all():
+        raise _Overflow(f"the Lanczos sum of Gamma overflows binary64 at z = {z[np.argmin(finite)]}")
     n = np.round(z.real[left])
     sine = np.sin(math.pi * (z[left] - n)) * np.where(n % 2, -1.0, 1.0)
     out[left] = math.pi / (sine * out[left])
@@ -690,8 +702,8 @@ def eval_negint(p: int, lam, x) -> EvalResult:
     return EvalResult(value, estimate, p + 1, "closed_form")
 
 
-def _positive_integral(s: complex, lam: complex, big_x, tol: float) -> EvalResult:
-    """e_s(-X, lam) at the nodes X = big_x > 0, Re s > 0, from the positive integral
+def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> EvalResult:
+    """e_s(-X, lam) at X = big_x > 0, Re s > 0, from the positive integral
     Gamma(s) e_s(-X, lam) = int_0^inf t^(s-1) e^(-lam t) e^(-X e^-t) dt.
 
     |e^(-lam t) e^(-X e^-t)| peaks on t >= 0 at t_p = max(0, log(X/a)),
@@ -699,36 +711,32 @@ def _positive_integral(s: complex, lam: complex, big_x, tol: float) -> EvalResul
     front, so the integrand is t^(s-1) exp(lam (t_p - t) - r expm1(t_p - t))
     for any size of X and lam. The rule runs in t, keeping the t^(s-1)
     singularity exactly on t = 0; below t_p - log(1490/a + 2) the
-    integrand is under e^-745 of its peak. One batched `tanh_sinh` call
-    integrates every X to its own target; value and abs_err_estimate are
-    arrays, also for a number X.
+    integrand is under e^-745 of its peak. One `tanh_sinh` call.
     """
-    big_x = np.atleast_1d(np.asarray(big_x, dtype=float))
     a = lam.real
-    t_peak = np.maximum(0.0, np.log(big_x / a))
-    r = np.minimum(a, big_x)
+    t_peak = max(0.0, math.log(big_x / a))
+    r = min(a, big_x)
     rate = a if lam.imag == 0.0 else lam  # real arithmetic for real parameters
     power = s.real - 1.0 if s.imag == 0.0 else s - 1.0
 
-    def g(t, idx):
-        d = t_peak[idx] - t
-        return t ** power * np.exp(rate * d - r[idx] * np.expm1(d))
+    def g(t):
+        d = t_peak - t
+        return t ** power * np.exp(rate * d - r * np.expm1(d))
 
     # the integral's rough size; tanh_sinh turns relative above 1
-    target = tol * np.minimum(1.0, np.maximum(1.0, t_peak) ** (s.real - 1.0) / max(1.0, math.sqrt(a)))
-    t_lo = np.maximum(0.0, t_peak - math.log(1490.0 / a + 2.0))
-    span = np.full(t_peak.size, 10.0 / max(a, 0.05))
-    while (short := (s.real - 1.0) * np.log(t_peak + span) - a * span + r > np.log(target) - 3.0).any():
-        span[short] *= 1.3
+    target = tol * min(1.0, max(1.0, t_peak) ** (s.real - 1.0) / max(1.0, math.sqrt(a)))
+    t_lo = max(0.0, t_peak - math.log(1490.0 / a + 2.0))
+    span = 10.0 / max(a, 0.05)
+    while (s.real - 1.0) * math.log(t_peak + span) - a * span + r > math.log(target) - 3.0:
+        span *= 1.3
     val, err, nodes, ok = tanh_sinh(g, t_lo, t_peak + span, target, max_level=11)
-    if not ok.all():
-        i = np.argmin(ok)
-        raise _not_converged(f"positive integral at x = {-big_x[i]}", val[i], err[i], target[i])
+    if not ok:
+        raise _not_converged(f"positive integral at x = {-big_x}", val, err, target)
     exponent = -lam * t_peak - r
-    front = np.exp(exponent) / gamma_fn(s)
+    front = cmath.exp(exponent) / gamma_fn(s)
     value = front * val
     # rounding: the rule's sum, Gamma(s), and eps |exponent| from the front factor
-    estimate = np.abs(front) * (err + 0.05 * target) + (32.0 + 2.0 * np.abs(exponent)) * _EPS * np.abs(value)
+    estimate = abs(front) * (err + 0.05 * target) + (32.0 + 2.0 * abs(exponent)) * _EPS * abs(value)
     return EvalResult(value, estimate, nodes, "positive_integral")
 
 
@@ -762,8 +770,8 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
 
     x may be a 1-D numpy array, and s and lam then numbers or arrays of its
     shape (one pair per node): the series takes all of its nodes in one
-    call, the positive integral and the closed form one call per (s, lam)
-    pair, and Hankel one call per node. value and abs_err_estimate are
+    call, the closed form one call per (s, lam) pair, and the positive
+    integral and Hankel one call per node. value and abs_err_estimate are
     arrays, work is the total, and method is the route tag when every node
     took one route, else the tuple of per-node tags. Non-finite arguments
     raise DomainError.
@@ -773,7 +781,7 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
         raise DomainError("tol must be positive")
     if not nodes:
         route = _route(s, x)
-        if route in ("closed_form", "positive_integral"):  # one node, in the arithmetic of an array
+        if route == "closed_form":  # one node, in the arithmetic of an array
             res = _on_route(route, s, lam, np.array([x]), tol)
             return EvalResult(complex(res.value[0]), float(res.abs_err_estimate[0]), res.work, route)
         return _on_route(route, s, lam, x, tol)
@@ -784,8 +792,8 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     work = 0
     for route in set(routes):
         on = np.array([r == route for r in routes])
-        if route == "hankel":
-            calls = np.flatnonzero(on)  # a contour from each x
+        if route in ("hankel", "positive_integral"):
+            calls = np.flatnonzero(on)  # an integral from each x
         elif route == "series" or pair is None:
             calls = [on]
         else:  # one (s, lam) pair a call
@@ -798,15 +806,15 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
 
 
 def _on_route(route: str, s, lam, x, tol: float) -> EvalResult:
-    """`evaluate` by one route: x an array of nodes, or for the series and
-    Hankel a number; s and lam numbers, or arrays like x that hold one
-    pair except for the series."""
-    if route in ("closed_form", "positive_integral") and isinstance(s, np.ndarray):
-        s, lam = complex(s[0]), complex(lam[0])
+    """`evaluate` by one route: x a number, or for the series and the
+    closed form an array of nodes; s and lam numbers, or arrays like x
+    that hold one pair except for the series."""
     if route == "closed_form":
+        if isinstance(s, np.ndarray):
+            s, lam = complex(s[0]), complex(lam[0])
         return eval_negint(int(-s.real), lam, x)
     if route == "positive_integral":
-        return _positive_integral(s, lam, -x.real, tol)
+        return _positive_integral(complex(s), complex(lam), float(-x.real), tol)
     if route == "hankel":
         return eval_hankel(s, lam, x, tol)
     return eval_series(s, lam, x, tol)
@@ -945,14 +953,15 @@ def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
     taken as T / Re lam times the integrand at T. The factor 1/pi of two
     rays over 2 pi is left out as margin.
     """
-    bound = (
-        math.exp(-lam.real * T + abs(x) * math.exp(-T) + math.pi * abs(s.imag))
-        * max(T, 1.0) ** max(s.real - 1.0, 0.0)
-        * (T / lam.real)
-    )
+    # in logs: T^(Re s - 1) alone passes binary64 at Re s of a few hundred
+    log_bound = (-lam.real * T + abs(x) * math.exp(-T) + math.pi * abs(s.imag)
+                 + max(s.real - 1.0, 0.0) * math.log(max(T, 1.0)) + math.log(T / lam.real))
     if s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real):
-        bound *= math.log(T) + math.pi
-    return bound
+        log_bound += math.log(math.log(T) + math.pi)
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
 
 
 def default_contour(s, lam, x, tol: float = 1e-10) -> float:

@@ -6,9 +6,9 @@ points cos(j pi / m), as weights (the Hankel contour) and as a
 cumulative-integration matrix (the recursion route's tail integrations),
 and tanh-sinh, the abscissae and weights of each level.
 
-A level-doubling tanh-sinh (double-exponential) rule for finite intervals,
-able to absorb integrable endpoint singularities, over arrays of intervals
-too (each level evaluates the open ones in one array); its estimate adds
+A level-doubling tanh-sinh (double-exponential) rule for one finite
+interval, able to absorb integrable endpoint singularities, that calls
+its integrand once a level on that level's new nodes; its estimate adds
 each node's 16 eps |f| and the error the integrand may return. Plus the
 semi-infinite driver of the transform layer: one tanh-sinh interval in
 v = log1p(t/split), linear near 0 and logarithmic past split, out to where
@@ -31,10 +31,6 @@ _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
 _MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
 _MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver
 _NOISE = 16.0 * 2.0**-52  # rounding charged to each node, relative to its |f|
-# nodes x intervals per call of a batched integrand: the peak of traced
-# allocations over a transforms benchmark round is 0.77 MB up to here and
-# 1.72 MB at 32768, with no change in speed
-_BLOCK = 8192
 
 
 def _read_only(*arrays):
@@ -111,21 +107,20 @@ def _tail_integrate(values, matrix, h):
 
 
 @functools.lru_cache(maxsize=32)
-def _level_nodes(level: int, previous_only_odd: bool):
-    """tanh-sinh abscissae for mesh h = 2^-level on [-1, 1], in increasing order.
+def _level_nodes(level: int):
+    """tanh-sinh abscissae for mesh h = 2^-level on [-1, 1], in increasing
+    order: every node at the first level `_MIN_LEVEL`, the new (odd) ones
+    above it.
 
-    Returns read-only (offset, weight, near_b) arrays, near_b a column:
-    offset is 1 + x of the nodes with x <= 0 and -(1 - x) of the rest
-    (near_b), computed in a cancellation-free form, so endpoint distances
-    stay meaningful down to ~1e-160; a node of [a, b] is then
-    (b if near_b else a) + (b - a)/2 offset. Memoized: every `tanh_sinh`
-    call shares one table per level.
+    Returns read-only (offset, weight, near_b) arrays: offset is 1 + x of
+    the nodes with x <= 0 and -(1 - x) of the rest (near_b), computed in a
+    cancellation-free form, so endpoint distances stay meaningful down to
+    ~1e-160; a node of [a, b] is then (b if near_b else a) + (b - a)/2
+    offset. Memoized: every `tanh_sinh` call shares one table per level.
     """
     h = 2.0 ** (-level)
-    if previous_only_odd and level > 0:
-        j = np.arange(1, int(_U_MAX / h) + 1, 2)
-    else:
-        j = np.arange(0, int(_U_MAX / h) + 1)
+    odd = level > _MIN_LEVEL  # the even j are the nodes of the coarser levels
+    j = np.arange(int(odd), int(_U_MAX / h) + 1, 1 + odd)
     u = j * h
     v = _HALF_PI * np.sinh(u)
     w = h * _HALF_PI * np.cosh(u) / np.cosh(v) ** 2
@@ -133,7 +128,7 @@ def _level_nodes(level: int, previous_only_odd: bool):
     # mirror to negative u; the node at u = 0 must not be duplicated
     positive = j > 0
     offset = np.concatenate([far[::-1], -far[positive]])
-    near_b = np.arange(offset.size)[:, None] >= j.size
+    near_b = np.arange(offset.size) >= j.size
     return _read_only(offset, np.concatenate([w[::-1], w[positive]]), near_b)
 
 
@@ -143,116 +138,50 @@ def _not_converged(what: str, estimate, difference: float, target: float) -> Qua
                            f"last difference {difference:g} (target {target:g})")
 
 
-def tanh_sinh(
-    f: Callable,
-    a,
-    b,
-    tol=1e-12,
-    max_level: int = 11,
-):
+def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12, max_level: int = 11):
     """Integrate f over [a, b] by level-doubling tanh-sinh quadrature.
 
-    For numbers a and b, f maps the numpy array of a level's new nodes to
-    an array of values, or to (values, errs) with errs bounding each
-    value's own error, one call per level; the call returns
-    (value, err_estimate, nevals, converged).
-
-    a, b and tol may instead be 1-D arrays of k intervals (tol may stay a
-    number). f is then called as f(t, idx) with the (nodes x open
-    intervals) array t and the indices idx of those intervals, and returns
-    arrays of t's shape. An interval drops out once its level difference
-    meets max(tol, tol |value|); value, err and converged are then
-    per-interval arrays, and nevals the node total.
-
-    err adds to the last level difference the rule applied to 16 eps |f|
-    + errs. f may be complex and blow up integrably at either endpoint; a
-    non-finite value counts as 0, with its errs. A node that rounds onto
-    an endpoint of its interval gets weight 0 and the interval's midpoint
-    as abscissa, and does not count; the nodes that do so on every
-    interval of a block are left out, so a single interval's f sees only
-    interior nodes. Intervals go to f in blocks of at most `_BLOCK`
-    nodes x intervals.
+    f maps the numpy array of a level's new nodes to an array of values,
+    or to (values, errs) with errs bounding each value's own error, one
+    call per level. Returns (value, err_estimate, nevals, converged):
+    converged once the level difference meets max(tol, tol |value|), err
+    that difference plus the rule applied to 16 eps |f| + errs. f may be
+    complex and blow up integrably at either endpoint; a non-finite value
+    counts as 0, with its errs. Nodes that round onto an endpoint are left
+    out, so f sees only interior nodes.
     """
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(tol, np.ndarray)):
-        if b == a:
-            return 0.0 + 0.0j, 0.0, 0, True
-        value, err, nevals, ok = _tanh_sinh(lambda t, idx: f(t[:, 0]),
-                                            *np.array([[a], [b], [tol]], dtype=float), max_level)
-        return complex(value[0]), float(err[0]), nevals, bool(ok[0])
-    a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, tol)))
-    value, err, ok = np.zeros(a.size, dtype=complex), np.zeros(a.size), b == a
-    wide = np.flatnonzero(~ok)  # a zero-width interval is 0, converged, with no nodes
-    value[wide], err[wide], nevals, ok[wide] = _tanh_sinh(lambda t, idx: f(t, wide[idx]), a[wide], b[wide],
-                                                          tol[wide], max_level)
-    return value, err, nevals, ok
-
-
-def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_level: int):
-    """The batched rule of `tanh_sinh` over the intervals [a_i, b_i], a_i != b_i."""
+    if b == a:
+        return 0.0 + 0.0j, 0.0, 0, True
     r = 0.5 * (b - a)
-    value, err, ok = np.zeros(a.size, dtype=complex), np.full(a.size, math.inf), np.zeros(a.size, dtype=bool)
-    live = np.arange(a.size)  # the open intervals; below, their bounds, tol, last two sums and noise
-    current, diff, noise = value.copy(), err.copy(), err.copy()
+    current, noise, diff = 0j, 0.0, math.inf
     nevals = 0
     for level in range(_MIN_LEVEL, max_level + 1):
-        nodes = _level_nodes(level, level > _MIN_LEVEL)
-        step = max(1, _BLOCK // nodes[0].size)
-        if live.size <= step:
-            sums, noise_sums, count = _block_sums(f, nodes, a, b, r, live)
-        else:
-            blocks = [_block_sums(f, nodes, a[k:k + step], b[k:k + step], r[k:k + step], live[k:k + step])
-                      for k in range(0, live.size, step)]
-            sums, noise_sums, counts = zip(*blocks)
-            sums, noise_sums, count = np.concatenate(sums), np.concatenate(noise_sums), sum(counts)
-        nevals += count
+        offset, weight, near_b = _level_nodes(level)
+        t = np.where(near_b, b, a) + r * offset
+        # the nodes increase, so those inside (a, b) are one run, found by bisection
+        inside = slice(np.searchsorted(t, a, "right"), np.searchsorted(t, b))
+        t, w = t[inside], weight[inside]
+        vals, errs = _values_errs(f(t))
+        vals = np.asarray(vals, dtype=complex)
+        rounding = _NOISE * np.abs(vals) + (0.0 if errs is None else errs)
+        if not (finite := np.isfinite(vals)).all():
+            vals, rounding = np.where(finite, vals, 0.0), np.where(finite, rounding, 0.0)
+        nevals += t.size
+        total, spread = r * complex(np.add.reduce(vals * w)), abs(r) * float(np.add.reduce(rounding * w))
         if level == _MIN_LEVEL:
-            current, noise = r * sums, np.abs(r) * noise_sums
+            current, noise = total, spread
             continue
-        new, noise = 0.5 * current + r * sums, 0.5 * noise + np.abs(r) * noise_sums
-        diff = np.abs(new - current)
+        new, noise = 0.5 * current + total, 0.5 * noise + spread
+        diff = abs(new - current)
         current = new
-        done = diff <= tol * np.maximum(1.0, np.abs(new))  # max(tol, tol |value|)
-        if done.all():
-            value[live], err[live], ok[live] = new, diff + noise, True
-            return value, err, nevals, ok
-        if done.any():
-            ended = live[done]
-            value[ended], err[ended], ok[ended] = new[done], diff[done] + noise[done], True
-            going = ~done
-            live, a, b, r, tol, current, diff, noise = (v[going] for v in (live, a, b, r, tol, current, diff, noise))
-    value[live], err[live] = current, diff + noise  # still open after max_level
-    return value, err, nevals, ok
+        if diff <= tol * max(1.0, abs(new)):
+            return new, diff + noise, nevals, True
+    return current, diff + noise, nevals, False
 
 
 def _values_errs(out):
     """An integrand's values and errs: errs is None when it returns values only."""
     return out if isinstance(out, tuple) else (out, None)
-
-
-def _block_sums(f: Callable, nodes, a: np.ndarray, b: np.ndarray, r: np.ndarray, idx: np.ndarray):
-    """One level's weighted sums of f and of its noise over the intervals idx, and the nodes counted."""
-    offset, weight, near_b = nodes
-    t = np.where(near_b, b, a) + r * offset[:, None]
-    # the nodes increase, so the rows with a node inside some interval are one run
-    if idx.size == 1:  # found by bisection
-        rows = slice(np.searchsorted(t[:, 0], a[0], "right"), np.searchsorted(t[:, 0], b[0]))
-        t, w = t[rows], weight[rows, None]
-        count = len(w)
-    else:
-        inside = (t > a) & (t < b)
-        flat = inside.ravel()
-        rows = slice(flat.argmax() // idx.size, (flat.size - flat[::-1].argmax() - 1) // idx.size + 1)
-        t, inside, w = t[rows], inside[rows], weight[rows, None]
-        count = int(np.count_nonzero(inside))
-        if count < inside.size:
-            t = np.where(inside, t, a + r)
-            w = np.where(inside, w, 0.0)
-    vals, errs = _values_errs(f(t, idx))
-    vals = np.asarray(vals, dtype=complex).reshape(t.shape)
-    noise = _NOISE * np.abs(vals) + (0.0 if errs is None else np.reshape(errs, t.shape))
-    if not (finite := np.isfinite(vals)).all():
-        vals, noise = np.where(finite, vals, 0.0), np.where(finite, noise, 0.0)
-    return np.add.reduce(vals * w), np.add.reduce(noise * w), count
 
 
 def _envelope_constant(f: Callable, rate: float, power: float, split: float) -> float:

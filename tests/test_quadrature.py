@@ -60,67 +60,28 @@ def test_finite_calls_f_once_per_level():
     assert sum(t.size for t in calls) == n
 
 
-# -- many intervals per call ---------------------------------------------------------
+def test_one_interval_gives_numbers():
+    val, err, n, ok = tanh_sinh(np.exp, 0.0, 1.0, 1e-12)
+    assert type(val) is complex and type(err) is float and type(n) is int and type(ok) is bool
+    assert tanh_sinh(np.exp, 2.0, 2.0) == (0.0, 0.0, 0, True)  # zero width: no nodes
 
 
-# f_i(t) = (t - a_i)^p_i e^(rate_i t) / (c_i + t^2): smooth, endpoint-singular,
-# oscillating and peaked integrands over widths from 0 to 40, so the intervals
-# converge at levels 4 to 11; [2, 2] and [0, 0] have zero width
-_A = np.array([0.0, 0.0, -20.0, 2.0, 0.0, 0.0, 100.0, 0.0, -1.0, 0.0])
-_B = np.array([1.0, 1e-3, 20.0, 2.0, 0.0, 7.5, 101.0, 10.0, 1.0, 1.0])
-_POWER = np.array([0.0, -0.5, 0.0, 0.0, 0.0, -0.9, 0.0, 0.0, 0.0, 0.5])
-_RATE = np.array([1.0, 2.0, 0.1, 1.0, 1.0, -0.5, -0.01, 20j, 0.0, -3.0])
-_WIDTH = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-2, 1.0])
-
-
-def _integrand(t, i):
-    return (t - _A[i]) ** _POWER[i] * np.exp(_RATE[i] * t) / (_WIDTH[i] + t * t)
-
-
-@pytest.mark.parametrize("block", [None, 200])
-@pytest.mark.parametrize("max_level", [5, 11])
-def test_batch_matches_scalar_calls(monkeypatch, block, max_level):
-    if block is not None:  # several blocks a level, down to one interval each
-        monkeypatch.setattr(quadrature, "_BLOCK", block)
-    values, errs, total, ok = tanh_sinh(_integrand, _A, _B, 1e-12, max_level=max_level)
-    assert values.shape == errs.shape == ok.shape == _A.shape and isinstance(total, int)
-    counts = 0
-    for i in range(_A.size):
-        value, err, n, converged = tanh_sinh(lambda t: _integrand(t, i), _A[i], _B[i], 1e-12,
-                                             max_level=max_level)
-        assert isinstance(value, complex) and isinstance(converged, bool)
-        assert converged == ok[i]
-        # the batch sums each level's columns in another order
-        assert abs(values[i] - value) <= 64 * _EPS * abs(value)
-        assert abs(errs[i] - err) <= 64 * _EPS * abs(value) or errs[i] == err
-        counts += n
-    assert total == counts
-    assert ok[[3, 4]].all() and values[3] == values[4] == 0.0
-    assert ok.all() == (max_level == 11)
-
-
-def test_batch_drops_converged_intervals():
+def test_nodes_rounding_onto_an_endpoint_are_left_out():
+    # near 100 the nodes' offsets from a fall under half an ulp of 100, so
+    # they round onto a, where (t - 100)^-0.9 is infinite: f never sees them
     seen = []
 
-    def f(t, idx):
-        seen.append(idx.tolist())
-        return 1.0 / (np.array([1.0, 1e-2])[idx] + t * t)
+    def f(t):
+        seen.append(t)
+        return (t - 100.0) ** -0.9
 
-    # 1/(1 + t^2) meets tol at level 5, the peak of width 0.1 three levels later
-    values, _, _, ok = tanh_sinh(f, -1.0, np.ones(2), 1e-12)
-    assert ok.all() and np.max(np.abs(values - [math.pi / 2, 20.0 * math.atan(10.0)])) < 1e-12
-    assert seen == [[0, 1]] * 3 + [[1]] * 3
-
-
-def test_batch_endpoint_singularity_raises_no_warning():
-    # nodes of [100, 101] round onto 100 (where t - 100 is 0), those of
-    # [0, 1] do not; the integrand is infinite at the left end of each
-    a, b = np.array([0.0, 100.0]), np.array([1.0, 101.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, _, _, ok = tanh_sinh(lambda t, idx: (t - a[idx]) ** -0.9, a, b, 1e-12)
-    # t - 100 keeps only ~14 digits near 100, so that interval cannot converge
-    assert ok[0] and abs(values[0] - 10.0) < 1e-9 and np.isfinite(values[1])
+        val, _, n, _ = tanh_sinh(f, 100.0, 101.0, 1e-12)
+    # the 10 (1.4e-14)^0.1 ~ 0.4 of the value within an ulp of 100 is lost
+    assert 9.0 < val.real < 10.0
+    t = np.concatenate(seen)
+    assert t.size == n and t.min() > 100.0 and t.max() < 101.0
 
 
 def test_integrand_errors_go_into_the_estimate():
@@ -130,15 +91,6 @@ def test_integrand_errors_go_into_the_estimate():
     assert ok and abs(val - (math.e - 1)) < 1e-12 and err >= 1.5e-6 * (1.0 - 1e-9)
     val, err, _, ok = tanh_sinh(lambda t: np.full(t.shape, 1e20), 0.0, 1.0, 1e-12)
     assert ok and val == 1e20 and err >= 16 * _EPS * 1e20 * (1.0 - 1e-9)
-
-
-def test_batch_integrand_errors_go_into_the_estimate():
-    errs = lambda t, i: 1e-6 * np.abs(_integrand(t, i))
-    reference = tanh_sinh(errs, _A, _B, 1e-12)[0].real
-    values, err, _, ok = tanh_sinh(lambda t, i: (_integrand(t, i), errs(t, i)), _A, _B, 1e-12)
-    plain = tanh_sinh(_integrand, _A, _B, 1e-12)
-    assert (ok == plain[3]).all() and (values == plain[0]).all()  # the test of each interval is unchanged
-    assert (err >= reference * (1.0 - 1e-6)).all() and (reference[[0, 1, 2, 5]] > 0).all()
 
 
 def test_non_finite_values_drop_their_errs():

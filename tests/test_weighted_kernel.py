@@ -114,8 +114,8 @@ def test_integer_order_uses_closed_form():
 
 
 def test_level_nodes_read_only_and_reused():
-    first = quadrature._level_nodes(6, True)
-    assert first is quadrature._level_nodes(6, True)
+    first = quadrature._level_nodes(6)
+    assert first is quadrature._level_nodes(6)
     assert all(not a.flags.writeable for a in first)
     before = quadrature._level_nodes.cache_info().hits
     quadrature.tanh_sinh(np.exp, 0.0, 1.0, 1e-12)
