@@ -535,10 +535,11 @@ def exp_weighted_series(s, lam, z, t, tol: float = 1e-14):
     the windowed sum would lose everything to cancellation once (n+lam)^p
     amplifies the terms.
 
-    Returns (value, abs_err, nterms): value and abs_err are numbers for a
-    number t and arrays for an array t, nterms is the total number of
-    terms. abs_err adds the dropped-tail bound to the rounding level of
-    the summed terms.
+    Returns (value, abs_err, nterms): numbers for a number t, arrays for an
+    array t, where each node's window is summed whole (`_poisson_sum`), so
+    its value and abs_err are bit for bit those of its own call; nterms is
+    the total number of terms. abs_err adds the dropped-tail bound to the
+    rounding level of the summed terms.
     """
     s, lam, z = complex(s), complex(lam), complex(z)
     _require_lam(lam)
@@ -581,7 +582,7 @@ def _poisson_window(m, shift, log_env, growth: float, tol: float):
     about tol min(1, sum |terms|): Chernoff below, P(N <= m - k) <=
     exp(-k^2 / 2m); Bennett above, P(N >= m + k) <= exp(-m h(k/m)).
     """
-    center = np.floor(m)
+    center, two_m = np.floor(m), 2.0 * m
     log_center = log_env(center)
     big_l = max(-math.log(tol), 1.0) + np.maximum(0.0, log_center + shift)
 
@@ -589,12 +590,14 @@ def _poisson_window(m, shift, log_env, growth: float, tol: float):
     # (none for a non-increasing env, growth 0), a Chernoff (Bernstein) k,
     # then Newton on Bennett's bound, h(u) = (1+u) log(1+u) - u, from the
     # right, which keeps the bound below its target at every step
-    width = big_l + np.sqrt(2.0 * m * big_l)
-    big_lu = big_l + (np.maximum(0.0, log_env(m + width) - log_env(m)) if growth else 0.0)
-    k = big_lu / 3.0 + np.sqrt(big_lu * big_lu / 9.0 + 2.0 * m * big_lu)
+    big_lu = big_l
+    if growth:
+        width = big_l + np.sqrt(two_m * big_l)
+        big_lu = big_l + np.maximum(0.0, log_env(m + width) - log_env(m))
+    k = big_lu / 3.0 + np.sqrt(big_lu * big_lu / 9.0 + two_m * big_lu)
     for _ in range(3):
         grad = np.log1p(k / m)
-        k = k - ((m + k) * grad - k - big_lu) / grad
+        k -= ((m + k) * grad - k - big_lu) / grad
     # k >= p gives log(N/m) >= k/N >= p/N at N = m + k: tilting the Poisson
     # law by that much lets the Bennett bound carry env's growth (j/N)^p
     top = np.maximum(np.ceil(m + np.maximum(k, growth)), center + 1.0)
@@ -602,10 +605,10 @@ def _poisson_window(m, shift, log_env, growth: float, tol: float):
     log_up = log_env(top) - ((m + k) * np.log1p(k / m) - k)
 
     # below the window: Chernoff, times max env there (at 0 or n_lo - 1)
-    log_first = log_env(np.zeros(1))
+    log_first = log_env(0.0)
     big_ll = big_l + np.maximum(0.0, log_first - log_center)
-    n_lo = np.maximum(0.0, np.floor(m - np.sqrt(2.0 * m * big_ll)))
-    log_lo = np.maximum(log_first, log_env(np.maximum(n_lo - 1.0, 0.0))) - (m - n_lo + 1.0) ** 2 / (2.0 * m)
+    n_lo = np.maximum(0.0, np.floor(m - np.sqrt(two_m * big_ll)))
+    log_lo = np.maximum(log_first, log_env(np.maximum(n_lo - 1.0, 0.0))) - (m - n_lo + 1.0) ** 2 / two_m
     log_lo[n_lo == 0.0] = -np.inf  # nothing dropped below
     dropped = np.exp(shift + log_up) + np.exp(shift + log_lo)
     return n_lo.astype(np.int64), top.astype(np.int64) - 1, dropped
@@ -613,33 +616,30 @@ def _poisson_window(m, shift, log_env, growth: float, tol: float):
 
 def _poisson_sum(m, shift, n_lo, n_hi, c, absc):
     """sum_{n_lo <= n <= n_hi} e^shift P(n; m) c_n per node over tables c
-    and absc = |c| indexed by n, with Loader-form log P (`_LOG_NORM`), all
-    windows in one flat array: (values, sums of |terms|, number of terms).
-    """
+    and absc = |c| indexed by n, with Loader-form log P (`_LOG_NORM`), the
+    windows end to end in groups of whole nodes of at most `_CHUNK` terms (or
+    one longer window), so a node's sum is bit for bit its own call's:
+    (values, sums of |terms|, number of terms)."""
     log_norm = _LOG_NORM.upto(int(n_hi.max(initial=0)) + 1)[0]
     inv_m = 1.0 / m
     lengths = n_hi - n_lo + 1
     ends = np.cumsum(lengths)
     starts = ends - lengths
     offset = n_lo - starts  # n = offset + position in the flat layout
-    total = int(lengths.sum())
-    values = np.zeros(m.size, dtype=complex)
-    sum_abs = np.zeros(m.size)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        first = int(np.searchsorted(ends, lo, side="right"))
-        last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
-        seg = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
-        node = np.repeat(np.arange(first, last), seg)
-        n = offset[node] + np.arange(lo, hi)
-        d = n - m[node]
+    values, sum_abs, first = np.empty(m.size, dtype=complex), np.empty(m.size), 0
+    while first < m.size:
+        lo = starts[first]
+        last = max(int(np.searchsorted(ends, lo + _CHUNK, "right")), first + 1)
+        group, at = slice(first, last), starts[first:last] - lo
+        reps = lengths[group]  # each node's numbers, repeated over its terms
+        n = np.repeat(offset[group], reps) + np.arange(lo, ends[last - 1])
+        d = n - np.repeat(m[group], reps)
         # n log1p(d/m) - d: at n = 0 the clip turns 0 * log1p(-1) into 0
-        ratio = np.maximum(d * inv_m[node], -1.0 + _EPS)
-        w = np.exp(shift[node] - (n * np.log1p(ratio) - d) - log_norm[n])
-        seg_starts = np.concatenate(([0], np.cumsum(seg[:-1])))
-        values[first:last] += np.add.reduceat(w * c[n], seg_starts)
-        sum_abs[first:last] += np.add.reduceat(w * absc[n], seg_starts)
-    return values, sum_abs, total
+        ratio = np.maximum(d * np.repeat(inv_m[group], reps), -1.0 + _EPS)
+        w = np.exp(np.repeat(shift[group], reps) - (n * np.log1p(ratio) - d) - log_norm[n])
+        values[group], sum_abs[group] = np.add.reduceat(w * c[n], at), np.add.reduceat(w * absc[n], at)
+        first = last
+    return values, sum_abs, int(lengths.sum())
 
 
 # ---------------------------------------------------------------------------

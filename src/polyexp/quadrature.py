@@ -8,7 +8,8 @@ and tanh-sinh, the abscissae and weights of each level.
 
 A level-doubling tanh-sinh (double-exponential) rule for one finite
 interval, able to absorb integrable endpoint singularities, that calls
-its integrand once a level on that level's new nodes; its estimate adds
+its integrand once on the first two levels' nodes (the first level never
+stops the rule) and then once a level on its new nodes; its estimate adds
 each node's 16 eps |f| and the error the integrand may return. Plus the
 semi-infinite driver of the transform layer: one tanh-sinh interval in
 v = log1p(t/split), linear near 0 and logarithmic past split, out to where
@@ -141,33 +142,29 @@ def _not_converged(what: str, estimate, difference: float, target: float) -> Qua
 def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12, max_level: int = 11):
     """Integrate f over [a, b] by level-doubling tanh-sinh quadrature.
 
-    f maps the numpy array of a level's new nodes to an array of values,
-    or to (values, errs) with errs bounding each value's own error, one
-    call per level. Returns (value, err_estimate, nevals, converged):
-    converged once the level difference meets max(tol, tol |value|), err
-    that difference plus the rule applied to 16 eps |f| + errs. f may be
-    complex and blow up integrably at either endpoint; a non-finite value
-    counts as 0, with its errs. Nodes that round onto an endpoint are left
-    out, so f sees only interior nodes.
+    f maps a numpy array of nodes to an array of values, or to (values,
+    errs) with errs bounding each value's own error. The first level never
+    stops the rule, so the first call of f takes the first two levels'
+    nodes (the first level's, then the second's new ones) and every later
+    call one level's new nodes. Returns (value, err_estimate, nevals,
+    converged): converged once the level difference meets
+    max(tol, tol |value|), err that difference plus the rule applied to
+    16 eps |f| + errs. f may be complex and blow up integrably at either
+    endpoint; a non-finite value counts as 0, with its errs. Nodes that
+    round onto an endpoint are left out, so f sees only interior nodes.
     """
     if b == a:
         return 0.0 + 0.0j, 0.0, 0, True
     r = 0.5 * (b - a)
+    levels = range(_MIN_LEVEL, max_level + 1)
     current, noise, diff = 0j, 0.0, math.inf
     nevals = 0
-    for level in range(_MIN_LEVEL, max_level + 1):
-        offset, weight, near_b = _level_nodes(level)
-        t = np.where(near_b, b, a) + r * offset
-        # the nodes increase, so those inside (a, b) are one run, found by bisection
-        inside = slice(np.searchsorted(t, a, "right"), np.searchsorted(t, b))
-        t, w = t[inside], weight[inside]
-        vals, errs = _values_errs(f(t))
-        vals = np.asarray(vals, dtype=complex)
-        rounding = _NOISE * np.abs(vals) + (0.0 if errs is None else errs)
-        if not (finite := np.isfinite(vals)).all():
-            vals, rounding = np.where(finite, vals, 0.0), np.where(finite, rounding, 0.0)
-        nevals += t.size
-        total, spread = r * complex(np.add.reduce(vals * w)), abs(r) * float(np.add.reduce(rounding * w))
+    sums = []  # (total, spread, nodes) of levels whose nodes f has seen
+    for level in levels:
+        if not sums:
+            sums = _level_sums(f, levels[:2] if level == _MIN_LEVEL else (level,), a, b, r)
+        total, spread, n = sums.pop(0)
+        nevals += n
         if level == _MIN_LEVEL:
             current, noise = total, spread
             continue
@@ -177,6 +174,30 @@ def tanh_sinh(f: Callable, a: float, b: float, tol: float = 1e-12, max_level: in
         if diff <= tol * max(1.0, abs(new)):
             return new, diff + noise, nevals, True
     return current, diff + noise, nevals, False
+
+
+def _level_sums(f: Callable, levels, a: float, b: float, r: float) -> list:
+    """(r sum w f, |r| sum w (16 eps |f| + errs), nodes) over the interior new
+    nodes of each of `levels`, from one call of f on all of them."""
+    nodes, weights = [], []
+    for level in levels:
+        offset, weight, near_b = _level_nodes(level)
+        t = np.where(near_b, b, a) + r * offset
+        # the nodes increase, so those inside (a, b) are one run, found by bisection
+        inside = slice(np.searchsorted(t, a, "right"), np.searchsorted(t, b))
+        nodes.append(t[inside])
+        weights.append(weight[inside])
+    vals, errs = _values_errs(f(np.concatenate(nodes)))
+    vals = np.asarray(vals, dtype=complex)
+    rounding = _NOISE * np.abs(vals) + (0.0 if errs is None else errs)
+    if not (finite := np.isfinite(vals)).all():
+        vals, rounding = np.where(finite, vals, 0.0), np.where(finite, rounding, 0.0)
+    sums, lo = [], 0
+    for w in weights:
+        part = slice(lo, lo := lo + w.size)
+        sums.append((r * complex(np.add.reduce(vals[part] * w)),
+                     abs(r) * float(np.add.reduce(rounding[part] * w)), w.size))
+    return sums
 
 
 def _values_errs(out):
@@ -229,7 +250,9 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         raise ValueError("split must be positive")
     if rate <= 0 or isinstance(power, complex):
         raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
-    c = _envelope_constant(f, rate, power, split)
+    if not math.isfinite(c := _envelope_constant(f, rate, power, split)):
+        raise QuadratureError(f"the envelope constant C of |f| <= C t^{power:g} e^(-{rate:g} t), "
+                              f"sampled on [{split:g}, {4 * split:g}], is {c}")
     for T in (split * 2.0 * 1.5**hops for hops in range(60)):
         if (remainder := _exp_tail_bound(c, rate, power, T)) <= tol / 4:
             break

@@ -113,7 +113,8 @@ def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
     """h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt over the segment t = x u, where
     e^(-x u) e_s(x u w, lam) = e^((|x| - x) u) `core.exp_weighted_series`(s, lam,
-    x w/|x|, |x| u): one kernel call per level at one-hundredth of the target.
+    x w/|x|, |x| u): one kernel call per `tanh_sinh` call of the integrand (the
+    first two levels, then one level each) at one-hundredth of the target.
     ConditioningError where that weight would overflow binary64."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
     if x == 0:

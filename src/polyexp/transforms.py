@@ -17,8 +17,9 @@ integral in s, and the corresponding representation of Gamma(s) h_s.
 Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
-contaminate quadrature nodes. Each integrand takes a whole tanh-sinh level
-as one array, and the inner tolerance picks each node's Poisson window
+contaminate quadrature nodes. Each integrand takes the nodes of whole
+tanh-sinh levels as one array (the first two levels in one call, then
+one level a call), and the inner tolerance picks each node's Poisson window
 through a tail bound relative to that node's scale (capped at 1), not
 through a fixed width; each integrand returns its error beside its
 values. The z = 1 (Hurwitz) integrand decays only like t^(-Re s); its
@@ -56,6 +57,7 @@ def _split_point(weight_scale: float, lam: complex) -> float:
 
 
 _LOG_MAX = 709.782712893384  # log of the largest binary64
+_LOG_KEPT = 300.0  # the Mellin representations keep e^x up to e^300 inside their integrals
 _TAIL_TERMS = 61  # terms k = 0..60 of the Hurwitz tail expansion, ending at an even k
 _CHERNOFF_HALF = 0.5 - 0.5 * math.log(2.0)  # P(N <= t/2) <= e^(-0.153 t), N ~ Poisson(t)
 
@@ -266,11 +268,28 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
 
 def _gamma_weighted(g, s, lam, x, tol):
     """integral_0^inf t^(s-1) e^(-lam t) g(t) dt for g bounded at large t:
-    the form of both Mellin representations below, whose g reaches e^x at t = 0."""
+    the form of both Mellin representations below, whose g reaches e^x at
+    t = 0. g(t) returns (log part, factor) of g, and the integrand is the
+    one exponent (s-1) log t - lam t + log part, times the factor. The part
+    of e^x past e^300 (`_LOG_KEPT`) comes out of the integral: t^(s-1)
+    reaches ~1e167 at the nodes next to 0, so the integrand stays inside
+    binary64, while the value left inside stays far above 1, so the rule's
+    test max(tol, tol |value|) stays relative.
+    """
     if x.real > _LOG_MAX:
         raise core._Overflow(f"the integrand's e^x overflows binary64 at x = {x}")
-    f = lambda t: np.exp((s - 1.0) * np.log(t)) * np.exp(-lam * t) * g(t)
-    return quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam))
+    scale = max(x.real - _LOG_KEPT, 0.0)
+
+    def f(t):
+        log_part, factor = g(t)
+        return np.exp((s - 1.0) * np.log(t) - lam * t + (log_part - scale)) * factor
+
+    res = quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam))
+    value, err = res.value * math.exp(scale), res.abs_err_estimate * math.exp(scale)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise core._Overflow(f"the Mellin integral overflows binary64 at x = {x}: its value is "
+                             f"{res.value:.6g} times e^{scale:.6g}")
+    return EvalResult(value, err, res.work, res.method)
 
 
 def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
@@ -281,16 +300,17 @@ def mellin_s_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     if s.real <= 0:
         raise DomainError("need Re s > 0")
     core._require_lam(lam)
-    return _gamma_weighted(lambda t: np.exp(x * np.exp(-t)), s, lam, x, tol)
+    return _gamma_weighted(lambda t: (x * np.exp(-t), 1.0), s, lam, x, tol)
 
 
 def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     """integral_0^inf t^(s-1) e^(-lam t) [e^x - e^(x e^(-t))]/(1 - e^(-t)) dt,
     which equals Gamma(s) h_s(x, lam) for Re s > 1.
 
-    The t -> 0 singularity of the bracket/(1 - e^(-t)) pair is removable;
-    expm1 keeps the quotient fully accurate down to t = 0, so no series
-    switch is needed.
+    The bracket over 1 - e^(-t) is e^max(x, x e^-t) times sign(x)
+    expm1(|x| u)/u, u = expm1(-t): the t -> 0 singularity of the pair is
+    removable, and expm1 keeps the quotient fully accurate down to t = 0
+    (|quotient| <= |x|), so no series switch is needed.
     """
     s, lam = complex(s), complex(lam)
     x = float(x)
@@ -298,7 +318,12 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     if s.real <= 1:
         raise DomainError("need Re s > 1")
     core._require_lam(lam)
-    return _gamma_weighted(lambda t: math.exp(x) * np.expm1(x * np.expm1(-t)) / np.expm1(-t), s, lam, x, tol)
+
+    def g(t):
+        u = np.expm1(-t)
+        return np.maximum(x, x * np.exp(-t)), math.copysign(1.0, x) * np.expm1(abs(x) * u) / u
+
+    return _gamma_weighted(g, s, lam, x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polyexp import quadrature
+from polyexp.result import QuadratureError
 from polyexp.quadrature import (
     chebyshev_tail_rule,
     clenshaw_curtis,
@@ -45,6 +46,14 @@ def test_finite_complex_integrand():
     assert ok and abs(val - complex(0.0, 2.0)) < 1e-11
 
 
+def _interior(level, a, b):
+    """The nodes and weights of [a, b] that `tanh_sinh` hands f at this level."""
+    offset, weight, near_b = quadrature._level_nodes(level)
+    t = np.where(near_b, b, a) + 0.5 * (b - a) * offset
+    inside = (t > a) & (t < b)
+    return t[inside], weight[inside]
+
+
 def test_finite_calls_f_once_per_level():
     calls = []
 
@@ -52,12 +61,44 @@ def test_finite_calls_f_once_per_level():
         calls.append(t)
         return np.abs(t - 0.3) ** 0.5
 
-    # the kink inside keeps levels 3..6 short of the target: one call each
+    # the kink inside keeps levels 3..6 short of the target; level 3 never
+    # stops the rule, so one call takes levels 3 and 4, then one call a level
     _, _, n, ok = tanh_sinh(f, 0.0, 1.0, 1e-14, max_level=6)
     assert not ok
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert all(isinstance(t, np.ndarray) and t.dtype == np.float64 for t in calls)
     assert sum(t.size for t in calls) == n
+    levels = [_interior(level, 0.0, 1.0)[0] for level in (3, 4, 5, 6)]
+    assert np.array_equal(calls[0], np.concatenate(levels[:2]))
+    assert all(np.array_equal(t, nodes) for t, nodes in zip(calls[1:], levels[2:]))
+
+
+def _level_by_level(f, a, b, tol, max_level):
+    """The rule with one call of f per level, summed as `tanh_sinh` sums."""
+    r = 0.5 * (b - a)
+    current, noise, diff, nevals = 0j, 0.0, math.inf, 0
+    for level in range(quadrature._MIN_LEVEL, max_level + 1):
+        t, w = _interior(level, a, b)
+        vals = np.asarray(f(t), dtype=complex)
+        nevals += t.size
+        total = r * complex(np.add.reduce(vals * w))
+        spread = abs(r) * float(np.add.reduce(quadrature._NOISE * np.abs(vals) * w))
+        if level == quadrature._MIN_LEVEL:
+            current, noise = total, spread
+            continue
+        new, noise = 0.5 * current + total, 0.5 * noise + spread
+        diff, current = abs(new - current), new
+        if diff <= tol * max(1.0, abs(new)):
+            return new, diff + noise, nevals, True
+    return current, diff + noise, nevals, False
+
+
+@pytest.mark.parametrize("f, a, b", [(np.exp, 0.0, 1.0), (lambda t: t**-0.5, 0.0, 1.0),
+                                     (lambda t: np.exp(1j * t), 0.0, math.pi), (np.exp, -3.0, 2.5)])
+@pytest.mark.parametrize("tol, max_level", [(1e-12, 11), (1e-15, 5), (1e-6, 3)])
+def test_rule_equals_level_by_level_sum(f, a, b, tol, max_level):
+    # sharing the first call changes no node, weight or sum: equal bit for bit
+    assert tanh_sinh(f, a, b, tol, max_level) == _level_by_level(f, a, b, tol, max_level)
 
 
 def test_one_interval_gives_numbers():
@@ -111,6 +152,16 @@ def test_semiinfinite_is_one_tanh_sinh_call(monkeypatch):
     monkeypatch.setattr(quadrature, "tanh_sinh", rule)
     res = quad_semiinfinite(lambda t: t * np.exp(-2 * t), 2.0, 1.0, 1e-11, 10.0)
     assert abs(res.value - 0.25) < 1e-10 and len(calls) == 1 and calls[0][0] == 0.0
+
+
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+def test_semiinfinite_names_a_non_finite_envelope(bad):
+    # a non-finite sample makes C non-finite: refused at once, not after 60 hops of T
+    f = lambda t: np.where(t > 20.0, bad, np.exp(-t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=f"envelope constant C .* is {bad}"):
+            quad_semiinfinite(f, 1.0, 0.0, 1e-10, 10.0)
 
 
 def test_semiinfinite_exponential():

@@ -295,6 +295,23 @@ def test_work_counts_kernel_terms(monkeypatch, transform, args):
     assert res.work == sum(nodes) + sum(terms) and sum(terms) > 10 * sum(nodes)
 
 
+@pytest.mark.parametrize("transform, args, nodes, work, calls", [("eta", (0.5, 1.0), 139, 5867, 2),
+                                                                  ("hurwitz_zeta", (3.5, 1.5), 139, 11411, 1)])
+def test_kernel_calls_and_work_pinned(monkeypatch, transform, args, nodes, work, calls):
+    # eta: one call for the 4 envelope samples, one for levels 3 and 4 of
+    # the rule, which converges there; Hurwitz samples no envelope
+    counted, kernel_calls = _tanh_sinh_nodes(monkeypatch), []
+    kernel = core.exp_weighted_series
+
+    def counted_kernel(*args):
+        kernel_calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
+    res = getattr(transforms, transform)(*args)
+    assert (sum(counted), res.work, len(kernel_calls)) == (nodes, work, calls)
+
+
 def test_mellin_transform_strip_enforced():
     with pytest.raises(DomainError):
         transforms.mellin_transform_polyexp(1.2, 1, 1.0)
@@ -339,6 +356,52 @@ def test_mellin_representations_refuse_e_x_past_binary64(transform, x):
         warnings.simplefilter("error")
         with pytest.raises(core._Overflow, match="overflows binary64"):
             getattr(transforms, transform)(1.5, 1.0, x)
+
+
+def _gamma_weighted_truth(s, lam, x, h):
+    """Gamma(s) e_s(x, lam), or Gamma(s) h_s(x, lam) = Gamma(s) sum x^n/n! P_n
+    with P_n = sum_(j<n) (j+lam)^-s, from the power series to 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40 + int((abs(x) - complex(x).real) / 2.3)):  # terms of e^|x| cancel to e^Re x
+        s, lam, x = mp.mpc(s), mp.mpc(lam), mp.mpc(x)
+        total, prefix, term, n = mp.mpc(0), mp.mpc(0), mp.mpf(1), 0
+        while n < abs(x) + 60 or abs(term) > mp.eps * abs(total):  # past the peak at n = |x|
+            coeff = (n + lam) ** -s
+            total += term * (prefix if h else coeff)
+            prefix += coeff
+            n += 1
+            term *= x / n
+        return complex(mp.gamma(s) * total)
+
+
+@pytest.mark.parametrize("transform, args", [
+    ("mellin_s_representation", (0.5, 1.0, 600.0)), ("mellin_s_representation", (0.1, 1.0, 500.0)),
+    ("mellin_s_representation", (2.5 + 1j, 0.5 + 0.5j, 709.0 + 30j)),
+    ("h_mellin_representation", (1.5, 0.2, 700.0)), ("h_mellin_representation", (1.5, 0.2, 703.0)),
+    ("h_mellin_representation", (1.5, 0.2, 706.0)), ("h_mellin_representation", (1.5, 0.2, -800.0)),
+])
+def test_mellin_representations_near_binary64_limit(transform, args):
+    # Gamma(s) e_s and Gamma(s) h_s fit binary64 here, while e^x times
+    # t^(s-1) at the nodes next to t = 0 does not: e^x past e^300 comes out
+    # of the integral; at x = -800 the h quotient must not overflow either.
+    # No step may warn
+    truth = _gamma_weighted_truth(*args, h=transform.startswith("h_"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = getattr(transforms, transform)(*args)
+    assert abs(res.value - truth) <= res.abs_err_estimate
+    assert abs(res.value - truth) <= 1e-9 * abs(truth)
+
+
+@pytest.mark.parametrize("transform, args", [("mellin_s_representation", (0.1, 1.0, 709.0)),
+                                             ("h_mellin_representation", (1.5, 0.2, 709.0))])
+def test_mellin_representations_refuse_values_past_binary64(transform, args):
+    # e^x fits binary64, Gamma(s) e_s(x, lam) and Gamma(s) h_s do not
+    assert abs(_gamma_weighted_truth(*args, h=transform.startswith("h_"))) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(core._Overflow, match="overflows binary64"):
+            getattr(transforms, transform)(*args)
 
 
 def test_mellin_s_representation_trivial():

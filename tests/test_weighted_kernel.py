@@ -61,18 +61,21 @@ def test_array_kernel_against_mpmath(z, s, lam):
 
 @pytest.mark.parametrize("s, lam, z", [(2.5, 0.7, 1.0), (0.5, 1.3, -1.0), (1 + 2j, 0.4, 0.3 - 0.6j), (-2.0, 1.1, -1.0)])
 def test_array_equals_scalar_calls(s, lam, z):
-    # enough nodes and terms to cross several chunk boundaries
-    t = np.concatenate([[0.0], np.geomspace(1e-6, 4000.0, 120)])
+    # enough nodes and terms to fill several groups of whole windows, and a
+    # node in the middle (t = 2e5) whose window alone is longer than _CHUNK
+    t = np.geomspace(1e-6, 4000.0, 120)
+    t = np.concatenate([[0.0], t[:60], [2e5], t[60:]])
     values, errs, total = exp_weighted_series(s, lam, z, t, 1e-12)
     assert values.shape == errs.shape == t.shape
     if s != -2.0:
         assert total > 2 * core._CHUNK
+        assert exp_weighted_series(s, lam, z, 2e5, 1e-12)[2] > core._CHUNK
     scalar_total = 0
     for ti, value, err in zip(t, values, errs):
         one, one_err, n = exp_weighted_series(s, lam, z, float(ti), 1e-12)
         scalar_total += n
-        assert abs(value - one) <= one_err
-        assert err == pytest.approx(one_err, rel=1e-10, abs=1e-300)
+        # each node's window is summed whole, as in its own call: equal bit for bit
+        assert value == one and err == one_err, ti
     assert total == scalar_total
 
 
