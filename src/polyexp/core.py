@@ -6,14 +6,13 @@ Routes implemented here, each independently testable against the others:
     over a 1-D array of x (s and lam per node, or shared) in one
     vectorized pass,
   * closed form e^x * Q_p(x, lam) at non-positive integer orders,
-  * the positive integral of t^(s-1) e^(-lam t) e^(x e^-t) at large x < 0
-    (`evaluate` picks among these three and Hankel by a stated region map),
+  * Hankel contour integral, one formula for every s, on nested
+    Clenshaw-Curtis points: radius set by x, rays placed and scaled at
+    their peak (`evaluate` picks among these three by a stated region map),
   * nested-integral recursion from e_0 = e^t, written as p repeated tail
     integrations g_{q+1}(tau) = int_tau^inf g_q of
     g_q(sigma) = e^(-lam sigma) e_q(x e^-sigma) (the log-variable Volterra
     form) on one cached Chebyshev grid,
-  * Hankel contour integral (separate branch-weighted form at positive
-    integer orders) on nested Clenshaw-Curtis points, radius set by x,
   * Taylor shift in the lam variable and the geometric generating sum,
   * large-lam asymptotic expansion and the leading large-x behaviour.
 
@@ -40,7 +39,7 @@ import threading
 import numpy as np
 
 from . import exact
-from .quadrature import _not_converged, _read_only, _tail_integrate, chebyshev_tail_rule, clenshaw_curtis, tanh_sinh
+from .quadrature import _read_only, _tail_integrate, chebyshev_tail_rule, clenshaw_curtis
 from .result import (
     ConditioningError,
     ContourResolutionError,
@@ -74,8 +73,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 DEFAULT_TOL = 1e-12
 _MAX_TERMS = 10000  # term cap of eval_series and h_direct
-_INTEGRAL_X = 10.0  # evaluate: the positive integral for real x < -_INTEGRAL_X
-_CANCEL_LOG = 10.0  # evaluate: Hankel past |x| = _INTEGRAL_X once |x| - Re x exceeds this
+_HANKEL_X = 10.0  # evaluate: Hankel past |x| = _HANKEL_X once |x| - Re x > _CANCEL_LOG
+_CANCEL_LOG = 10.0
 
 
 def _require_lam(lam: complex):
@@ -150,13 +149,7 @@ def gamma_fn(z):
             value = math.inf
         if not cmath.isfinite(value):
             raise _Overflow(f"the Lanczos sum of Gamma overflows binary64 at z = {z}")
-        if left:
-            # sin(pi z) = (-1)^n sin(pi (z - n)): z - n is exact, while the rounding
-            # of pi z would be a large relative error of the sine next to n
-            n = round(z.real)
-            sine = cmath.sin(math.pi * (z - n))
-            return math.pi / ((-sine if n % 2 else sine) * value)
-        return value
+        return _reflect(z, value) if left else value
     z = np.asarray(z) + 0.0  # integers to float
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
     if pole.any():
@@ -166,9 +159,31 @@ def gamma_fn(z):
         out = _lanczos(np.where(left, 1.0 - z, z))
     if not (finite := np.isfinite(out)).all():
         raise _Overflow(f"the Lanczos sum of Gamma overflows binary64 at z = {z[np.argmin(finite)]}")
-    n = np.round(z.real[left])
-    sine = np.sin(math.pi * (z[left] - n)) * np.where(n % 2, -1.0, 1.0)
-    out[left] = math.pi / (sine * out[left])
+    if left.any():
+        out[left] = _reflect(z[left], out[left])
+    return out
+
+
+def _reflect(z, value):
+    """Gamma(z) = pi / (sin(pi z) Gamma(1-z)) from value = Gamma(1-z), z a
+    number or an array. sin(pi z) = (-1)^n sin(pi w), w = z - n with n the
+    nearest integer: w is exact, where the rounding of pi z would be a large
+    relative error next to n. Past pi |Im w| = 700, where the sine nears the
+    end of binary64, log sin(pi w) = +-(i pi / 2 - i pi w) - log 2 for
+    Im w >< 0 (the other exponential is under e^-1400 of it)."""
+    if not isinstance(z, np.ndarray):
+        if abs(z.imag) > 700.0 / math.pi:
+            return complex(_reflect(np.array([z]), np.array([value]))[0])
+        n = round(z.real)
+        return math.pi / ((1 - 2 * (n % 2)) * cmath.sin(math.pi * (z - n)) * value)
+    n = np.round(z.real)
+    w, signed = z - n, np.where(n % 2, -value, value)  # (-1)^n Gamma(1-z)
+    if not (far := np.abs(w.imag) > 700.0 / math.pi).any():
+        return math.pi / (np.sin(math.pi * w) * signed)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a Gamma(1-z) of 0 gives 0
+        out = math.pi / (np.sin(math.pi * np.where(far, 0.0, w)) * signed)
+        log_sine = np.sign(w.imag[far]) * (0.5j - 1j * w[far]) * math.pi - math.log(2.0)
+        out[far] = np.where(signed[far] == 0, 0.0, math.pi * np.exp(-log_sine - np.log(signed[far])))
     return out
 
 
@@ -702,51 +717,11 @@ def eval_negint(p: int, lam, x) -> EvalResult:
     return EvalResult(value, estimate, p + 1, "closed_form")
 
 
-def _positive_integral(s: complex, lam: complex, big_x: float, tol: float) -> EvalResult:
-    """e_s(-X, lam) at X = big_x > 0, Re s > 0, from the positive integral
-    Gamma(s) e_s(-X, lam) = int_0^inf t^(s-1) e^(-lam t) e^(-X e^-t) dt.
-
-    |e^(-lam t) e^(-X e^-t)| peaks on t >= 0 at t_p = max(0, log(X/a)),
-    a = Re lam, where X e^-t_p = r = min(a, X); that peak value goes in
-    front, so the integrand is t^(s-1) exp(lam (t_p - t) - r expm1(t_p - t))
-    for any size of X and lam. The rule runs in t, keeping the t^(s-1)
-    singularity exactly on t = 0; below t_p - log(1490/a + 2) the
-    integrand is under e^-745 of its peak. One `tanh_sinh` call.
-    """
-    a = lam.real
-    t_peak = max(0.0, math.log(big_x / a))
-    r = min(a, big_x)
-    rate = a if lam.imag == 0.0 else lam  # real arithmetic for real parameters
-    power = s.real - 1.0 if s.imag == 0.0 else s - 1.0
-
-    def g(t):
-        d = t_peak - t
-        return t ** power * np.exp(rate * d - r * np.expm1(d))
-
-    # the integral's rough size; tanh_sinh turns relative above 1
-    target = tol * min(1.0, max(1.0, t_peak) ** (s.real - 1.0) / max(1.0, math.sqrt(a)))
-    t_lo = max(0.0, t_peak - math.log(1490.0 / a + 2.0))
-    span = 10.0 / max(a, 0.05)
-    while (s.real - 1.0) * math.log(t_peak + span) - a * span + r > math.log(target) - 3.0:
-        span *= 1.3
-    val, err, nodes, ok = tanh_sinh(g, t_lo, t_peak + span, target, max_level=11)
-    if not ok:
-        raise _not_converged(f"positive integral at x = {-big_x}", val, err, target)
-    exponent = -lam * t_peak - r
-    front = cmath.exp(exponent) / gamma_fn(s)
-    value = front * val
-    # rounding: the rule's sum, Gamma(s), and eps |exponent| from the front factor
-    estimate = abs(front) * (err + 0.05 * target) + (32.0 + 2.0 * abs(exponent)) * _EPS * abs(value)
-    return EvalResult(value, estimate, nodes, "positive_integral")
-
-
 def _route(s: complex, x: complex) -> str:
     """The route tag `evaluate` picks at one point (see there)."""
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         return "closed_form"
-    if x.imag == 0.0 and x.real < -_INTEGRAL_X and s.real > 0.0:
-        return "positive_integral"
-    if abs(x) > _INTEGRAL_X and abs(x) - x.real > _CANCEL_LOG:
+    if abs(x) > _HANKEL_X and abs(x) - x.real > _CANCEL_LOG:
         return "hankel"
     return "series"
 
@@ -756,22 +731,20 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     `method` tag records the choice:
 
       * s a non-positive integer: closed form (`eval_negint`), "closed_form";
-      * real x < -10, Re s > 0: the positive integral (`_positive_integral`),
-        "positive_integral"; there the alternating series' terms reach
-        e^|x| / sqrt(|x|) while the value decays like |x|^-lam;
-      * any other |x| > 10 with |x| - Re x > 10: Hankel (`eval_hankel`),
-        "hankel"; there the series' terms outgrow the value's scale e^(Re x)
-        by e^(|x| - Re x) > 2e4, so rounding alone misses the default tol;
+      * |x| > 10 with |x| - Re x > 10 (so every real x < -10): Hankel
+        (`eval_hankel`), "hankel"; there the series' terms outgrow the
+        value's scale e^(Re x) by e^(|x| - Re x) > 2e4, so rounding alone
+        misses the default tol;
       * everything else: the series (`eval_series`), "series".
 
-    The closed form ignores tol; the integral meets it relative to its own
-    scale, and Hankel on its contour integral, absolute below 1 and
-    relative above. Hankel refuses s within 1e-8 of a positive integer.
+    The closed form ignores tol; Hankel meets it on its contour integral
+    divided by the rays' scale (at Re x < 0 the value's size), absolute
+    below 1 and relative above.
 
     x may be a 1-D numpy array, and s and lam then numbers or arrays of its
     shape (one pair per node): the series takes all of its nodes in one
-    call, the closed form one call per (s, lam) pair, and the positive
-    integral and Hankel one call per node. value and abs_err_estimate are
+    call, the closed form one call per (s, lam) pair, and Hankel one call
+    per node. value and abs_err_estimate are
     arrays, work is the total, and method is the route tag when every node
     took one route, else the tuple of per-node tags. Non-finite arguments
     raise DomainError.
@@ -792,8 +765,8 @@ def evaluate(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     work = 0
     for route in set(routes):
         on = np.array([r == route for r in routes])
-        if route in ("hankel", "positive_integral"):
-            calls = np.flatnonzero(on)  # an integral from each x
+        if route == "hankel":
+            calls = np.flatnonzero(on)  # a contour for each x
         elif route == "series" or pair is None:
             calls = [on]
         else:  # one (s, lam) pair a call
@@ -813,8 +786,6 @@ def _on_route(route: str, s, lam, x, tol: float) -> EvalResult:
         if isinstance(s, np.ndarray):
             s, lam = complex(s[0]), complex(lam[0])
         return eval_negint(int(-s.real), lam, x)
-    if route == "positive_integral":
-        return _positive_integral(complex(s), complex(lam), float(-x.real), tol)
     if route == "hankel":
         return eval_hankel(s, lam, x, tol)
     return eval_series(s, lam, x, tol)
@@ -943,85 +914,110 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
 _HANKEL_NODES = 64  # starting Chebyshev point count m on the rays and on the circle
 
 
-def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
-    """Bound on what cutting both rays at |z| = T drops from the contour
-    integral of z^(s-1) e^(lam z) e^(x e^z) [Log z], before the prefactor.
+def _ray_peak(s: complex, lam: complex, x: complex) -> tuple[float, complex]:
+    """(t_p, log_front): e^(Re log_front) is about the size of
+    int u^(s-1) e^(-lam u) e^(x e^-u) du, the rays' scale. Past -Re x = Re lam,
+    |e^(-lam u) e^(x e^-u)| peaks at t_p = log(-Re x / Re lam), O(1) wide, and
+    log_front = (s-1) log max(1, t_p) - lam t_p - Re lam; short of it t_p = 0,
+    e^(x e^-u) falls from e^x within u ~ 1/|x|, and log_front = Re x - s log max(1, |x|)."""
+    if -x.real <= lam.real:
+        return 0.0, x.real - s * math.log(max(1.0, abs(x)))
+    t_peak = math.log(-x.real / lam.real)
+    return t_peak, (s - 1.0) * math.log(max(1.0, t_peak)) - lam * t_peak - lam.real
 
-    On the rays z = -u: |e^(lam z)| = e^(-Re lam u), |e^(x e^z)| <=
-    e^(|x| e^-T), |z^(s-1)| <= u^(Re s - 1) e^(pi |Im s|), and at positive
-    integer s the log weight adds |Log z| <= log u + pi; the u-integral is
-    taken as T / Re lam times the integrand at T. The factor 1/pi of two
-    rays over 2 pi is left out as margin.
-    """
+
+def _ray_tail_bound(s: complex, lam: complex, x: complex, T: float) -> float:
+    """Bound on what cutting the rays at u = T drops from
+    int u^(s-1) e^(-lam u) e^(x e^-u) du, relative to the rays' scale
+    (`_ray_peak`): |e^(x e^-u)| <= e^(|x| e^-T), and the u-integral is taken
+    as T / Re lam times the integrand at T; e^(pi |Im s|) is margin."""
     # in logs: T^(Re s - 1) alone passes binary64 at Re s of a few hundred
-    log_bound = (-lam.real * T + abs(x) * math.exp(-T) + math.pi * abs(s.imag)
-                 + max(s.real - 1.0, 0.0) * math.log(max(T, 1.0)) + math.log(T / lam.real))
-    if s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real):
-        log_bound += math.log(math.log(T) + math.pi)
-    try:
-        return math.exp(log_bound)
-    except OverflowError:
-        return math.inf
+    log_bound = (-lam.real * T + abs(x) * math.exp(-T) + math.pi * abs(s.imag) + (s.real - 1.0) * math.log(T)
+                 + math.log(T / lam.real) - _ray_peak(s, lam, x)[1].real)
+    return _exp_bound(log_bound)
+
+
+def _ray_head_bound(s: complex, lam: complex, x: complex, lo: float, radius: float) -> float:
+    """Bound on what starting the rays at radius < lo <= t_p instead of at
+    the circle drops, relative to the rays' scale: on [1, lo] the integrand
+    is at most max(1, lo^(Re s - 1)) e^(-Re lam lo + Re x e^-lo) (it rises
+    up to t_p), and below u = 1 at most max(1, radius^(Re s - 1)) e^(Re x / e)."""
+    log_front, sigma = _ray_peak(s, lam, x)[1].real, s.real - 1.0
+    upper = -lam.real * lo + x.real * math.exp(-lo) + max(sigma, 0.0) * math.log(lo) - log_front
+    lower = x.real / math.e + min(sigma, 0.0) * math.log(radius) - log_front
+    return lo * (_exp_bound(upper) + _exp_bound(lower))
+
+
+def _exp_bound(log_bound: float) -> float:
+    """e^log_bound, inf past binary64."""
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def default_contour(s, lam, x, tol: float = 1e-10) -> float:
     """Ray truncation T, chosen so the discarded ray tail
     (`_ray_tail_bound`) sits below the error target."""
     s, lam, x = complex(s), complex(lam), complex(x)
-    T = max(30.0, abs(x) + abs(lam) + 30.0)
+    T = max(30.0, math.log1p(abs(x)) + abs(lam) + 30.0)
     while _ray_tail_bound(s, lam, x, T) > 0.05 * tol and T <= 1e5:
         T *= 1.3
     return T
 
 
-def _hankel_raw(power, lam, kernel, T, log_weight, tol, radius=1.0):
-    """(1/2 pi i) * integral over the contour of z^power e^(lam z) K(z) [Log z],
-    rays cut at |z| = T around a circle of the given radius.
+def _hankel_orders(s: complex):
+    """(ray factor 1/Gamma(s), circle factor c, power p, weight) of the one
+    Hankel formula for e_s: the rays carry (1/Gamma(s)) u^(s-1), the circle
+    c z^p weight(Log z). Left of Re s = 1/2 that is Gamma(1-s) z^(s-1).
+    Right of it, with m = max(1, round(Re s)) and eps = s - m, z^(s-1) =
+    z^(m-1) (1 + expm1(eps Log z)), whose first part has a closed circle
+    integral of 0; (-1)^m (pi eps / sin(pi eps)) / Gamma(s) times z^(m-1)
+    expm1(eps Log z) / eps remains, the log-weighted integer form at
+    eps = 0, so nothing cancels next to the integers."""
+    ray = 0.0 if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real) else 1.0 / gamma_fn(s)
+    if s.real < 0.5:
+        return ray, gamma_fn(1.0 - s), s - 1.0, lambda log_z: 1.0
+    m = max(1, round(s.real))
+    if (eps := s - m) == 0.0:
+        return ray, (-1) ** m * ray, m - 1.0, lambda log_z: log_z
+    factor = (-1) ** m * ray * math.pi * eps / cmath.sin(math.pi * eps)
+    return ray, factor, m - 1.0, lambda log_z: np.expm1(eps * log_z) / eps
 
-    Rays carry arg z = -pi (lower) and +pi (upper); the circle runs theta
-    from -pi to pi, all on the principal branch; the rays run in
-    v = log(u / radius). Both pieces sit on the nested points of
-    `clenshaw_curtis(m)`, m doubling from 64 until the refinements settle.
-    Returns (value, last difference, rounding floor, distinct evaluations
-    2(m+1)); the floor is 16 eps times the integral of the modulus, the
-    level at which cancellation on the circle leaves the sum; a difference
-    under it but above tol raises at once, an integrand past binary64 too.
-    """
-    log_r = math.log(radius)
-    half_v = 0.5 * (math.log(T) - log_r)  # T / radius overflows past |x| ~ 1e154
-    lower, upper = cmath.exp(-1j * math.pi * power), cmath.exp(1j * math.pi * power)
-    log_factor = (lambda log_z: log_z) if log_weight else (lambda log_z: 1.0)  # the [Log z]
+
+def _hankel_raw(rays, span, circle, radius, tol):
+    """int_0^span rays(w) dw + (1/2 pi i) * integral of circle(z) dz around
+    |z| = radius, theta from -pi to pi, on the nested points of
+    `clenshaw_curtis(m)`, m doubling from 64 until the refinements settle:
+    rays(w) is the ray integrand in w = log(u / u_lo), Jacobian included,
+    circle(z, Log z) (None for the rays alone). Returns (value, last
+    difference, rounding floor, distinct evaluations (m+1) per piece); the
+    floor is 16 eps times the integral of the modulus, the level at which
+    cancellation leaves the sum; a difference under it but above tol raises
+    at once, an integrand past binary64 too."""
+    log_r, half = math.log(radius), 0.5 * span
 
     def pieces(t):
         """Rays (row 0) and circle (row 1) at points t of [-1, 1], Jacobians included."""
         with np.errstate(over="ignore", invalid="ignore"):
-            log_u = log_r + half_v * (1.0 + t)
-            u = np.exp(log_u)
-            # z^power [Log z] on the lower and upper ray: u^power e^(-+ i pi power)
-            # times Log z = log u -+ i pi; du = u dv
-            cut = lower * log_factor(log_u - 1j * math.pi) - upper * log_factor(log_u + 1j * math.pi)
-            rays = np.exp(power * log_u - lam * u) * kernel(-u) * u * cut
-            theta = math.pi * t
-            z = radius * np.exp(1j * theta)
-            circle = np.exp(power * (log_r + 1j * theta) + lam * z) * kernel(z) * 1j * z
-            return np.stack([half_v * rays, math.pi * circle * log_factor(log_r + 1j * theta)])
+            if circle is None:
+                return (half * rays(half * (1.0 + t)))[None, :]
+            z = radius * np.exp(1j * math.pi * t)  # dz / (2 pi i) = z dtheta / (2 pi) = z dt / 2
+            return np.stack([half * rays(half * (1.0 + t)), 0.5 * z * circle(z, log_r + 1j * math.pi * t)])
 
     m = _HANKEL_NODES
     t, weights = clenshaw_curtis(m)
     values = pieces(t)
     prev = None
     # the first difference is judged against the m/2 rule on the even points
-    diff = abs(np.sum(values @ weights) - np.sum(values[:, ::2] @ clenshaw_curtis(m // 2)[1])) / (2 * math.pi)
+    diff = abs(np.sum(values @ weights) - np.sum(values[:, ::2] @ clenshaw_curtis(m // 2)[1]))
     for doubling in range(8):
         if doubling:
             m *= 2
             t, weights = clenshaw_curtis(m)
-            grown = np.empty((2, m + 1), dtype=complex)
+            grown = np.empty((len(values), m + 1), dtype=complex)
             grown[:, ::2] = values  # the old points are t[::2]
             grown[:, 1::2] = pieces(t[1::2])
             values = grown
-        total = complex(np.sum(values @ weights)) / (2j * math.pi)
-        size = float(np.sum(np.abs(values) @ weights)) / (2.0 * math.pi)
+        total = complex(np.sum(values @ weights))
+        size = float(np.sum(np.abs(values) @ weights))
         if not math.isfinite(size):  # the weights are positive: any inf or nan shows here
             raise _Overflow(f"contour integrand overflows binary64 (circle radius {radius:g})")
         floor = 16.0 * _EPS * size
@@ -1051,55 +1047,57 @@ def hankel_contour_integral(s, lam, kernel, tol: float = 1e-10) -> complex:
     s, lam = complex(s), complex(lam)
     if s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real):
         raise DomainError("positive integer order needs the log-weighted form")
-    T = default_contour(s, lam, 0.0, tol)
-    raw = _hankel_raw(s - 1.0, lam, kernel, T, log_weight=False, tol=tol)[0]
-    return gamma_fn(1.0 - s) * raw
+    ray, factor, power, weight = _hankel_orders(s)
+    circle = lambda z, log_z: factor * np.exp(power * log_z + lam * z) * kernel(z) * weight(log_z)
+    rays = lambda w: ray * np.exp(s * w - lam * np.exp(w)) * kernel(-np.exp(w))  # u = e^w
+    return _hankel_raw(rays, math.log(default_contour(s, lam, 0.0, tol)), circle, 1.0, tol)[0]
 
 
 def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
-    """Hankel-contour evaluation of e_s(x, lam).
-
-    Non-integer s uses Gamma(1-s)/(2 pi i) * integral of z^(s-1) e^(lam z)
-    e^(x e^z); positive integer m uses the log-weighted form with
-    prefactor (-1)^m / (2 pi i (m-1)!). On the circle of radius
-    min(1, 2/|x|), |x z| <= 2 keeps e^(x e^z) within about e^(+-2) of e^x.
-    Near-integer non-integer s (within 1e-8) is refused: Gamma(1-s) blows
-    up while the contour integral vanishes, and binary64 cannot resolve
-    the product.
-    """
+    """Hankel-contour evaluation of e_s(x, lam), one formula for every s: the
+    rays (1/Gamma(s)) int u^(s-1) e^(-lam u) e^(x e^-u) du and the circle of
+    `_hankel_orders`, of radius min(1, 2/|x|), where |x z| <= 2 keeps
+    e^(x e^z) within about e^(+-2) of e^x. Both are divided by the rays'
+    scale |1/Gamma(s)| e^log_front (`_ray_peak`), so tol holds relative to
+    the value wherever the rays carry it, and no exponent leaves binary64
+    before the value does. At Re x < 0 the rays start where Re x e^-u =
+    -(1490 + 2 Re lam), under e^-745 of their peak, and a circle bound under
+    tol / 1000 stands in for the circle; both bounds join the estimate."""
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
-    T = default_contour(s, lam, x, tol)
-    kernel = lambda z: np.exp(x * np.exp(z))
-
-    is_pos_int = s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real)
-    if not is_pos_int and s.imag == 0.0 and s.real >= 0.5:
-        nearest = round(s.real)
-        if nearest >= 1 and 0 < abs(s.real - nearest) < 1e-8:
-            raise ContourResolutionError(
-                "s within 1e-8 of a positive integer: use the integer form"
-            )
-
-    if is_pos_int:
-        m = int(s.real)
-        power, prefactor = float(m - 1), (-1.0) ** m / math.factorial(m - 1)
-    else:
-        power, prefactor = s - 1.0, gamma_fn(1.0 - s)
+    t_peak, log_front = _ray_peak(s, lam, x)
     radius = min(1.0, 2.0 / abs(x)) if x else 1.0
-    raw, diff, floor, work = _hankel_raw(power, lam, kernel, T, is_pos_int, tol, radius)
-    value = prefactor * raw
-    dropped = _ray_tail_bound(s, lam, x, T)
-    diff, floor, dropped = (abs(prefactor) * e for e in (diff, floor, dropped))
-    floor += 64.0 * _EPS * abs(value)  # Gamma(1-s) is good to ~30 eps relative
+    lo = max(radius, t_peak - math.log(1490.0 / lam.real + 2.0))
+    ray, factor, power, weight = _hankel_orders(s)
+    scale = abs(ray) or abs(factor)  # the circle's at the poles of Gamma(s)
+    x_peak = x * math.exp(-t_peak)
+    coefs = (s, lam, x_peak, x_peak - lam * t_peak - log_front)
+    if not any(v.imag for v in coefs):  # real arithmetic for real parameters
+        coefs = tuple(v.real for v in coefs)
 
-    # consistency: real parameters must give a real value
-    if s.imag == 0.0 and lam.imag == 0.0 and x.imag == 0.0:
-        scale = max(abs(value), 1e-30)
-        if abs(value.imag) > max(1e-10, 100.0 * diff, 1e-9 * scale):
-            raise ContourResolutionError(
-                f"ray contributions inconsistent: spurious imaginary part {value.imag:g}"
-            )
-    return EvalResult(value, diff + floor + dropped, work, "hankel")
+    def rays(w):  # u = lo e^w, d = t_p - u: -lam u + x e^-u = -lam t_p + lam d + x_peak e^d
+        d = (t_peak - lo) - lo * np.expm1(w)  # rounding ~ eps |d|, not eps u, next to the peak
+        return (ray / scale) * np.exp(coefs[0] * (log_lo + w) + coefs[1] * d + coefs[2] * np.expm1(d) + coefs[3])
+
+    def circle(z, log_z):
+        return (factor / scale) * np.exp(power * log_z + lam * z + x * np.exp(z) - log_front) * weight(log_z)
+
+    # the circle's bound: Re(x e^z) <= Re x + 2 e^radius, |Log z| <= l = pi - log radius
+    # and |expm1(eps Log z) / eps| <= l e^(|eps| l), |eps| <= 1/2 + |Im s|
+    log_lo, ell, p = math.log(lo), math.pi - math.log(radius), complex(power)
+    circle_bound = _exp_bound(math.log(abs(factor) / scale * radius * ell) + p.real * math.log(radius)
+                              + math.pi * abs(p.imag) + (0.5 + abs(s.imag)) * ell + abs(lam) * radius
+                              + x.real + 2.0 * math.exp(radius) - log_front.real)
+    skip = circle_bound <= 1e-3 * tol
+    T = default_contour(s, lam, x, tol)
+    total, diff, floor, work = _hankel_raw(rays, math.log(T) - log_lo, None if skip else circle, radius, tol)
+    unit = scale * _exp_bound(log_front.real) * cmath.exp(1j * log_front.imag)
+    if not cmath.isfinite(value := unit * total):
+        raise _Overflow(f"e_s(x, lam) overflows binary64 at s = {s}, lam = {lam}, x = {x}")
+    dropped = (_ray_head_bound(s, lam, x, lo, radius) if lo > radius else 0.0) + _ray_tail_bound(s, lam, x, T)
+    # Gamma is good to ~30 eps relative, the front e^log_front to 2 |log_front| eps
+    estimate = abs(unit) * (diff + floor + dropped + skip * circle_bound)
+    return EvalResult(value, estimate + (96.0 + 2.0 * abs(log_front)) * _EPS * abs(value), work, "hankel")
 
 
 # ---------------------------------------------------------------------------
@@ -1226,7 +1224,7 @@ def asymptotic_x_leading(s, lam, x, sign: int) -> complex:
 
 def lower_inc_gamma(lam, x) -> complex:
     """gamma(lam, x) = integral_0^x t^(lam-1) e^(-t) dt via x^lam e_1(-x, lam)
-    (`evaluate`: the series up to x = 10, the positive integral beyond)."""
+    (`evaluate`: the series up to x = 10, Hankel beyond)."""
     lam = complex(lam)
     x = float(x)
     _require_lam(lam)

@@ -214,13 +214,15 @@ def _envelope_constant(f: Callable, rate: float, power: float, split: float) -> 
 
 
 def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
-    """Bound for integral of C t^power e^(-rate t) over (T, inf)."""
+    """Bound for integral of C t^power e^(-rate t) over (T, inf), formed in
+    logs: C T^power may pass binary64 where e^(-rate T) brings it back."""
     if c == 0.0:
         return 0.0
     slack = 1.0 - power / (rate * T) if power > 0 else 1.0
     if slack <= 0.1:
         return math.inf
-    return c * T**power * math.exp(-rate * T) / (rate * slack)
+    log_bound = math.log(c) + power * math.log(T) - rate * T - math.log(rate * slack)
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def _integrate_to(f: Callable, split: float, T: float, tol: float):

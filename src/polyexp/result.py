@@ -15,13 +15,12 @@ class EvalResult:
     route consumed, as an int; for the recursion route it counts
     evaluations of e_0 on the shared grid, summed over the resolutions
     tried, and for "hankel" the distinct contour points, 2(m+1) at the
-    last count m.
-    `method` is the route tag: {series, closed_form, positive_integral,
-    recursion, hankel, taylor_shift, asymptotic} in core, {h_series,
-    h_quadrature} for the h family, quadrature in the transforms but for
+    last count m (m+1 when the circle is left out).
+    `method` is the route tag: {series, closed_form, recursion, hankel,
+    taylor_shift, asymptotic} in core, {h_series, h_quadrature} for the
+    h family, quadrature in the transforms but for
     `mellin_transform_polyexp` (recursion) and {line_integral,
-    mellin_expression} in the Mellin-Barnes layer. "positive_integral"
-    (`core.evaluate` at real x < -10, Re s > 0) counts tanh-sinh nodes;
+    mellin_expression} in the Mellin-Barnes layer.
     `eta`, `lerch_phi`, `hurwitz_zeta`, `riemann_zeta` and "h_quadrature"
     add the weighted series' terms to their nodes, and
     `mellin_transform_polyexp` counts grid e_0 evaluations and series terms.

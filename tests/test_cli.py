@@ -105,7 +105,7 @@ def test_eval_auto_large_negative_x(capsys):
     code, out, _ = invoke(capsys, "eval", "--s", "1", "--lambda", "1", "--x", "-40")
     assert code == 0
     data = json.loads(out)
-    assert data["method"] == "positive_integral"
+    assert data["method"] == "hankel"
     assert abs(data["value"][0] - 0.025) < 1e-12
 
 

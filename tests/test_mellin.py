@@ -348,11 +348,8 @@ def test_oracle_fold_meets_its_estimate(tol):
     assert not misses, "\n".join(misses)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="gamma_fn reflects Re z < 1/2 through sin(pi z), which passes binary64 at "
-                   "|Im z| >~ 225: numpy warns 'overflow encountered in sin' (cmath raises a raw "
-                   "OverflowError); a log-space log_gamma would mend it")
 def test_oracle_left_of_one_half_at_large_heights():
+    # gamma_fn's reflection past |Im z| ~ 225, where sin(pi z) leaves binary64
     series = sum((-1.0) ** n / (math.factorial(n) * (n + 2)) for n in range(25))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

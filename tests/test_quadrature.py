@@ -170,6 +170,15 @@ def test_semiinfinite_exponential():
     assert res.abs_err_estimate < 1e-8
 
 
+def test_semiinfinite_envelope_near_the_end_of_binary64():
+    # C ~ 1e306: C T^2 passes binary64 while e^-T brings the bound back
+    # (T ~ 760); formed in logs, the tail point is placed, not a NaN bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = quad_semiinfinite(lambda t: 1e306 * np.exp(-t), 1.0, 2.0, 1e-10, 10.0)
+    assert abs(res.value - 1e306) <= res.abs_err_estimate <= 1e-12 * 1e306
+
+
 def test_semiinfinite_t_exp():
     res = quad_semiinfinite(lambda t: t * np.exp(-2 * t), 2.0, 1.0, 1e-11, 10.0)
     assert abs(res.value - 0.25) < 1e-10

@@ -273,7 +273,7 @@ def test_mellin_transform_runs_no_evaluate_and_no_tanh_sinh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for module, name in ((core, "evaluate"), (core, "_positive_integral"), (quadrature, "tanh_sinh")):
+    for module, name in ((core, "evaluate"), (quadrature, "tanh_sinh")):
         monkeypatch.setattr(module, name, refuse)
     for s, p, lam in ((1.505, 1, 1.756), (0.5, 3, 1.0), (0.5, 0, 1.0), (4.187, 5, 4.311)):
         res = transforms.mellin_transform_polyexp(s, p, lam)
