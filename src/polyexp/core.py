@@ -16,7 +16,8 @@ Routes implemented here, each independently testable against the others:
   * Taylor shift in the lam variable and the geometric generating sum,
   * large-lam asymptotic expansion and the leading large-x behaviour.
 
-Also houses the gamma kernel (Lanczos + reflection), the lower incomplete
+Also houses the gamma kernel (one log formula, `_log_gamma`: the Lanczos
+sum and the reflection in logs), the lower incomplete
 gamma via the s = 1 series, the entire function Ein, and a numerically
 stable evaluator for the weighted products e^(-t) e_s(z t, lam) that the
 transform layer integrates, a whole array of quadrature nodes per call.
@@ -71,6 +72,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_LOG_MAX = 709.782712893384  # log of the largest binary64
 DEFAULT_TOL = 1e-12
 _MAX_TERMS = 10000  # term cap of eval_series and h_direct
 _HANKEL_X = 10.0  # evaluate: Hankel past |x| = _HANKEL_X once |x| - Re x > _CANCEL_LOG
@@ -104,6 +106,7 @@ class _Overflow(ConvergenceError, OverflowError):
 # ---------------------------------------------------------------------------
 
 # Lanczos, g = 7, 9 terms
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LANCZOS = (
     0.99999999999980993,
     676.5203681218851,
@@ -117,74 +120,64 @@ _LANCZOS = (
 )
 
 
-def _lanczos(z):
-    """Gamma(z) for Re z >= 1/2, z a number or a numpy array."""
-    exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
-    z = z - 1.0
+def _log_lanczos(z):
+    """log Gamma(z) for Re z >= 1/2, z an np.complex128 or a complex array:
+    the Lanczos sum in logs, log sqrt(2 pi) + (w + 1/2) log t - t + log acc."""
+    w = z - 1.0
     acc = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc = acc + c / (z + i)
-    t = z + 7.5
-    # t^(z+1/2) alone overflows near z = 171 before e^-t scales it down; two
-    # half powers keep pow's accuracy, which one exp((z+1/2) log t - t) loses
-    half = t ** (0.5 * z + 0.25)
-    return math.sqrt(2.0 * math.pi) * half * exp(-t) * half * acc
+        acc = acc + c / (w + i)
+    t = w + 7.5
+    return _LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(acc)
+
+
+def _log_sine(z):
+    """log sin(pi z), z an np.complex128 or a complex array, never past
+    binary64. sin(pi z) = (-1)^n sin(pi v), v = z - n with n the nearest
+    integer: v is exact, where the rounding of pi z would be a large relative
+    error next to n. log sin(pi v) = -i g v + log expm1(2 i g v) - log 2 -
+    i g/2 with g = copysign(pi, Im v): e^(2 i g v) is at most 1 in modulus."""
+    n = np.rint(z.real)
+    v = z - n
+    g = np.copysign(math.pi, v.imag)
+    return -1j * g * (v + 0.5) + np.log(np.expm1(2j * g * v)) - math.log(2.0) + 1j * math.pi * (n % 2)
+
+
+def _log_gamma(z):
+    """log Gamma(z) (some branch), z an np.complex128 or a complex array off
+    the poles: `_log_lanczos` for Re z >= 1/2, and left of it the reflection
+    log pi - log sin(pi z) - log Gamma(1-z)."""
+    if isinstance(z, np.ndarray):
+        left = z.real < 0.5
+        out = _log_lanczos(np.where(left, 1.0 - z, z))
+        out[left] = math.log(math.pi) - _log_sine(z[left]) - out[left]
+        return out
+    if z.real < 0.5:
+        return math.log(math.pi) - _log_sine(z) - _log_lanczos(1.0 - z)
+    return _log_lanczos(z)
+
+
+def _at_pole(z):
+    """Whether z, a number or (elementwise) an array, is a non-positive integer."""
+    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.rint(z.real))
 
 
 def gamma_fn(z):
     """Complex Gamma(z) for a number or a numpy array (a real array stays
-    real: numpy's complex power is less accurate); reflection formula for
-    Re z < 1/2. Raises PoleError at the non-positive integers, and a
-    ConvergenceError (an OverflowError too) where the Lanczos value, of z
-    or of the reflected 1 - z, passes binary64.
-    """
-    if not isinstance(z, np.ndarray) or z.ndim == 0:
-        z = complex(z)
-        if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-            raise PoleError(f"gamma pole at z = {z.real:g}")
-        left = z.real < 0.5
-        try:
-            value = _lanczos(1.0 - z if left else z)
-        except OverflowError:
-            value = math.inf
-        if not cmath.isfinite(value):
-            raise _Overflow(f"the Lanczos sum of Gamma overflows binary64 at z = {z}")
-        return _reflect(z, value) if left else value
-    z = np.asarray(z) + 0.0  # integers to float
-    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
-    if pole.any():
-        raise PoleError(f"gamma pole at z = {z.real[pole][0]:g}")
-    left = z.real < 0.5  # reflected there, so Lanczos never sees Re z < 1/2
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _lanczos(np.where(left, 1.0 - z, z))
-    if not (finite := np.isfinite(out)).all():
-        raise _Overflow(f"the Lanczos sum of Gamma overflows binary64 at z = {z[np.argmin(finite)]}")
-    if left.any():
-        out[left] = _reflect(z[left], out[left])
-    return out
-
-
-def _reflect(z, value):
-    """Gamma(z) = pi / (sin(pi z) Gamma(1-z)) from value = Gamma(1-z), z a
-    number or an array. sin(pi z) = (-1)^n sin(pi w), w = z - n with n the
-    nearest integer: w is exact, where the rounding of pi z would be a large
-    relative error next to n. Past pi |Im w| = 700, where the sine nears the
-    end of binary64, log sin(pi w) = +-(i pi / 2 - i pi w) - log 2 for
-    Im w >< 0 (the other exponential is under e^-1400 of it)."""
-    if not isinstance(z, np.ndarray):
-        if abs(z.imag) > 700.0 / math.pi:
-            return complex(_reflect(np.array([z]), np.array([value]))[0])
-        n = round(z.real)
-        return math.pi / ((1 - 2 * (n % 2)) * cmath.sin(math.pi * (z - n)) * value)
-    n = np.round(z.real)
-    w, signed = z - n, np.where(n % 2, -value, value)  # (-1)^n Gamma(1-z)
-    if not (far := np.abs(w.imag) > 700.0 / math.pi).any():
-        return math.pi / (np.sin(math.pi * w) * signed)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a Gamma(1-z) of 0 gives 0
-        out = math.pi / (np.sin(math.pi * np.where(far, 0.0, w)) * signed)
-        log_sine = np.sign(w.imag[far]) * (0.5j - 1j * w[far]) * math.pi - math.log(2.0)
-        out[far] = np.where(signed[far] == 0, 0.0, math.pi * np.exp(-log_sine - np.log(signed[far])))
-    return out
+    real), exp of `_log_gamma`; 0 where Gamma(z) underflows. Raises
+    PoleError at the non-positive integers, and a ConvergenceError (an
+    OverflowError too) where Gamma(z) passes binary64."""
+    array = isinstance(z, np.ndarray) and z.ndim > 0
+    w = np.asarray(z, dtype=complex) if array else np.complex128(z)
+    if (pole := _at_pole(w)).any():
+        raise PoleError(f"gamma pole at z = {(w.real[pole][0] if array else w.real):g}")
+    log_value = _log_gamma(w)
+    if not (fits := log_value.real < _LOG_MAX).all():
+        raise _Overflow(f"Gamma overflows binary64 at z = {w.flat[np.argmin(fits)] if array else complex(w)}")
+    value = np.exp(log_value)
+    if not array:
+        return complex(value)
+    return value if np.iscomplexobj(z) else value.real
 
 
 def rising_factorial(s: complex, m: int) -> complex:
@@ -964,43 +957,54 @@ def default_contour(s, lam, x, tol: float = 1e-10) -> float:
 
 
 def _hankel_orders(s: complex):
-    """(ray factor 1/Gamma(s), circle factor c, power p, weight) of the one
-    Hankel formula for e_s: the rays carry (1/Gamma(s)) u^(s-1), the circle
-    c z^p weight(Log z). Left of Re s = 1/2 that is Gamma(1-s) z^(s-1).
+    """(log 1/Gamma(s), log c, power p, weight) of the one Hankel formula for
+    e_s: the rays carry (1/Gamma(s)) u^(s-1), the circle c z^p weight(Log z).
+    Left of Re s = 1/2 that is c = Gamma(1-s) and z^(s-1), and 1/Gamma(s) is
+    the reflection Gamma(1-s) sin(pi s) / pi (-inf as a log at its zeros).
     Right of it, with m = max(1, round(Re s)) and eps = s - m, z^(s-1) =
     z^(m-1) (1 + expm1(eps Log z)), whose first part has a closed circle
-    integral of 0; (-1)^m (pi eps / sin(pi eps)) / Gamma(s) times z^(m-1)
-    expm1(eps Log z) / eps remains, the log-weighted integer form at
-    eps = 0, so nothing cancels next to the integers."""
-    ray = 0.0 if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real) else 1.0 / gamma_fn(s)
+    integral of 0; c = (-1)^m (pi eps / sin(pi eps)) / Gamma(s) =
+    (pi eps / sin(pi s)) / Gamma(s) times z^(m-1) expm1(eps Log z) / eps
+    remains, the log-weighted integer form at eps = 0, so nothing cancels
+    next to the integers."""
+    s = np.complex128(s)
     if s.real < 0.5:
-        return ray, gamma_fn(1.0 - s), s - 1.0, lambda log_z: 1.0
-    m = max(1, round(s.real))
+        log_circle = _log_lanczos(1.0 - s)
+        log_ray = -math.inf if _at_pole(s) else log_circle + _log_sine(s) - math.log(math.pi)
+        return log_ray, log_circle, s - 1.0, lambda log_z: 1.0
+    log_ray, m = -_log_lanczos(s), max(1, round(s.real))
     if (eps := s - m) == 0.0:
-        return ray, (-1) ** m * ray, m - 1.0, lambda log_z: log_z
-    factor = (-1) ** m * ray * math.pi * eps / cmath.sin(math.pi * eps)
-    return ray, factor, m - 1.0, lambda log_z: np.expm1(eps * log_z) / eps
+        return log_ray, log_ray + 1j * math.pi * (m % 2), m - 1.0, lambda log_z: log_z
+    return log_ray, log_ray + np.log(math.pi * eps) - _log_sine(s), m - 1.0, lambda log_z: np.expm1(eps * log_z) / eps
 
 
-def _hankel_raw(rays, span, circle, radius, tol):
-    """int_0^span rays(w) dw + (1/2 pi i) * integral of circle(z) dz around
-    |z| = radius, theta from -pi to pi, on the nested points of
+def _hankel_raw(rays, lo, T, circle, radius, tol):
+    """int_0^log(T/lo) rays(w) dw + (1/2 pi i) * integral of circle(z) dz
+    around |z| = radius, theta from -pi to pi, on the nested points of
     `clenshaw_curtis(m)`, m doubling from 64 until the refinements settle:
-    rays(w) is the ray integrand in w = log(u / u_lo), Jacobian included,
+    rays(w) is the ray integrand in w = log(u / lo), Jacobian included,
     circle(z, Log z) (None for the rays alone). Returns (value, last
     difference, rounding floor, distinct evaluations (m+1) per piece); the
     floor is 16 eps times the integral of the modulus, the level at which
     cancellation leaves the sum; a difference under it but above tol raises
-    at once, an integrand past binary64 too."""
-    log_r, half = math.log(radius), 0.5 * span
+    at once, an integrand past binary64 too (naming its point z, -u on the
+    rays)."""
+    log_r, half = math.log(radius), 0.5 * math.log(T / lo)
 
     def pieces(t):
-        """Rays (row 0) and circle (row 1) at points t of [-1, 1], Jacobians included."""
+        """Rays (row 0) and circle (row 1) at points t of [-1, 1], Jacobians
+        included; checked finite before any weighted sum sees them."""
         with np.errstate(over="ignore", invalid="ignore"):
             if circle is None:
-                return (half * rays(half * (1.0 + t)))[None, :]
-            z = radius * np.exp(1j * math.pi * t)  # dz / (2 pi i) = z dtheta / (2 pi) = z dt / 2
-            return np.stack([half * rays(half * (1.0 + t)), 0.5 * z * circle(z, log_r + 1j * math.pi * t)])
+                out = (half * rays(half * (1.0 + t)))[None, :]
+            else:
+                z = radius * np.exp(1j * math.pi * t)  # dz / (2 pi i) = z dtheta / (2 pi) = z dt / 2
+                out = np.stack([half * rays(half * (1.0 + t)), 0.5 * z * circle(z, log_r + 1j * math.pi * t)])
+        if not (finite := np.isfinite(out)).all():
+            row, k = np.unravel_index(np.argmin(finite), out.shape)
+            point = radius * cmath.exp(1j * math.pi * t[k]) if row else -lo * math.exp(half * (1.0 + t[k]))
+            raise _Overflow(f"contour integrand overflows binary64 at z = {complex(point):.6g}")
+        return out
 
     m = _HANKEL_NODES
     t, weights = clenshaw_curtis(m)
@@ -1018,8 +1022,6 @@ def _hankel_raw(rays, span, circle, radius, tol):
             values = grown
         total = complex(np.sum(values @ weights))
         size = float(np.sum(np.abs(values) @ weights))
-        if not math.isfinite(size):  # the weights are positive: any inf or nan shows here
-            raise _Overflow(f"contour integrand overflows binary64 (circle radius {radius:g})")
         floor = 16.0 * _EPS * size
         if prev is not None:
             diff, prev_diff = abs(total - prev), diff
@@ -1042,15 +1044,23 @@ def _hankel_raw(rays, span, circle, radius, tol):
 
 def hankel_contour_integral(s, lam, kernel, tol: float = 1e-10) -> complex:
     """Gamma(1-s)/(2 pi i) * integral of z^(s-1) e^(lam z) kernel(z) dz over
-    the contour; s must not be a positive integer. kernel receives numpy
+    the contour (its limit, the log-weighted form, at the positive
+    integers), by the formula of `_hankel_orders`. kernel receives numpy
     arrays of contour points."""
     s, lam = complex(s), complex(lam)
-    if s.imag == 0.0 and s.real >= 1.0 and s.real == int(s.real):
-        raise DomainError("positive integer order needs the log-weighted form")
-    ray, factor, power, weight = _hankel_orders(s)
-    circle = lambda z, log_z: factor * np.exp(power * log_z + lam * z) * kernel(z) * weight(log_z)
-    rays = lambda w: ray * np.exp(s * w - lam * np.exp(w)) * kernel(-np.exp(w))  # u = e^w
-    return _hankel_raw(rays, math.log(default_contour(s, lam, 0.0, tol)), circle, 1.0, tol)[0]
+    log_ray, log_circle, power, weight = _hankel_orders(s)
+    circle = lambda z, log_z: np.exp(log_circle + power * log_z + lam * z) * kernel(z) * weight(log_z)
+    rays = lambda w: np.exp(log_ray + s * w - lam * np.exp(w)) * kernel(-np.exp(w))  # u = e^w
+    return _hankel_raw(rays, 1.0, default_contour(s, lam, 0.0, tol), circle, 1.0, tol)[0]
+
+
+def _exp_times(log_scale: complex, v: complex) -> complex:
+    """e^log_scale v as one exponential, so neither factor leaves binary64
+    alone; inf past binary64, 0 for v = 0."""
+    if not v:
+        return 0j
+    log = log_scale + cmath.log(v)
+    return cmath.exp(log) if log.real < _LOG_MAX else complex(math.inf)
 
 
 def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
@@ -1058,46 +1068,51 @@ def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
     rays (1/Gamma(s)) int u^(s-1) e^(-lam u) e^(x e^-u) du and the circle of
     `_hankel_orders`, of radius min(1, 2/|x|), where |x z| <= 2 keeps
     e^(x e^z) within about e^(+-2) of e^x. Both are divided by the rays'
-    scale |1/Gamma(s)| e^log_front (`_ray_peak`), so tol holds relative to
-    the value wherever the rays carry it, and no exponent leaves binary64
-    before the value does. At Re x < 0 the rays start where Re x e^-u =
-    -(1490 + 2 Re lam), under e^-745 of their peak, and a circle bound under
-    tol / 1000 stands in for the circle; both bounds join the estimate."""
+    scale |1/Gamma(s)| e^log_front (`_ray_peak`; the circle's at the poles
+    of Gamma(s)), kept as one logarithm, so tol holds relative to the value
+    wherever the rays carry it; the value and the estimate are each one
+    exponential of that logarithm plus the log of the scaled integral. At
+    Re x < 0 the rays start where Re x e^-u = -(1490 + 2 Re lam), under
+    e^-745 of their peak, and a circle bound under tol / 1000 stands in for
+    the circle; both bounds join the estimate. An integrand past binary64 in
+    these units is a ConvergenceError (an OverflowError too)."""
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
     t_peak, log_front = _ray_peak(s, lam, x)
     radius = min(1.0, 2.0 / abs(x)) if x else 1.0
     lo = max(radius, t_peak - math.log(1490.0 / lam.real + 2.0))
-    ray, factor, power, weight = _hankel_orders(s)
-    scale = abs(ray) or abs(factor)  # the circle's at the poles of Gamma(s)
+    log_ray, log_circle, power, weight = _hankel_orders(s)
+    log_pre = log_circle if log_ray.real == -math.inf else log_ray  # the circle's at the poles of Gamma(s)
     x_peak = x * math.exp(-t_peak)
-    coefs = (s, lam, x_peak, x_peak - lam * t_peak - log_front)
-    if not any(v.imag for v in coefs):  # real arithmetic for real parameters
+    # the rays' share of the prefactor, 1 or (at the poles) 0, joins their exponent
+    coefs = (s, lam, x_peak, x_peak - lam * t_peak - log_front + (log_ray - log_pre).real)
+    if real := not any(v.imag for v in coefs):  # real arithmetic for real parameters
         coefs = tuple(v.real for v in coefs)
 
     def rays(w):  # u = lo e^w, d = t_p - u: -lam u + x e^-u = -lam t_p + lam d + x_peak e^d
         d = (t_peak - lo) - lo * np.expm1(w)  # rounding ~ eps |d|, not eps u, next to the peak
-        return (ray / scale) * np.exp(coefs[0] * (log_lo + w) + coefs[1] * d + coefs[2] * np.expm1(d) + coefs[3])
+        return np.exp(coefs[0] * (log_lo + w) + coefs[1] * d + coefs[2] * np.expm1(d) + coefs[3])
 
     def circle(z, log_z):
-        return (factor / scale) * np.exp(power * log_z + lam * z + x * np.exp(z) - log_front) * weight(log_z)
+        return np.exp(log_quotient + power * log_z + lam * z + x * np.exp(z) - log_front) * weight(log_z)
 
     # the circle's bound: Re(x e^z) <= Re x + 2 e^radius, |Log z| <= l = pi - log radius
     # and |expm1(eps Log z) / eps| <= l e^(|eps| l), |eps| <= 1/2 + |Im s|
-    log_lo, ell, p = math.log(lo), math.pi - math.log(radius), complex(power)
-    circle_bound = _exp_bound(math.log(abs(factor) / scale * radius * ell) + p.real * math.log(radius)
+    log_lo, ell, p, log_quotient = math.log(lo), math.pi - math.log(radius), complex(power), log_circle - log_pre
+    circle_bound = _exp_bound(log_quotient.real + math.log(radius * ell) + p.real * math.log(radius)
                               + math.pi * abs(p.imag) + (0.5 + abs(s.imag)) * ell + abs(lam) * radius
                               + x.real + 2.0 * math.exp(radius) - log_front.real)
     skip = circle_bound <= 1e-3 * tol
     T = default_contour(s, lam, x, tol)
-    total, diff, floor, work = _hankel_raw(rays, math.log(T) - log_lo, None if skip else circle, radius, tol)
-    unit = scale * _exp_bound(log_front.real) * cmath.exp(1j * log_front.imag)
-    if not cmath.isfinite(value := unit * total):
+    total, diff, floor, work = _hankel_raw(rays, lo, T, None if skip else circle, radius, tol)
+    log_unit = log_pre + log_front  # value = e^log_unit total
+    if not cmath.isfinite(value := _exp_times(log_unit, total)):
         raise _Overflow(f"e_s(x, lam) overflows binary64 at s = {s}, lam = {lam}, x = {x}")
     dropped = (_ray_head_bound(s, lam, x, lo, radius) if lo > radius else 0.0) + _ray_tail_bound(s, lam, x, T)
-    # Gamma is good to ~30 eps relative, the front e^log_front to 2 |log_front| eps
-    estimate = abs(unit) * (diff + floor + dropped + skip * circle_bound)
-    return EvalResult(value, estimate + (96.0 + 2.0 * abs(log_front)) * _EPS * abs(value), work, "hankel")
+    # log Gamma(s) is good to about eps |log Gamma(s)|, e^log_unit to eps |log_unit| relative
+    rounding = (32.0 + 2.0 * abs(log_pre) + 2.0 * abs(log_front)) * _EPS * abs(value)
+    estimate = float(_exp_times(log_unit.real, diff + floor + dropped + skip * circle_bound).real + rounding)
+    return EvalResult(complex(value.real) if real else value, estimate, work, "hankel")
 
 
 # ---------------------------------------------------------------------------
@@ -1117,23 +1132,13 @@ def taylor_shift(s, lam, z, x, terms: int, tol: float = DEFAULT_TOL) -> EvalResu
         raise DomainError("terms must be >= 1")
     if abs(z) >= abs(lam):
         raise DomainError(f"Taylor shift diverges for |z| >= |lam| ({abs(z):g} >= {abs(lam):g})")
-    acc = 0.0 + 0.0j
-    inner_err = 0.0
-    work = 0
-    coeff = 1.0 + 0.0j  # (s)_m / m!
-    zpow = 1.0 + 0.0j
-    last = 0.0 + 0.0j
-    for m in range(terms):
-        inner = eval_series(s + m, lam, x, tol=max(tol / 10.0, 1e-15))
-        last = coeff * inner.value * zpow
-        acc += last
-        inner_err += abs(coeff * zpow) * inner.abs_err_estimate
-        work += inner.work
-        coeff *= (s + m) / (m + 1)
-        zpow *= z
+    m = np.arange(terms)
+    inner = eval_series(s + m, lam, np.full(terms, x), tol=max(tol / 10.0, 1e-15))
+    coeffs = np.cumprod(np.concatenate(([1.0], (s + m[:-1]) / (m[:-1] + 1) * z)))  # (s)_m / m! z^m
+    shifted = coeffs * inner.value
     ratio = abs(z) / abs(lam)
-    tail = abs(last) * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-    return EvalResult(acc, tail + inner_err, work, "taylor_shift")
+    estimate = float(abs(shifted[-1]) * ratio / (1.0 - ratio) + np.abs(coeffs) @ inner.abs_err_estimate)
+    return EvalResult(complex(shifted.sum()), estimate, inner.work, "taylor_shift")
 
 
 def generating_sum(lam, x, z, terms: int, tol: float = DEFAULT_TOL) -> complex:
@@ -1142,12 +1147,10 @@ def generating_sum(lam, x, z, terms: int, tol: float = DEFAULT_TOL) -> complex:
     _require_lam(lam)
     if abs(z) >= abs(lam):
         raise DomainError(f"generating sum diverges for |z| >= |lam|")
-    acc = cmath.exp(x)
-    zpow = 1.0 + 0.0j
-    for p in range(1, terms):
-        zpow *= z
-        acc += zpow * eval_series(p, lam, x, tol=max(tol / 10.0, 1e-15)).value
-    return acc
+    if terms <= 1:
+        return cmath.exp(x)
+    inner = eval_series(np.arange(1.0, terms), lam, np.full(terms - 1, x), tol=max(tol / 10.0, 1e-15))
+    return cmath.exp(x) + complex(np.cumprod(np.full(terms - 1, z)) @ inner.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,23 +1201,19 @@ def asymptotic_x_leading(s, lam, x, sign: int) -> complex:
         raise DomainError(f"leading-order diagnostics need a real x >= 10, got x = {x}")
     x = x.real
     if sign == 1:
-        try:
-            return cmath.exp(x - s * math.log(x))
-        except OverflowError:
-            raise _Overflow(f"e^x x^-s overflows binary64 at x = {x:g}") from None
-    if sign == -1:
-        try:
-            inv_gamma_s = 1.0 / gamma_fn(s)
-        except PoleError:
-            return 0.0 + 0.0j
-        lx = math.log(x)
-        return (
-            gamma_fn(lam)
-            * inv_gamma_s
-            * cmath.exp((s - 1.0) * math.log(lx))
-            * cmath.exp(-lam * math.log(x))
-        )
-    raise DomainError("sign must be +1 or -1")
+        log_value = x - s * math.log(x)
+    elif sign == -1:
+        if _at_pole(s):
+            return 0j
+        if _at_pole(lam):
+            raise PoleError(f"gamma pole at z = {lam.real:g}")
+        log_value = complex(_log_gamma(np.complex128(lam)) - _log_gamma(np.complex128(s))) \
+            + (s - 1.0) * math.log(math.log(x)) - lam * math.log(x)
+    else:
+        raise DomainError("sign must be +1 or -1")
+    if log_value.real >= _LOG_MAX:
+        raise _Overflow(f"the leading term overflows binary64 at x = {x:g}")
+    return cmath.exp(log_value)
 
 
 # ---------------------------------------------------------------------------

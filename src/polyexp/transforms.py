@@ -56,7 +56,6 @@ def _split_point(weight_scale: float, lam: complex) -> float:
     return max(10.0, 5.0 * weight_scale + abs(lam))
 
 
-_LOG_MAX = 709.782712893384  # log of the largest binary64
 _LOG_KEPT = 300.0  # the Mellin representations keep e^x up to e^300 inside their integrals
 _TAIL_TERMS = 61  # terms k = 0..60 of the Hurwitz tail expansion, ending at an even k
 _CHERNOFF_HALF = 0.5 - 0.5 * math.log(2.0)  # P(N <= t/2) <= e^(-0.153 t), N ~ Poisson(t)
@@ -276,7 +275,7 @@ def _gamma_weighted(g, s, lam, x, tol):
     binary64, while the value left inside stays far above 1, so the rule's
     test max(tol, tol |value|) stays relative.
     """
-    if x.real > _LOG_MAX:
+    if x.real > core._LOG_MAX:
         raise core._Overflow(f"the integrand's e^x overflows binary64 at x = {x}")
     scale = max(x.real - _LOG_KEPT, 0.0)
 

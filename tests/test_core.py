@@ -141,17 +141,28 @@ def test_gamma_array_pole_and_no_warnings():
 
 @pytest.mark.parametrize(
     "call, args",
-    [(gamma_fn, (200.0,)), (gamma_fn, (-200.5,)), (gamma_fn, (np.array([1.5, 200.0]),)), (eval_hankel, (180.5, 1, 5))],
-    ids=["gamma(200)", "gamma(-200.5)", "gamma(array)", "hankel(180.5)"],
+    [(gamma_fn, (200.0,)), (gamma_fn, (np.array([1.5, 200.0]),)), (eval_hankel, (180.5, 1, 5))],
+    ids=["gamma(200)", "gamma(array)", "hankel(180.5)"],
 )
 def test_gamma_past_binary64_is_typed(call, args):
-    # Gamma(200) and Gamma(201.5) (the reflection's factor) pass binary64,
-    # and so does Gamma(s) in Hankel's prefactor 1/Gamma(s) at s = 180.5: a typed
-    # error naming z, with no numpy warning on the way and no inf or NaN
+    # Gamma(200) passes binary64, and at s = 180.5 so does the ray integral
+    # int u^(s-1) e^(-u) ... du ~ Gamma(s) in Hankel's units: a typed error
+    # naming z, with no numpy warning on the way and no inf or NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="overflows binary64 at z = "):
             call(*args)
+
+
+@pytest.mark.parametrize("z", [-200.5, 150 + 1e6j])
+def test_gamma_underflow_is_zero(z):
+    # |Gamma(-200.5)| ~ 1e-376 (math.gamma gives -0.0) and |Gamma(150+1e6i)|
+    # ~ e^-1.5e6 underflow binary64, where the Lanczos power t^(z+1/2) or the
+    # reflected Gamma(201.5) alone would pass it: 0, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_fn(z) == 0
+        assert np.all(gamma_fn(np.array([z, z])) == 0)
 
 
 @pytest.mark.parametrize(
@@ -678,7 +689,7 @@ def test_hankel_doubling_evaluates_new_points_only():
 
     rays, circle = _contour_pieces(2.7)
     T = default_contour(2.5, 1, 2.7, 1e-9)
-    work = _hankel_raw(counted(rays), math.log(T), counted(circle), 1.0, 1e-9)[3]
+    work = _hankel_raw(counted(rays), 1.0, T, counted(circle), 1.0, 1e-9)[3]
     assert calls == [65, 65, 64, 64, 128, 128]
     assert work == sum(calls) == 2 * (256 + 1)
 
@@ -711,7 +722,7 @@ def test_hankel_stops_at_rounding_floor():
     T = default_contour(2.5, 1, 8, 1e-9)
     rays, circle = _contour_pieces(8.0)
     with pytest.raises(ContourResolutionError, match="m = 512 ") as info:
-        _hankel_raw(rays, math.log(T), circle, 1.0, 1e-9)
+        _hankel_raw(rays, 1.0, T, circle, 1.0, 1e-9)
     last = re.search(r"last difference ([^,]+), rounding floor ([^ ]+) ", str(info.value))
     assert 0.0 < float(last.group(1)) <= float(last.group(2))
     assert clenshaw_curtis.cache_info().currsize <= 5  # 32 (for the first difference) to 512
@@ -748,6 +759,37 @@ def test_hankel_overflow_is_typed(s, x):
         eval_hankel(s, 1, x)
     with pytest.raises(ConvergenceError):
         evaluate(s, 1, x)
+
+
+@pytest.mark.parametrize("s", (0.5 + 250j, 0.5 + 300j, 2 + 480j, 0.5 + 480j, -0.5 + 480j))
+def test_evaluate_large_imaginary_order_is_typed(s):
+    # 1/Gamma(s) ~ e^(pi |Im s| / 2) and sin(pi s) pass binary64 here: a
+    # typed error, not a raw OverflowError or ZeroDivisionError, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolyexpError):
+            evaluate(s, 1, -50)
+
+
+def test_hankel_large_real_orders_meet_their_estimates():
+    # 1/Gamma(s) down to ~e^-700 at s = 170.2: the prefactor, the rays' front
+    # and the scaled integral meet in one exponential; each call meets its
+    # estimate or raises a typed error, with no numpy warning
+    misses = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (10.5, 30.5, 60.5, 90.3, 120.5, 150.7, 170.2):
+            for x in (0.5, 2.0, -3.0, 8.0):
+                for lam in (0.5, 1.0, 2.5):
+                    try:
+                        res = eval_hankel(s, lam, x, tol=1e-12)
+                    except PolyexpError:
+                        continue
+                    if not (err := abs(res.value - _mp_polyexp(s, lam, x))) <= res.abs_err_estimate:
+                        misses.append(f"{(s, lam, x)}: {err:.3g} > {res.abs_err_estimate:.3g}")
+    assert not misses, "\n".join(misses)
+    res, truth = eval_hankel(170.2, 2.5, 2.0, tol=1e-12), _mp_polyexp(170.2, 2.5, 2.0)  # ~1.86e-68, not 0
+    assert abs(res.value - truth) <= res.abs_err_estimate <= 1e-12 * abs(truth)
 
 
 _ORACLE_CASES = {
@@ -825,6 +867,21 @@ def test_taylor_shift_geometric_decay():
     assert errors[3] < errors[2] * 0.3 + 1e-15
 
 
+def test_taylor_shift_and_generating_sum_make_one_series_call(monkeypatch):
+    # one array eval_series call, one order s + m (or p) per node
+    import polyexp.core as core
+
+    calls = []
+    series = core.eval_series
+    monkeypatch.setattr(core, "eval_series", lambda s, lam, x, tol: calls.append(np.size(x)) or series(s, lam, x, tol))
+    shift = taylor_shift(1.0, 2.0, 1.0, 1.0, terms=30)
+    total = generating_sum(2.0, 1.0, 1.0, 40)
+    assert calls == [30, 39]
+    assert abs(shift.value - (E - 1)) <= shift.abs_err_estimate and type(shift.abs_err_estimate) is float
+    assert shift.work == sum(eval_series(1.0 + m, 2.0, 1.0, tol=1e-13).work for m in range(30))
+    assert abs(total - (2 * E - 1)) < 1e-9 and generating_sum(2.0, 1.0, 1.0, 1) == cmath.exp(1.0)
+
+
 def test_taylor_shift_divergence_guard():
     with pytest.raises(DomainError):
         taylor_shift(1.0, 1.0, 2.0, 1.0, terms=5)
@@ -872,6 +929,17 @@ def test_asymptotic_x_leading_minus():
     assert abs(lead - 1.0 / 20.0) < 1e-14
     ref = eval_series(1.0, 1.0, -20.0, tol=1e-13).value
     assert abs(ref - (1 - math.exp(-20.0)) / 20.0) < 1e-9
+
+
+def test_asymptotic_x_leading_minus_is_one_exponent():
+    # Gamma(200) alone passes binary64 while the term Gamma(1) / Gamma(200)
+    # (log 20)^199 / 20 ~ 1e-279 fits; complex and negative orders too
+    mp = pytest.importorskip("mpmath")
+    for s, lam in ((200.0, 1.0), (2.5 + 3j, 0.7), (-1.5, 2.0)):
+        with mp.workdps(30):
+            truth = complex(mp.gamma(lam) * mp.rgamma(s) * mp.log(20) ** (s - 1) * mp.mpf(20) ** -lam)
+        assert abs(asymptotic_x_leading(s, lam, 20.0, -1) - truth) <= 1e-12 * abs(truth)
+    assert asymptotic_x_leading(-3.0, 1.0, 20.0, -1) == 0
 
 
 def test_asymptotic_x_leading_typed_failures():

@@ -196,13 +196,18 @@ def test_eta_negative_integer_is_half_euler(p, lam):
 
 
 def test_eta_hankel_cross_check():
-    # the same eta value from the branch-cut contour with kernel 1/(1+e^z)
+    # the same eta value from the branch-cut contour with kernel 1/(1+e^z),
+    # positive integer orders included
     import numpy as np
 
-    s, lam = 0.5, 1.0
-    quad_val = transforms.eta(s, lam, tol=1e-9).value
-    hankel_val = core.hankel_contour_integral(s, lam, lambda z: 1.0 / (1.0 + np.exp(z)), tol=1e-10)
-    assert abs(quad_val - hankel_val) < 1e-6
+    lam = 1.0
+    for s in (0.5, 1, 2, 3):
+        quad_val = transforms.eta(s, lam, tol=1e-9).value
+        hankel_val = core.hankel_contour_integral(s, lam, lambda z: 1.0 / (1.0 + np.exp(z)), tol=1e-10)
+        assert abs(quad_val - hankel_val) < 1e-6
+    closed = {1: math.log(2.0), 2: math.pi**2 / 12, 3: 0.75 * 1.2020569031595942}
+    for s, truth in closed.items():
+        assert abs(core.hankel_contour_integral(s, lam, lambda z: 1.0 / (1.0 + np.exp(z)), tol=1e-10) - truth) < 1e-13
 
 
 # -- riemann zeta ------------------------------------------------------------------
