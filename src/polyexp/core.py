@@ -250,8 +250,9 @@ def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0):
     `series.h_direct` (P_k = sum_{j<k} w^j (j+lam)^-s, prefix = P_(n+1))
     after the term k = n: None to go on, else the tail bound plus the
     rounding level times sum |terms|. Raises ConvergenceError past binary64
-    or past `_MAX_TERMS` terms. `_series_sum` applies the same rule to a
-    whole array of x.
+    or past `_MAX_TERMS` terms. `h_direct` asks it after every term;
+    `eval_series` finds its last term before summing, and `_series_sum`
+    applies the rule to a whole array of x.
     """
     if n >= 2.0 * abs(x):
         if not math.isfinite(sum_abs):
@@ -416,23 +417,33 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
         values, errs, stops = _series_sum(s, lam, x, tol, table)
         return EvalResult(values, errs, int(stops.sum()) + x.size, "series")
 
+    # without a prefix, `_series_stop`'s tail bound depends on n alone, so
+    # the last term is found before summing: the first n >= 2|x| whose bound
+    # meets tol (NaN before the ratio gate), else term _MAX_TERMS, past
+    # which the rule raises
     neg_s = -s
     acc = 0.0 + 0.0j
     sum_abs = 0.0
     power_term = 1.0 + 0.0j  # x^n / n!
-    n = 0
+    last = None
     try:
-        while True:
+        for n in range(math.ceil(2.0 * abs(x)), _MAX_TERMS + 1):
+            if (tail := _tail_bound(s, lam, x, n, 0.0)) <= tol:
+                last = n
+                break
+        for n in range(_MAX_TERMS + 1 if last is None else last + 1):
+            if n:
+                power_term *= x / n
             term = power_term * cmath.exp(neg_s * cmath.log(n + lam))
             acc += term
             sum_abs += abs(term)
-            err = _series_stop(s, lam, x, n, sum_abs, tol)
-            if err is not None:
-                return EvalResult(acc, err, n + 1, "series")
-            n += 1
-            power_term *= x / n
     except OverflowError as exc:  # |term| or the tail bound past binary64
         raise _Overflow(f"series terms overflow binary64 at x = {x}") from exc
+    if n >= 2.0 * abs(x) and not math.isfinite(sum_abs):
+        raise _Overflow(f"series terms overflow binary64 at x = {x}")
+    if last is None:
+        raise ConvergenceError(f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={x}")
+    return EvalResult(acc, tail + _rounding_level(s, lam, last) * sum_abs, last + 1, "series")
 
 
 class _GrowingTable:

@@ -14,7 +14,9 @@ each node's 16 eps |f| and the error the integrand may return. Plus the
 semi-infinite driver of the transform layer: one tanh-sinh interval in
 v = log1p(t/split), linear near 0 and logarithmic past split, out to where
 the integrand's declared exponential envelope leaves less than the
-target, that remainder going into the estimate.
+target, that remainder going into the estimate. The envelope's constant
+comes from the nodes of the rule's first call of the integrand, not from
+a separate sample.
 """
 
 from __future__ import annotations
@@ -205,14 +207,6 @@ def _values_errs(out):
     return out if isinstance(out, tuple) else (out, None)
 
 
-def _envelope_constant(f: Callable, rate: float, power: float, split: float) -> float:
-    t = split * np.array([1.0, 1.5, 2.5, 4.0])
-    ref = t**power * np.exp(-rate * t)
-    seen = ref != 0.0
-    ratios = np.abs(np.asarray(_values_errs(f(t))[0], dtype=complex))[seen] / ref[seen]
-    return 2.0 * float(np.max(ratios, initial=0.0))  # safety factor
-
-
 def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
     """Bound for integral of C t^power e^(-rate t) over (T, inf), formed in
     logs: C T^power may pass binary64 where e^(-rate T) brings it back."""
@@ -241,10 +235,16 @@ def _integrate_to(f: Callable, split: float, T: float, tol: float):
 def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split: float) -> EvalResult:
     """Integrate f over (0, inf), where f maps an array of nodes to an array
     of values (or to (values, errs), as in `tanh_sinh`) and |f(t)| <=
-    C t^power e^(-rate t) for large t, rate > 0 and power real, with C
-    estimated by sampling. One tanh-sinh interval to tol/2 in
-    v = log1p(t/split) runs out to the T where the envelope's remainder
-    falls under tol/4, and that remainder joins the error estimate.
+    C t^power e^(-rate t) for large t, rate > 0 and power real.
+
+    One tanh-sinh interval to tol/2 in v = log1p(t/split) runs over
+    (0, 4.5 split]. Its first call of f (the rule's first two levels) also
+    gives C: twice the largest |f(t)| / (t^power e^(-rate t)) over that
+    call's nodes in [split, 4 split], so no node is evaluated for C alone.
+    The truncation point T then climbs from 4.5 split by factors of 1.5
+    until the envelope's remainder past T falls under tol/4, and that
+    remainder joins the error estimate. A T past 4.5 split integrates
+    (0, T] afresh, and the work counts both integrations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -252,14 +252,32 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         raise ValueError("split must be positive")
     if rate <= 0 or isinstance(power, complex):
         raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
-    if not math.isfinite(c := _envelope_constant(f, rate, power, split)):
-        raise QuadratureError(f"the envelope constant C of |f| <= C t^{power:g} e^(-{rate:g} t), "
-                              f"sampled on [{split:g}, {4 * split:g}], is {c}")
-    for T in (split * 2.0 * 1.5**hops for hops in range(60)):
+    c = None
+
+    def sampled(t):  # f, reading C off its first call
+        nonlocal c
+        out = f(t)
+        if c is None:
+            window = (t >= split) & (t <= 4.0 * split)
+            u = t[window]
+            ref = u**power * np.exp(-rate * u)
+            seen = ref != 0.0
+            ratios = np.abs(np.asarray(_values_errs(out)[0], dtype=complex)[window][seen]) / ref[seen]
+            c = 2.0 * float(np.max(ratios, initial=0.0))  # safety factor
+            if not math.isfinite(c):
+                raise QuadratureError(f"the envelope constant C of |f| <= C t^{power:g} e^(-{rate:g} t), "
+                                      f"sampled on [{split:g}, {4 * split:g}], is {c}")
+        return out
+
+    first = 4.5 * split  # the ladder's third rung
+    value, err, work = _integrate_to(sampled, split, first, tol)
+    for T in (split * 2.0 * 1.5**hops for hops in range(2, 60)):
         if (remainder := _exp_tail_bound(c, rate, power, T)) <= tol / 4:
             break
     else:
         raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
                               f"its bound {remainder:g} (target {tol / 4:g})")
-    value, err, work = _integrate_to(f, split, T, tol)
+    if T > first:
+        value, err, more = _integrate_to(f, split, T, tol)
+        work += more
     return EvalResult(value, err + remainder, work, "quadrature")

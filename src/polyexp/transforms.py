@@ -19,11 +19,13 @@ log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
 contaminate quadrature nodes. Each integrand takes the nodes of whole
 tanh-sinh levels as one array (the first two levels in one call, then
-one level a call), and the inner tolerance picks each node's Poisson window
-through a tail bound relative to that node's scale (capped at 1), not
-through a fixed width; each integrand returns its error beside its
-values. The z = 1 (Hurwitz) integrand decays only like t^(-Re s); its
-tail past a finite T is summed in closed form (`_power_tail`).
+one level a call; `quad_semiinfinite` reads its envelope constant off the
+first of these calls, so no node is evaluated for it alone), and the
+inner tolerance picks each node's Poisson window through a tail bound
+relative to that node's scale (capped at 1), not through a fixed width;
+each integrand returns its error beside its values. The z = 1 (Hurwitz)
+integrand decays only like t^(-Re s); its tail past a finite T is summed
+in closed form (`_power_tail`).
 """
 
 from __future__ import annotations

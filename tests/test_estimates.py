@@ -97,9 +97,9 @@ def test_estimates_hold_on_the_grid(tol):
     assert not misses, "\n".join(misses)
 
 
-@pytest.mark.xfail(strict=True, reason="the 4-point envelope sample of quad_semiinfinite bounds the part cut "
-                   "off at T = 45 by 3.6e-11, while that part is 5.2e-11: the value is 2.6e-11 off against an "
-                   "estimate of 2.1e-11")
+@pytest.mark.xfail(strict=True, reason="the envelope constant that quad_semiinfinite reads off its first "
+                   "tanh-sinh call's nodes in [split, 4 split] bounds the part cut off at T = 45 by 2.8e-11, "
+                   "while that part is 5.2e-11: the value is 2.6e-11 off against an estimate of 1.7e-11")
 def test_zeta_on_the_critical_line_meets_its_estimate():
     assert not _misses("riemann_zeta", (0.5 + 30j,), _at_30_digits(lambda: mp.zeta(0.5 + 30j)), 1e-10)
 

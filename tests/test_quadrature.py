@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polyexp import quadrature
+from polyexp import core, quadrature, transforms
 from polyexp.result import QuadratureError
 from polyexp.quadrature import (
     chebyshev_tail_rule,
@@ -152,6 +152,40 @@ def test_semiinfinite_is_one_tanh_sinh_call(monkeypatch):
     monkeypatch.setattr(quadrature, "tanh_sinh", rule)
     res = quad_semiinfinite(lambda t: t * np.exp(-2 * t), 2.0, 1.0, 1e-11, 10.0)
     assert abs(res.value - 0.25) < 1e-10 and len(calls) == 1 and calls[0][0] == 0.0
+
+
+@pytest.mark.parametrize("integral", ("t e^-2t", "eta(0.5, 1)"))
+def test_semiinfinite_evaluates_no_node_for_the_envelope(monkeypatch, integral):
+    # C comes from the rule's own first call: the integrand runs once per
+    # tanh-sinh level call, on that call's nodes only
+    level_calls, f_nodes, rule_nodes = [], [], []
+    level_sums, rule, kernel = quadrature._level_sums, quadrature.tanh_sinh, core.exp_weighted_series
+
+    def counted_levels(*args):
+        level_calls.append(args[1])
+        return level_sums(*args)
+
+    def counted_rule(*args, **kwargs):
+        out = rule(*args, **kwargs)
+        rule_nodes.append(out[2])
+        return out
+
+    def counted_kernel(s, lam, z, t, tol):
+        f_nodes.append(t.size)
+        return kernel(s, lam, z, t, tol)
+
+    def f(t):
+        f_nodes.append(t.size)
+        return t * np.exp(-2 * t)
+
+    monkeypatch.setattr(quadrature, "_level_sums", counted_levels)
+    monkeypatch.setattr(quadrature, "tanh_sinh", counted_rule)
+    monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
+    if integral == "t e^-2t":
+        assert abs(quad_semiinfinite(f, 2.0, 1.0, 1e-11, 10.0).value - 0.25) < 1e-10
+    else:
+        transforms.eta(0.5, 1.0)
+    assert len(f_nodes) == len(level_calls) >= 1 and sum(f_nodes) == sum(rule_nodes)
 
 
 @pytest.mark.parametrize("bad", (np.inf, np.nan))

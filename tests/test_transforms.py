@@ -300,11 +300,11 @@ def test_work_counts_kernel_terms(monkeypatch, transform, args):
     assert res.work == sum(nodes) + sum(terms) and sum(terms) > 10 * sum(nodes)
 
 
-@pytest.mark.parametrize("transform, args, nodes, work, calls", [("eta", (0.5, 1.0), 139, 5867, 2),
+@pytest.mark.parametrize("transform, args, nodes, work, calls", [("eta", (0.5, 1.0), 139, 5606, 1),
                                                                   ("hurwitz_zeta", (3.5, 1.5), 139, 11411, 1)])
 def test_kernel_calls_and_work_pinned(monkeypatch, transform, args, nodes, work, calls):
-    # eta: one call for the 4 envelope samples, one for levels 3 and 4 of
-    # the rule, which converges there; Hurwitz samples no envelope
+    # one call for levels 3 and 4 of the rule, which converges there; eta
+    # reads its envelope constant off that call's nodes
     counted, kernel_calls = _tanh_sinh_nodes(monkeypatch), []
     kernel = core.exp_weighted_series
 
@@ -315,6 +315,31 @@ def test_kernel_calls_and_work_pinned(monkeypatch, transform, args, nodes, work,
     monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
     res = getattr(transforms, transform)(*args)
     assert (sum(counted), res.work, len(kernel_calls)) == (nodes, work, calls)
+
+
+@pytest.mark.parametrize("x, s, lam", [(0.69, -0.84, 1.08), (0.73 + 0.08j, 0.64, 0.47)])
+def test_integral_past_the_first_interval_meets_its_estimate(monkeypatch, x, s, lam):
+    # rate 1 - Re x ~ 0.3: the envelope's remainder past 4.5 split misses
+    # tol/4, so (0, T] is integrated afresh and work counts both intervals
+    nodes, ends, terms = _tanh_sinh_nodes(monkeypatch), [], []
+    integrate_to, kernel = quadrature._integrate_to, core.exp_weighted_series
+
+    def spied(f, split, T, tol):
+        ends.append(T / split)
+        return integrate_to(f, split, T, tol)
+
+    def counted_kernel(*args):
+        out = kernel(*args)
+        terms.append(out[2])
+        return out
+
+    monkeypatch.setattr(quadrature, "_integrate_to", spied)
+    monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
+    res = transforms.lerch_phi(x, s, lam, tol=1e-10)
+    truth = sum(x**n / (n + lam) ** s for n in range(400))
+    assert ends[0] == 4.5 and len(ends) == 2 and ends[1] > 4.5
+    assert res.work == sum(nodes) + sum(terms)
+    assert abs(res.value - truth) <= res.abs_err_estimate <= 1e-10 * max(1.0, abs(truth))
 
 
 def test_mellin_transform_strip_enforced():
