@@ -250,7 +250,8 @@ def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0):
     `series.h_direct` (P_k = sum_{j<k} w^j (j+lam)^-s, prefix = P_(n+1))
     after the term k = n: None to go on, else the tail bound plus the
     rounding level times sum |terms|. Raises ConvergenceError past binary64
-    or past `_MAX_TERMS` terms. `h_direct` asks it after every term;
+    or past `_MAX_TERMS` terms; below n = 2|x| and `_MAX_TERMS` it is
+    always None. `h_direct` asks it after every term from there on;
     `eval_series` finds its last term before summing, and `_series_sum`
     applies the rule to a whole array of x.
     """

@@ -2,21 +2,32 @@
 
 Two rule families, their tables memoized, built lazily on first use and
 handed out as read-only arrays: Clenshaw-Curtis on the nested Chebyshev
-points cos(j pi / m), as weights (the Hankel contour) and as a
-cumulative-integration matrix (the recursion route's tail integrations),
-and tanh-sinh, the abscissae and weights of each level.
+points cos(j pi / m), as weights (the Hankel contour and the driver below)
+and as a cumulative-integration matrix (the recursion route's tail
+integrations), and tanh-sinh, the abscissae and weights of each level.
 
-A level-doubling tanh-sinh (double-exponential) rule for one finite
-interval, able to absorb integrable endpoint singularities, that calls
-its integrand once on the first two levels' nodes (the first level never
-stops the rule) and then once a level on its new nodes; its estimate adds
-each node's 16 eps |f| and the error the integrand may return. Plus the
-semi-infinite driver of the transform layer: one tanh-sinh interval in
-v = log1p(t/split), linear near 0 and logarithmic past split, out to where
-the integrand's declared exponential envelope leaves less than the
-target, that remainder going into the estimate. The envelope's constant
-comes from the nodes of the rule's first call of the integrand, not from
-a separate sample.
+Two drivers for one finite interval share one contract: f takes an array
+of nodes and returns values or (values, errs); the result is (value,
+err, nodes, converged), err the last refinement's difference plus the
+rule applied to each node's 16 eps |f| + errs. A level-doubling tanh-sinh
+(double-exponential) rule absorbs integrable endpoint singularities, the
+t^alpha of the Mellin representations and vanishing moments: it calls its
+integrand once on the first two levels' nodes (the first level never
+stops the rule) and then once a level on its new nodes. An integrand
+analytic on the closed interval, endpoints included, runs instead on
+nested Clenshaw-Curtis points (`clenshaw_curtis_quad`), which converge
+geometrically there without tanh-sinh's endpoint clusters: the Laplace
+integrands e^(-t) e_s(z t, lam) of the transforms and the h quadrature,
+entire in t. Its first call takes the 65 points of m = 64, each later call
+the new points of the doubled rule.
+
+Plus the semi-infinite driver of the transform layer: one interval in
+v = log1p(t/split), linear near 0 and logarithmic past split, on either
+rule, out to where the integrand's declared exponential envelope leaves
+less than the target, that remainder going into the estimate. The
+envelope's constant comes from the nodes of the rule's first call of the
+integrand and from the nodes near the end of each interval, not from a
+separate sample.
 """
 
 from __future__ import annotations
@@ -34,6 +45,8 @@ _U_MAX = 5.5  # tanh-sinh truncation; weights are ~1e-160 here
 _MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
 _MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver
 _NOISE = 16.0 * 2.0**-52  # rounding charged to each node, relative to its |f|
+_CC_FIRST = 64  # m of the nested Clenshaw-Curtis driver's first call, 65 points
+_CC_MAX = 2**12  # its last rule, 4097 points
 
 
 def _read_only(*arrays):
@@ -189,11 +202,7 @@ def _level_sums(f: Callable, levels, a: float, b: float, r: float) -> list:
         inside = slice(np.searchsorted(t, a, "right"), np.searchsorted(t, b))
         nodes.append(t[inside])
         weights.append(weight[inside])
-    vals, errs = _values_errs(f(np.concatenate(nodes)))
-    vals = np.asarray(vals, dtype=complex)
-    rounding = _NOISE * np.abs(vals) + (0.0 if errs is None else errs)
-    if not (finite := np.isfinite(vals)).all():
-        vals, rounding = np.where(finite, vals, 0.0), np.where(finite, rounding, 0.0)
+    vals, rounding = _values_rounding(f(np.concatenate(nodes)))
     sums, lo = [], 0
     for w in weights:
         part = slice(lo, lo := lo + w.size)
@@ -205,6 +214,56 @@ def _level_sums(f: Callable, levels, a: float, b: float, r: float) -> list:
 def _values_errs(out):
     """An integrand's values and errs: errs is None when it returns values only."""
     return out if isinstance(out, tuple) else (out, None)
+
+
+def _values_rounding(out):
+    """An integrand's complex values and each node's 16 eps |f| + errs; a
+    non-finite value counts as 0, and so does its rounding."""
+    vals, errs = _values_errs(out)
+    vals = np.asarray(vals, dtype=complex)
+    rounding = _NOISE * np.abs(vals) + (0.0 if errs is None else errs)
+    if not (finite := np.isfinite(vals)).all():
+        vals, rounding = np.where(finite, vals, 0.0), np.where(finite, rounding, 0.0)
+    return vals, rounding
+
+
+def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12):
+    """Integrate f over [a, b] on the nested points of `clenshaw_curtis(m)`,
+    m doubling from `_CC_FIRST` to `_CC_MAX`: the rule for an integrand
+    analytic on [a, b], endpoints included, where it converges
+    geometrically and needs none of tanh-sinh's endpoint clusters.
+
+    f is called as in `tanh_sinh`, and the result has its form (value,
+    err_estimate, nevals, converged). The first call of f takes the m + 1
+    points of m = `_CC_FIRST`, judged against the m/2 rule on the even
+    ones; each later call takes the m new odd points of the doubled rule,
+    so no point is evaluated twice. Converged once |I_2m - I_m| <=
+    max(tol, tol |I_2m|); err is that difference plus the rule applied to
+    16 eps |f| + errs. Both endpoints are nodes.
+    """
+    if b == a:
+        return 0.0 + 0.0j, 0.0, 0, True
+    r = 0.5 * (b - a)
+    m = _CC_FIRST
+    t, weights = clenshaw_curtis(m)
+    vals, rounding = _values_rounding(f(a + r * (1.0 - t)))
+    prev = r * complex(vals[::2] @ clenshaw_curtis(m // 2)[1])
+    while True:
+        total, noise = r * complex(vals @ weights), abs(r) * float(rounding @ weights)
+        diff = abs(total - prev)
+        if (converged := diff <= tol * max(1.0, abs(total))) or m >= _CC_MAX:
+            return total, diff + noise, vals.size, converged
+        m, prev = 2 * m, total
+        t, weights = clenshaw_curtis(m)
+        new_vals, new_rounding = _values_rounding(f(a + r * (1.0 - t[1::2])))
+        vals, rounding = _interleave(vals, new_vals), _interleave(rounding, new_rounding)
+
+
+def _interleave(old, new):
+    """The values at the points of the doubled rule: old at the even ones."""
+    out = np.empty(old.size + new.size, dtype=old.dtype)
+    out[::2], out[1::2] = old, new
+    return out
 
 
 def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
@@ -219,32 +278,46 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
     return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _integrate_to(f: Callable, split: float, T: float, tol: float):
-    """(value, err, nodes) of f over (0, T) by one tanh-sinh interval to tol/2
-    in v = log1p(t/split), linear in t near 0 and logarithmic past split."""
+def _integrate_to(f: Callable, split: float, T: float, tol: float, analytic: bool = False):
+    """(value, err, nodes) of f over (0, T) by one interval to tol/2 in
+    v = log1p(t/split), linear in t near 0 and logarithmic past split: on
+    tanh-sinh, or on nested Clenshaw-Curtis points (`clenshaw_curtis_quad`)
+    when f is analytic on [0, T]."""
     def g(v):  # dt = (split + t) dv
         values, errs = _values_errs(f(t := split * np.expm1(v)))
         return values * (split + t), None if errs is None else errs * (split + t)
 
-    value, err, nodes, ok = tanh_sinh(g, 0.0, math.log1p(T / split), tol / 2, max_level=_MAX_LEVEL)
+    end = math.log1p(T / split)
+    if analytic:
+        value, err, nodes, ok = clenshaw_curtis_quad(g, 0.0, end, tol / 2)
+    else:
+        value, err, nodes, ok = tanh_sinh(g, 0.0, end, tol / 2, max_level=_MAX_LEVEL)
     if not ok:
         raise _not_converged(f"integration over (0, {T:g})", value, err, tol / 2)
     return value, err, nodes
 
 
-def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split: float) -> EvalResult:
+def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split: float,
+                      analytic: bool = False) -> EvalResult:
     """Integrate f over (0, inf), where f maps an array of nodes to an array
     of values (or to (values, errs), as in `tanh_sinh`) and |f(t)| <=
     C t^power e^(-rate t) for large t, rate > 0 and power real.
 
-    One tanh-sinh interval to tol/2 in v = log1p(t/split) runs over
-    (0, 4.5 split]. Its first call of f (the rule's first two levels) also
-    gives C: twice the largest |f(t)| / (t^power e^(-rate t)) over that
-    call's nodes in [split, 4 split], so no node is evaluated for C alone.
-    The truncation point T then climbs from 4.5 split by factors of 1.5
-    until the envelope's remainder past T falls under tol/4, and that
-    remainder joins the error estimate. A T past 4.5 split integrates
-    (0, T] afresh, and the work counts both integrations.
+    One interval to tol/2 in v = log1p(t/split) (`_integrate_to`: tanh-sinh,
+    or nested Clenshaw-Curtis for an f declared analytic on [0, inf)) runs
+    over (0, 4.5 split]. Its first call of f also gives C: twice the largest
+    |f(t)| / (t^power e^(-rate t)) over that call's nodes in [split,
+    4 split], so no node is evaluated for C alone. Every call of f then
+    raises C to twice the largest such ratio over its nodes in [T/2, T] of
+    the interval (0, T] being integrated, each |f| less its errs: an
+    integrand whose |f| e^(rate t) still grows past 4 split shows it there
+    (e_s(-t, lam) at large |Im s| climbs toward its asymptotic size, of
+    order 1/|Gamma(s)|, before e^-t wins).
+    The truncation point T climbs from 4.5 split by factors of 1.5 until
+    the envelope's remainder past T falls under tol/4, and that remainder
+    joins the error estimate. A T past the interval integrates (0, T]
+    afresh, whose nodes near T check C again, and the work counts every
+    integration.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -252,32 +325,45 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         raise ValueError("split must be positive")
     if rate <= 0 or isinstance(power, complex):
         raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
-    c = None
+    c, end = None, 4.5 * split  # end: of the interval being integrated, first (0, 4.5 split]
 
-    def sampled(t):  # f, reading C off its first call
+    def envelope(t, out, lo, hi, resolved):
+        """Twice the largest |f(t)| / (t^power e^(-rate t)) over the nodes in
+        [lo, hi]; resolved: |f| less its errs, the part its value vouches for
+        (near T an integrand's absolute error may exceed its value, as the
+        kernel's does at Re s < 0, and would make C grow like e^(rate T))."""
+        window = (t >= lo) & (t <= hi)
+        u = t[window]
+        ref = u**power * np.exp(-rate * u)
+        seen = ref != 0.0
+        values, errs = _values_errs(out)
+        size = np.abs(np.asarray(values, dtype=complex)[window][seen])
+        if resolved and errs is not None:
+            size = np.maximum(size - np.broadcast_to(errs, t.shape)[window][seen], 0.0)
+        with np.errstate(over="ignore"):
+            return 2.0 * float(np.max(size / ref[seen], initial=0.0))  # safety factor
+
+    def sampled(t):  # f, raising C to its first call's envelope and every call's near the end
         nonlocal c
         out = f(t)
         if c is None:
-            window = (t >= split) & (t <= 4.0 * split)
-            u = t[window]
-            ref = u**power * np.exp(-rate * u)
-            seen = ref != 0.0
-            ratios = np.abs(np.asarray(_values_errs(out)[0], dtype=complex)[window][seen]) / ref[seen]
-            c = 2.0 * float(np.max(ratios, initial=0.0))  # safety factor
+            c = envelope(t, out, split, 4.0 * split, False)
             if not math.isfinite(c):
                 raise QuadratureError(f"the envelope constant C of |f| <= C t^{power:g} e^(-{rate:g} t), "
                                       f"sampled on [{split:g}, {4 * split:g}], is {c}")
+        c = max(c, envelope(t, out, 0.5 * end, end, True))
         return out
 
-    first = 4.5 * split  # the ladder's third rung
-    value, err, work = _integrate_to(sampled, split, first, tol)
+    value, err, work = _integrate_to(sampled, split, end, tol, analytic)
     for T in (split * 2.0 * 1.5**hops for hops in range(2, 60)):
-        if (remainder := _exp_tail_bound(c, rate, power, T)) <= tol / 4:
+        if (remainder := _exp_tail_bound(c, rate, power, T)) <= tol / 4 and T > end:
+            end = T  # integrate (0, T] afresh, and check its nodes near T
+            value, err, more = _integrate_to(sampled, split, end, tol, analytic)
+            work += more
+            remainder = _exp_tail_bound(c, rate, power, T)
+        if remainder <= tol / 4:
             break
     else:
         raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
                               f"its bound {remainder:g} (target {tol / 4:g})")
-    if T > first:
-        value, err, more = _integrate_to(f, split, T, tol)
-        work += more
     return EvalResult(value, err + remainder, work, "quadrature")

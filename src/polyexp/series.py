@@ -24,7 +24,7 @@ import numpy as np
 
 from . import core, exact, transforms
 from .core import _EPS
-from .quadrature import _not_converged, tanh_sinh
+from .quadrature import _not_converged, clenshaw_curtis_quad
 from .result import ConditioningError, DomainError, EvalResult
 
 __all__ = [
@@ -94,14 +94,14 @@ def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
     wpow = 1.0 + 0.0j
     xterm = 1.0 + 0.0j  # x^n / n!
     n = 0
+    first_stop = min(math.ceil(2.0 * abs(x)), core._MAX_TERMS)  # below it `_series_stop` can only go on
     try:
         while True:
             term = xterm * prefix
             acc += term
             sum_abs += abs(term)
             prefix += wpow * cmath.exp(neg_s * cmath.log(lam + n))
-            err = core._series_stop(s, lam, x, n, sum_abs, tol, prefix)
-            if err is not None:
+            if n >= first_stop and (err := core._series_stop(s, lam, x, n, sum_abs, tol, prefix)) is not None:
                 return EvalResult(acc, err, n, "h_series")
             n += 1
             wpow *= w
@@ -113,30 +113,33 @@ def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
     """h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt over the segment t = x u, where
     e^(-x u) e_s(x u w, lam) = e^((|x| - x) u) `core.exp_weighted_series`(s, lam,
-    x w/|x|, |x| u): one kernel call per `tanh_sinh` call of the integrand (the
-    first two levels, then one level each) at one-hundredth of the target.
-    ConditioningError where that weight would overflow binary64."""
+    x w/|x|, |x| u), entire in u: nested Clenshaw-Curtis points on [0, 1]
+    (`clenshaw_curtis_quad`), one kernel call per call of the integrand (the
+    first rule's points, then each doubling's new ones) at one-hundredth of
+    the target. The integrand carries the factor x e^x, so the rule's test
+    max(tol, tol |value|) holds for h itself. ConditioningError where that
+    weight would overflow binary64, ConvergenceError where x e^x would."""
     s, lam, w, x = params.s, params.lam, params.w, params.x
     if x == 0:
         return EvalResult(0.0 + 0.0j, 0.0, 0, "h_quadrature")
     if abs(x) - x.real > math.log(sys.float_info.max):
         raise ConditioningError(f"h quadrature weight e^((|x| - Re x) u) overflows binary64 at x = {x}")
+    if x.real > core._LOG_MAX or not cmath.isfinite(scale := x * cmath.exp(x)):
+        raise core._Overflow(f"h quadrature's factor x e^x overflows binary64 at x = {x}")
     inner_tol = tol / 100.0
     terms = 0
 
-    def f(u):
+    def f(u):  # scale last: e^((|x| - x) u) alone may pass binary64 where the product does not
         nonlocal terms
         values, errs, n = core.exp_weighted_series(s, lam, x * w / abs(x), abs(x) * u, inner_tol)
         terms += n
         factor = np.exp((abs(x) - x) * u)
-        return values * factor, errs * np.abs(factor)
+        return values * factor * scale, errs * np.abs(factor) * abs(scale)
 
-    scale = x * cmath.exp(x)
-    target = tol / max(abs(scale), 1.0)
-    val, err, nodes, ok = tanh_sinh(f, 0.0, 1.0, target)
+    val, err, nodes, ok = clenshaw_curtis_quad(f, 0.0, 1.0, tol)
     if not ok:
-        raise _not_converged(f"h quadrature at x = {x}", val, err, target)
-    return EvalResult(scale * val, abs(scale) * err, nodes + terms, "h_quadrature")
+        raise _not_converged(f"h quadrature at x = {x}", val, err, tol)
+    return EvalResult(val, err, nodes + terms, "h_quadrature")
 
 
 def h1_closed(w, x) -> complex:

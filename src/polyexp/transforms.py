@@ -17,13 +17,17 @@ integral in s, and the corresponding representation of Gamma(s) h_s.
 Every weighted integrand e^(-t) e_s(z t, lam) is evaluated through the
 log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
-contaminate quadrature nodes. Each integrand takes the nodes of whole
-tanh-sinh levels as one array (the first two levels in one call, then
-one level a call; `quad_semiinfinite` reads its envelope constant off the
-first of these calls, so no node is evaluated for it alone), and the
-inner tolerance picks each node's Poisson window through a tail bound
-relative to that node's scale (capped at 1), not through a fixed width;
-each integrand returns its error beside its values. The z = 1 (Hurwitz)
+contaminate quadrature nodes. These integrands are entire in t (e_s(x,
+lam) is entire in x), so they run on nested Clenshaw-Curtis points
+(`quadrature.clenshaw_curtis_quad`), not on tanh-sinh, whose endpoint
+clusters serve singularities they do not have; the Mellin representations
+and the vanishing moments, with their t^alpha at t = 0, keep tanh-sinh.
+Each integrand takes the new points of a whole rule as one array (the 65
+of m = 64 first, then those of each doubling; `quad_semiinfinite` reads
+its envelope constant off these calls, so no node is evaluated for it
+alone), and the inner tolerance picks each node's Poisson window through
+a tail bound relative to that node's scale (capped at 1), not through a
+fixed width; each integrand returns its error beside its values. The z = 1 (Hurwitz)
 integrand decays only like t^(-Re s); its tail past a finite T is summed
 in closed form (`_power_tail`).
 """
@@ -111,7 +115,7 @@ def _laplace_weighted(s, lam, z, tol):
 
     split = _split_point(abs(z), lam)
     if abs(z - 1.0) > 1e-14:
-        res = quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
+        res = quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split, analytic=True)
         return EvalResult(res.value, res.abs_err_estimate, res.work + terms, res.method)
     log_first = core._log_coefficient_bound(s, lam, 0.0)
     start = max(2.0 * split, (log_first - math.log(_CHERNOFF_HALF * tol / 8.0)) / _CHERNOFF_HALF)
@@ -120,7 +124,7 @@ def _laplace_weighted(s, lam, z, tol):
             break
     else:
         raise _not_converged(f"Hurwitz tail expansion at T = {T:g}", *tail, tol / 8.0)
-    value, err, nodes = _integrate_to(f, split, T, tol)
+    value, err, nodes = _integrate_to(f, split, T, tol, analytic=True)
     missed = math.exp(log_first - _CHERNOFF_HALF * T) / _CHERNOFF_HALF
     return EvalResult(value + tail[0], err + tail[1] + missed, nodes + terms, "quadrature")
 

@@ -12,6 +12,7 @@ from polyexp.result import QuadratureError
 from polyexp.quadrature import (
     chebyshev_tail_rule,
     clenshaw_curtis,
+    clenshaw_curtis_quad,
     quad_semiinfinite,
     tanh_sinh,
 )
@@ -157,18 +158,14 @@ def test_semiinfinite_is_one_tanh_sinh_call(monkeypatch):
 @pytest.mark.parametrize("integral", ("t e^-2t", "eta(0.5, 1)"))
 def test_semiinfinite_evaluates_no_node_for_the_envelope(monkeypatch, integral):
     # C comes from the rule's own first call: the integrand runs once per
-    # tanh-sinh level call, on that call's nodes only
-    level_calls, f_nodes, rule_nodes = [], [], []
-    level_sums, rule, kernel = quadrature._level_sums, quadrature.tanh_sinh, core.exp_weighted_series
+    # call the rule sums (tanh-sinh for t e^-2t, Clenshaw-Curtis for eta),
+    # on that call's nodes only
+    summed_calls, f_nodes, rule_nodes = [], [], []
+    values_rounding, kernel = quadrature._values_rounding, core.exp_weighted_series
 
-    def counted_levels(*args):
-        level_calls.append(args[1])
-        return level_sums(*args)
-
-    def counted_rule(*args, **kwargs):
-        out = rule(*args, **kwargs)
-        rule_nodes.append(out[2])
-        return out
+    def counted_sums(out):
+        summed_calls.append(1)
+        return values_rounding(out)
 
     def counted_kernel(s, lam, z, t, tol):
         f_nodes.append(t.size)
@@ -178,14 +175,45 @@ def test_semiinfinite_evaluates_no_node_for_the_envelope(monkeypatch, integral):
         f_nodes.append(t.size)
         return t * np.exp(-2 * t)
 
-    monkeypatch.setattr(quadrature, "_level_sums", counted_levels)
-    monkeypatch.setattr(quadrature, "tanh_sinh", counted_rule)
+    monkeypatch.setattr(quadrature, "_values_rounding", counted_sums)
+    for name in ("tanh_sinh", "clenshaw_curtis_quad"):
+        monkeypatch.setattr(quadrature, name, _counted(getattr(quadrature, name), rule_nodes))
     monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
     if integral == "t e^-2t":
         assert abs(quad_semiinfinite(f, 2.0, 1.0, 1e-11, 10.0).value - 0.25) < 1e-10
     else:
         transforms.eta(0.5, 1.0)
-    assert len(f_nodes) == len(level_calls) >= 1 and sum(f_nodes) == sum(rule_nodes)
+    assert len(f_nodes) == len(summed_calls) >= 1 and sum(f_nodes) == sum(rule_nodes)
+
+
+def _counted(rule, nodes):
+    """rule, appending each call's node count to nodes."""
+    def counted_rule(*args, **kwargs):
+        out = rule(*args, **kwargs)
+        nodes.append(out[2])
+        return out
+
+    return counted_rule
+
+
+def test_semiinfinite_checks_the_envelope_near_its_end(monkeypatch):
+    # the Gamma(61) density t^60 e^-t / 60!, declared as C e^-t: |f| e^t grows
+    # past 4 split = 40, so the first call's C puts T at 67.5, where a fifth
+    # of the mass is still to come; the integral's nodes near its end raise
+    # C, and T climbs until the remainder meets tol/4
+    ends = []
+    integrate_to = quadrature._integrate_to
+
+    def spied(f, split, T, tol, analytic):
+        ends.append(T)
+        return integrate_to(f, split, T, tol, analytic)
+
+    monkeypatch.setattr(quadrature, "_integrate_to", spied)
+    res = quad_semiinfinite(lambda t: np.exp(60.0 * np.log(t) - t - math.lgamma(61.0)), 1.0, 0.0, 1e-10, 10.0)
+    # the exponent's own rounding, ~1e-14 here, is more than 16 eps: no
+    # comparison with the estimate
+    assert ends[:2] == [45.0, 67.5] and ends[-1] > 100.0
+    assert abs(res.value - 1.0) <= 1e-12 and res.abs_err_estimate <= 1e-10
 
 
 @pytest.mark.parametrize("bad", (np.inf, np.nan))
@@ -285,3 +313,55 @@ def test_rule_tables_are_read_only_and_memoized():
             array[0] = 0.0
     assert clenshaw_curtis(64)[1] is tables[1]
     assert chebyshev_tail_rule(32)[1] is tables[3]
+
+
+# -- nested Clenshaw-Curtis driver ----------------------------------------------------
+
+
+def test_clenshaw_curtis_quad_evaluates_no_node_twice():
+    # 1/(1 + 25 t^2) is analytic on [-1, 1] but takes doublings: the 65 points
+    # of m = 64 first, then only the m new odd points of each doubled rule
+    calls = []
+
+    def f(t):
+        calls.append(t.copy())
+        return 1.0 / (1.0 + 25.0 * t * t)
+
+    val, err, n, ok = clenshaw_curtis_quad(f, -1.0, 1.0, 1e-13)
+    nodes = np.concatenate(calls)
+    assert ok and abs(val - 0.4 * math.atan(5.0)) <= err <= 1e-12
+    assert len(calls) >= 3 and [t.size for t in calls] == [65] + [64 * 2**k for k in range(len(calls) - 1)]
+    assert n == nodes.size == np.unique(nodes).size and nodes.min() == -1.0 and nodes.max() == 1.0
+
+
+@pytest.mark.parametrize("degree, nodes", [(32, 65), (33, 65), (64, 129)])
+def test_clenshaw_curtis_quad_integrates_polynomials_exactly(degree, nodes):
+    # m + 1 points integrate degree <= m (m + 1 for even m) exactly: up to
+    # degree 33 the first call's m = 64 and m = 32 rules agree, degree 64
+    # takes one doubling
+    c = np.random.default_rng(degree).standard_normal(degree + 1)
+    a, b = -1.0, 1.5
+    antiderivative = np.polynomial.polynomial.polyint(c)
+    exact = np.polynomial.polynomial.polyval(b, antiderivative) - np.polynomial.polynomial.polyval(a, antiderivative)
+    val, err, n, ok = clenshaw_curtis_quad(lambda t: np.polynomial.polynomial.polyval(t, c), a, b, 1e-13)
+    assert ok and n == nodes and abs(val - exact) <= err <= 1e-13 * abs(exact)
+
+
+def test_clenshaw_curtis_quad_reports_its_numbers_when_it_does_not_converge():
+    # sqrt|t| has a kink at 0: the error falls only like m^-1.5, so the
+    # last rule, 4097 points, stops short of tol and says so
+    f = lambda t: np.sqrt(np.abs(t))
+    val, err, n, ok = clenshaw_curtis_quad(f, -1.0, 1.0, 1e-12)
+    assert not ok and n == quadrature._CC_MAX + 1 and abs(val - 4.0 / 3.0) <= err
+    with pytest.raises(QuadratureError, match=r"integration over \(0, 20\) did not converge: "
+                       r"last estimate \S+, last difference \S+ \(target 5e-13\)"):
+        quadrature._integrate_to(lambda t: np.sqrt(np.abs(t - 5.0)), 10.0, 20.0, 1e-12, analytic=True)
+
+
+def test_clenshaw_curtis_quad_matches_the_tanh_sinh_contract():
+    # errs and 16 eps |f| go into the estimate; a zero-width interval has no nodes
+    val, err, _, ok = clenshaw_curtis_quad(lambda t: (np.exp(t), 1e-6 * (1.0 + t)), 0.0, 1.0, 1e-12)
+    assert ok and abs(val - (math.e - 1)) < 1e-12 and err >= 1.5e-6 * (1.0 - 1e-9)
+    val, err, _, ok = clenshaw_curtis_quad(lambda t: np.full(t.shape, 1e20), 0.0, 1.0, 1e-12)
+    assert ok and abs(val - 1e20) <= 16 * _EPS * 1e20 * (1.0 - 1e-9) <= err
+    assert clenshaw_curtis_quad(np.exp, 2.0, 2.0) == (0.0, 0.0, 0, True)

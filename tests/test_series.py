@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import time
 import warnings
 from fractions import Fraction
@@ -59,6 +60,61 @@ def test_h_direct_spec_value_27e4():
     assert abs(res.value - 27.0 * E / 4.0) < 1e-12
 
 
+def _h_direct_per_term(params, tol):
+    """h_direct's scalar loop asking `core._series_stop` after every term,
+    as (value, estimate, work)."""
+    s, lam, w, x = params.s, params.lam, params.w, params.x
+    acc, sum_abs, prefix, wpow, xterm, n = 0j, 0.0, 0j, 1 + 0j, 1 + 0j, 0
+    try:
+        while True:
+            term = xterm * prefix
+            acc += term
+            sum_abs += abs(term)
+            prefix += wpow * cmath.exp(-s * cmath.log(lam + n))
+            err = core._series_stop(s, lam, x, n, sum_abs, tol, prefix)
+            if err is not None:
+                return acc, err, n
+            n += 1
+            wpow *= w
+            xterm *= x / n
+    except OverflowError as exc:
+        raise core._Overflow(f"series terms overflow binary64 at x = {x}") from exc
+
+
+def _h_direct_numbers(params, tol):
+    res = h_direct(params, tol)
+    return res.value, res.abs_err_estimate, res.work
+
+
+def _outcome(call, *args):
+    """repr of what call returns, or the type of what it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def test_h_direct_matches_a_stop_test_after_every_term():
+    # below n = 2|x| the stop rule can only go on, so h_direct asks it from
+    # there on: value, estimate, work and error type stay bit for bit
+    rng = random.Random(23)
+    points = [(-1.5, 1, 1, 700 + 100j), (2, 1, 1, 800.0), (-40, 0.5, 1, 30.0), (1, 1, 1, 0.0)]
+    for _ in range(150):
+        s = complex(rng.uniform(-8, 8), rng.choice((0.0, rng.uniform(-10, 10))))
+        lam = complex(rng.uniform(0.05, 5), rng.choice((0.0, rng.uniform(-2, 2))))
+        w = rng.choice((1, -1, 0.5, cmath.rect(rng.uniform(0, 1), rng.uniform(-3, 3))))
+        x = complex(rng.uniform(-60, 60), rng.choice((0.0, rng.uniform(-40, 40))))
+        points.append((s, lam, w, x))
+    kinds = set()
+    for point in points:
+        params = HSeriesParams(*point)
+        for tol in (1e-8, 1e-12):
+            ours = _outcome(_h_direct_numbers, params, tol)
+            assert ours == _outcome(_h_direct_per_term, params, tol), (point, tol)
+            kinds.add(ours if isinstance(ours, type) else str)
+    assert kinds == {str, core._Overflow}  # values and typed overflows both met
+
+
 def test_h_direct_params_validated():
     with pytest.raises(DomainError):
         HSeriesParams(1, -1, 1, 1)
@@ -96,9 +152,18 @@ def test_h_quadrature_refuses_overflowing_weight(w):
             h_quadrature(HSeriesParams(1.5, 0.7, w, -400.0))
 
 
+@pytest.mark.parametrize("x", [705.0, 800.0])
+def test_h_quadrature_refuses_an_overflowing_prefactor(x):
+    # x e^x passes binary64: a typed error, not a sum of non-finite values counted as 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="x e\\^x overflows binary64"):
+            h_quadrature(HSeriesParams(1.5, 0.7, 1.0, x))
+
+
 def test_h_quadrature_work_counts_kernel_terms(monkeypatch):
     nodes, terms = [], []
-    rule, kernel = series.tanh_sinh, core.exp_weighted_series
+    rule, kernel = series.clenshaw_curtis_quad, core.exp_weighted_series
 
     def counted_rule(*args, **kwargs):
         out = rule(*args, **kwargs)
@@ -110,7 +175,7 @@ def test_h_quadrature_work_counts_kernel_terms(monkeypatch):
         terms.append(out[2])
         return out
 
-    monkeypatch.setattr(series, "tanh_sinh", counted_rule)
+    monkeypatch.setattr(series, "clenshaw_curtis_quad", counted_rule)
     monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
     res = h_quadrature(HSeriesParams(1.5, 0.7, -1.0, 20.0), tol=1e-10)
     assert res.work == sum(nodes) + sum(terms) and sum(terms) > 10 * sum(nodes)

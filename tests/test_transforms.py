@@ -125,33 +125,45 @@ def test_hurwitz_rounding_within_estimate(s, lam):
     assert abs(res.value - _hurwitz_truth(s, lam)) <= res.abs_err_estimate
 
 
-def _tanh_sinh_nodes(monkeypatch):
-    """The node count of every `quadrature.tanh_sinh` call from here on."""
+def _rule_nodes(monkeypatch, rule="clenshaw_curtis_quad"):
+    """The node count of every call of `quadrature.<rule>` from here on."""
     nodes = []
-    original = quadrature.tanh_sinh
+    original = getattr(quadrature, rule)
 
-    def rule(*args, **kwargs):
+    def spied(*args, **kwargs):
         out = original(*args, **kwargs)
         nodes.append(out[2])
         return out
 
-    monkeypatch.setattr(quadrature, "tanh_sinh", rule)
+    monkeypatch.setattr(quadrature, rule, spied)
     return nodes
 
 
 def test_hurwitz_node_budget(monkeypatch):
     # the tail past T is closed form: no panels out to t ~ 5000
-    nodes = _tanh_sinh_nodes(monkeypatch)
+    nodes = _rule_nodes(monkeypatch)
     transforms.hurwitz_zeta(3.5, 1.5, tol=1e-10)
     assert sum(nodes) <= 600
 
 
 @pytest.mark.parametrize("transform, args", [("hurwitz_zeta", (3.5, 1.5)), ("eta", (-1.5 + 2j, 1.0)),
-                                             ("lerch_phi", (0.5, 2.5, 1.0)), ("vanishing_moment", (2, 1.5))])
-def test_one_tanh_sinh_call_per_integral(monkeypatch, transform, args):
-    nodes = _tanh_sinh_nodes(monkeypatch)
+                                             ("lerch_phi", (0.5, 2.5, 1.0))])
+def test_one_clenshaw_curtis_call_per_integral(monkeypatch, transform, args):
+    # the Laplace integrands are entire in t: no tanh-sinh
+    nodes, endpoint_rule = _rule_nodes(monkeypatch), _rule_nodes(monkeypatch, "tanh_sinh")
     getattr(transforms, transform)(*args)
-    assert len(nodes) == 1
+    assert len(nodes) == 1 and not endpoint_rule
+
+
+@pytest.mark.parametrize("transform, args", [("mellin_s_representation", (3 + 2j, 2 + 1j, 2.0)),
+                                             ("h_mellin_representation", (2.5, 1.0, 1.5)),
+                                             ("mellin_s_representation", (0.5, 2 + 1j, 1j)),
+                                             ("vanishing_moment", (2, 1.5))])
+def test_one_tanh_sinh_call_per_integral(monkeypatch, transform, args):
+    # t^(s-1) and x^(lam-1) at t = 0 need tanh-sinh's endpoint clusters
+    nodes, entire_rule = _rule_nodes(monkeypatch, "tanh_sinh"), _rule_nodes(monkeypatch)
+    getattr(transforms, transform)(*args)
+    assert len(nodes) == 1 and not entire_rule
 
 
 def test_hurwitz_tail_expansion_refuses_huge_imaginary_s():
@@ -278,7 +290,7 @@ def test_mellin_transform_runs_no_evaluate_and_no_tanh_sinh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for module, name in ((core, "evaluate"), (quadrature, "tanh_sinh")):
+    for module, name in ((core, "evaluate"), (quadrature, "tanh_sinh"), (quadrature, "clenshaw_curtis_quad")):
         monkeypatch.setattr(module, name, refuse)
     for s, p, lam in ((1.505, 1, 1.756), (0.5, 3, 1.0), (0.5, 0, 1.0), (4.187, 5, 4.311)):
         res = transforms.mellin_transform_polyexp(s, p, lam)
@@ -287,7 +299,7 @@ def test_mellin_transform_runs_no_evaluate_and_no_tanh_sinh(monkeypatch):
 
 @pytest.mark.parametrize("transform, args", [("eta", (0.5, 1.0)), ("hurwitz_zeta", (3.5, 1.5))])
 def test_work_counts_kernel_terms(monkeypatch, transform, args):
-    nodes, terms = _tanh_sinh_nodes(monkeypatch), []
+    nodes, terms = _rule_nodes(monkeypatch), []
     kernel = core.exp_weighted_series
 
     def counted_kernel(*args):
@@ -300,12 +312,13 @@ def test_work_counts_kernel_terms(monkeypatch, transform, args):
     assert res.work == sum(nodes) + sum(terms) and sum(terms) > 10 * sum(nodes)
 
 
-@pytest.mark.parametrize("transform, args, nodes, work, calls", [("eta", (0.5, 1.0), 139, 5606, 1),
-                                                                  ("hurwitz_zeta", (3.5, 1.5), 139, 11411, 1)])
+@pytest.mark.parametrize("transform, args, nodes, work, calls", [("eta", (0.5, 1.0), 65, 3524, 1),
+                                                                  ("hurwitz_zeta", (3.5, 1.5), 65, 6774, 1)])
 def test_kernel_calls_and_work_pinned(monkeypatch, transform, args, nodes, work, calls):
-    # one call for levels 3 and 4 of the rule, which converges there; eta
-    # reads its envelope constant off that call's nodes
-    counted, kernel_calls = _tanh_sinh_nodes(monkeypatch), []
+    # one call on the 65 Clenshaw-Curtis points of m = 64, which meet tol
+    # against the m = 32 rule on the even ones; eta reads its envelope
+    # constant off that call's nodes
+    counted, kernel_calls = _rule_nodes(monkeypatch), []
     kernel = core.exp_weighted_series
 
     def counted_kernel(*args):
@@ -321,12 +334,13 @@ def test_kernel_calls_and_work_pinned(monkeypatch, transform, args, nodes, work,
 def test_integral_past_the_first_interval_meets_its_estimate(monkeypatch, x, s, lam):
     # rate 1 - Re x ~ 0.3: the envelope's remainder past 4.5 split misses
     # tol/4, so (0, T] is integrated afresh and work counts both intervals
-    nodes, ends, terms = _tanh_sinh_nodes(monkeypatch), [], []
+    nodes, ends, terms = _rule_nodes(monkeypatch), [], []
     integrate_to, kernel = quadrature._integrate_to, core.exp_weighted_series
 
-    def spied(f, split, T, tol):
+    def spied(f, split, T, tol, analytic):
+        assert analytic
         ends.append(T / split)
-        return integrate_to(f, split, T, tol)
+        return integrate_to(f, split, T, tol, analytic)
 
     def counted_kernel(*args):
         out = kernel(*args)
