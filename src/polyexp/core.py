@@ -40,7 +40,8 @@ import threading
 import numpy as np
 
 from . import exact
-from .quadrature import _read_only, _tail_integrate, chebyshev_tail_rule, clenshaw_curtis
+from .quadrature import _CC_FIRST, _NOISE, _exp_bound, _read_only, _tail_integrate
+from .quadrature import chebyshev_tail_rule, clenshaw_curtis, clenshaw_curtis_quad
 from .result import (
     ConditioningError,
     ContourResolutionError,
@@ -916,9 +917,6 @@ def eval_via_recursion(p: int, lam, x, tol: float = 1e-10) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-_HANKEL_NODES = 64  # starting Chebyshev point count m on the rays and on the circle
-
-
 def _ray_peak(s: complex, lam: complex, x: complex) -> tuple[float, complex]:
     """(t_p, log_front): e^(Re log_front) is about the size of
     int u^(s-1) e^(-lam u) e^(x e^-u) du, the rays' scale. Past -Re x = Re lam,
@@ -951,11 +949,6 @@ def _ray_head_bound(s: complex, lam: complex, x: complex, lo: float, radius: flo
     upper = -lam.real * lo + x.real * math.exp(-lo) + max(sigma, 0.0) * math.log(lo) - log_front
     lower = x.real / math.e + min(sigma, 0.0) * math.log(radius) - log_front
     return lo * (_exp_bound(upper) + _exp_bound(lower))
-
-
-def _exp_bound(log_bound: float) -> float:
-    """e^log_bound, inf past binary64."""
-    return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def default_contour(s, lam, x, tol: float = 1e-10) -> float:
@@ -992,66 +985,39 @@ def _hankel_orders(s: complex):
 
 def _hankel_raw(rays, lo, T, circle, radius, tol):
     """int_0^log(T/lo) rays(w) dw + (1/2 pi i) * integral of circle(z) dz
-    around |z| = radius, theta from -pi to pi, on the nested points of
-    `clenshaw_curtis(m)`, m doubling from 64 until the refinements settle:
-    rays(w) is the ray integrand in w = log(u / lo), Jacobian included,
-    circle(z, Log z) (None for the rays alone). Returns (value, last
-    difference, rounding floor, distinct evaluations (m+1) per piece); the
-    floor is 16 eps times the integral of the modulus, the level at which
-    cancellation leaves the sum; a difference under it but above tol raises
-    at once, an integrand past binary64 too (naming its point z, -u on the
-    rays)."""
+    around |z| = radius, theta from -pi to pi, by `clenshaw_curtis_quad` on
+    [-1, 1]: rays(w) is the ray integrand in w = log(u / lo), Jacobian
+    included, circle(z, Log z) (None for the rays alone). Both are taken at
+    the rule's points t_j: the quadrature's x_j = -1 + (1 - t_j) is -t_j only up
+    to the rounding of 1 - t_j, which the rays magnify up to |x|-fold. They
+    are summed per point, each one's 16 eps |value| charged as errs, so the
+    noise is 16 eps times the integral of |rays| + |circle|. Returns (value,
+    estimate, distinct evaluations); refinements that stop unsettled raise
+    ContourResolutionError, an integrand past binary64 an overflow that
+    names its point z (-u on the rays)."""
     log_r, half = math.log(radius), 0.5 * math.log(T / lo)
 
-    def pieces(t):
-        """Rays (row 0) and circle (row 1) at points t of [-1, 1], Jacobians
-        included; checked finite before any weighted sum sees them."""
+    def pieces(x):
+        # clenshaw_curtis_quad's documented calls: the points of m = _CC_FIRST, then the m new ones of rule 2m
+        t = clenshaw_curtis(_CC_FIRST)[0] if x.size == _CC_FIRST + 1 else clenshaw_curtis(2 * x.size)[0][1::2]
         with np.errstate(over="ignore", invalid="ignore"):
-            if circle is None:
-                out = (half * rays(half * (1.0 + t)))[None, :]
-            else:
+            total = ray = half * rays(half * (1.0 + t))
+            if circle is not None:
                 z = radius * np.exp(1j * math.pi * t)  # dz / (2 pi i) = z dtheta / (2 pi) = z dt / 2
-                out = np.stack([half * rays(half * (1.0 + t)), 0.5 * z * circle(z, log_r + 1j * math.pi * t)])
-        if not (finite := np.isfinite(out)).all():
-            row, k = np.unravel_index(np.argmin(finite), out.shape)
-            point = radius * cmath.exp(1j * math.pi * t[k]) if row else -lo * math.exp(half * (1.0 + t[k]))
+                total = ray + (arc := 0.5 * z * circle(z, log_r + 1j * math.pi * t))
+        if not (finite := np.isfinite(total)).all():  # a sum is finite where both pieces are
+            k = np.argmin(finite)
+            on_ray = circle is None or not np.isfinite(ray[k])
+            point = -lo * math.exp(half * (1.0 + t[k])) if on_ray else radius * cmath.exp(1j * math.pi * t[k])
             raise _Overflow(f"contour integrand overflows binary64 at z = {complex(point):.6g}")
-        return out
+        return ray if circle is None else (total, _NOISE * (np.abs(ray) + np.abs(arc) - np.abs(total)))
 
-    m = _HANKEL_NODES
-    t, weights = clenshaw_curtis(m)
-    values = pieces(t)
-    prev = None
-    # the first difference is judged against the m/2 rule on the even points
-    diff = abs(np.sum(values @ weights) - np.sum(values[:, ::2] @ clenshaw_curtis(m // 2)[1]))
-    for doubling in range(8):
-        if doubling:
-            m *= 2
-            t, weights = clenshaw_curtis(m)
-            grown = np.empty((len(values), m + 1), dtype=complex)
-            grown[:, ::2] = values  # the old points are t[::2]
-            grown[:, 1::2] = pieces(t[1::2])
-            values = grown
-        total = complex(np.sum(values @ weights))
-        size = float(np.sum(np.abs(values) @ weights))
-        floor = 16.0 * _EPS * size
-        if prev is not None:
-            diff, prev_diff = abs(total - prev), diff
-            # settled: the values agree to tol, the integrals of the modulus
-            # to 1 %, and the difference has shrunk tenfold (or to the
-            # floor); two levels that both miss a narrow peak, or alias one
-            # oscillation, agree as well, but fail one of the other two
-            if (diff <= max(tol, tol * abs(total)) and abs(size - prev_size) <= 0.01 * size
-                    and diff <= max(0.1 * prev_diff, floor)):
-                return total, diff, floor, values.size
-            if diff <= floor:
-                break
-        prev, prev_size = total, size
-    raise ContourResolutionError(
-        f"contour refinements stalled at m = {m} (m + 1 points per piece): "
-        f"last estimate {total:.12g}, last difference {diff:g}, "
-        f"rounding floor {floor:g} (tol {tol:g})"
-    )
+    total, estimate, points, settled = clenshaw_curtis_quad(pieces, -1.0, 1.0, tol)
+    if not settled:
+        raise ContourResolutionError(
+            f"contour refinements stalled at m = {points - 1} (m + 1 points per piece): "
+            f"last estimate {total:.12g}, error estimate {estimate:g} (tol {tol:g})")
+    return total, estimate, points * (1 + (circle is not None))
 
 
 def hankel_contour_integral(s, lam, kernel, tol: float = 1e-10) -> complex:
@@ -1086,8 +1052,11 @@ def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
     exponential of that logarithm plus the log of the scaled integral. At
     Re x < 0 the rays start where Re x e^-u = -(1490 + 2 Re lam), under
     e^-745 of their peak, and a circle bound under tol / 1000 stands in for
-    the circle; both bounds join the estimate. An integrand past binary64 in
-    these units is a ConvergenceError (an OverflowError too)."""
+    the circle; both bounds join the estimate, as does the contour's own
+    (`_hankel_raw`: the last refinement's difference plus the noise of both
+    pieces). An integrand past binary64 in these units is a
+    ConvergenceError (an OverflowError too), refinements that do not settle
+    by m = 8192 a ContourResolutionError."""
     s, lam, x = complex(s), complex(lam), complex(x)
     _require_lam(lam)
     t_peak, log_front = _ray_peak(s, lam, x)
@@ -1116,14 +1085,14 @@ def eval_hankel(s, lam, x, tol: float = 1e-9) -> EvalResult:
                               + x.real + 2.0 * math.exp(radius) - log_front.real)
     skip = circle_bound <= 1e-3 * tol
     T = default_contour(s, lam, x, tol)
-    total, diff, floor, work = _hankel_raw(rays, lo, T, None if skip else circle, radius, tol)
+    total, err, work = _hankel_raw(rays, lo, T, None if skip else circle, radius, tol)
     log_unit = log_pre + log_front  # value = e^log_unit total
     if not cmath.isfinite(value := _exp_times(log_unit, total)):
         raise _Overflow(f"e_s(x, lam) overflows binary64 at s = {s}, lam = {lam}, x = {x}")
     dropped = (_ray_head_bound(s, lam, x, lo, radius) if lo > radius else 0.0) + _ray_tail_bound(s, lam, x, T)
     # log Gamma(s) is good to about eps |log Gamma(s)|, e^log_unit to eps |log_unit| relative
     rounding = (32.0 + 2.0 * abs(log_pre) + 2.0 * abs(log_front)) * _EPS * abs(value)
-    estimate = float(_exp_times(log_unit.real, diff + floor + dropped + skip * circle_bound).real + rounding)
+    estimate = float(_exp_times(log_unit.real, err + dropped + skip * circle_bound).real + rounding)
     return EvalResult(complex(value.real) if real else value, estimate, work, "hankel")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import core
 from .exact import ExactPoly, fraction_from_str, fraction_to_str
-from .quadrature import _not_converged, tanh_sinh
+from .quadrature import _not_converged, clenshaw_curtis_quad
 from .result import (
     ConditioningError,
     DomainError,
@@ -788,8 +788,10 @@ def oracle_line_integral(
 
     R has rational coefficients and x, c are real, so the integrand at -t
     is the conjugate of the one at t: the integral is folded onto the half
-    line, (1/pi) Re int_0^T, and its value is real (imaginary part 0).
-    tanh-sinh then clusters its nodes at t = 0, where the Gamma peak sits.
+    line, (1/pi) Re int_0^T, and its value is real (imaginary part 0). The
+    integrand is analytic on [0, T] (the poles of R and Gamma lie off the
+    line), so it runs on nested Clenshaw-Curtis points
+    (`clenshaw_curtis_quad`).
     The neglected |t| > T tails are bounded through the Gamma decay
     e^(-pi |t|/2) and added to the error estimate; if target_tol is given
     and the bound exceeds it, the call fails rather than pretend.
@@ -813,7 +815,7 @@ def oracle_line_integral(
         s = c + 1j * t
         return (np.exp(-s * lx) * R(s) * core.gamma_fn(s)).real / math.pi
 
-    value, err, work, ok = tanh_sinh(f, 0.0, T, tol, max_level=11)
+    value, err, work, ok = clenshaw_curtis_quad(f, 0.0, T, tol)
     if not ok:
         raise _not_converged(f"line integral at x = {x:g}, c = {c:g}", value, err, tol)
     return EvalResult(complex(value.real, 0.0), err + tail, work, "line_integral")

@@ -2,24 +2,25 @@
 
 Two rule families, their tables memoized, built lazily on first use and
 handed out as read-only arrays: Clenshaw-Curtis on the nested Chebyshev
-points cos(j pi / m), as weights (the Hankel contour and the driver below)
-and as a cumulative-integration matrix (the recursion route's tail
-integrations), and tanh-sinh, the abscissae and weights of each level.
+points cos(j pi / m), as weights (`clenshaw_curtis_quad`) and as a
+cumulative-integration matrix (the recursion route's tail integrations),
+and tanh-sinh, the abscissae and weights of each level.
 
 Two drivers for one finite interval share one contract: f takes an array
 of nodes and returns values or (values, errs); the result is (value,
 err, nodes, converged), err the last refinement's difference plus the
-rule applied to each node's 16 eps |f| + errs. A level-doubling tanh-sinh
-(double-exponential) rule absorbs integrable endpoint singularities, the
-t^alpha of the Mellin representations and vanishing moments: it calls its
-integrand once on the first two levels' nodes (the first level never
-stops the rule) and then once a level on its new nodes. An integrand
-analytic on the closed interval, endpoints included, runs instead on
-nested Clenshaw-Curtis points (`clenshaw_curtis_quad`), which converge
-geometrically there without tanh-sinh's endpoint clusters: the Laplace
-integrands e^(-t) e_s(z t, lam) of the transforms and the h quadrature,
-entire in t. Its first call takes the 65 points of m = 64, each later call
-the new points of the doubled rule.
+noise, the rule applied to each node's 16 eps |f| + errs. Every integrand
+analytic on the closed interval, endpoints included, runs on one nested
+Clenshaw-Curtis refinement (`clenshaw_curtis_quad`), which converges
+geometrically there: the Laplace integrands e^(-t) e_s(z t, lam) of the
+transforms and the h quadrature, entire in t, the Mellin-Barnes line
+integral, and the Hankel contour (`core._hankel_raw`). Its first call
+takes the 65 points of m = 64, each later call the new points of the
+doubled rule, and one stop rule serves them all. A level-doubling
+tanh-sinh (double-exponential) rule is left for integrable endpoint
+singularities, the t^alpha of the Mellin representations and vanishing
+moments: it calls its integrand once on the first two levels' nodes (the
+first level never stops the rule) and then once a level on its new nodes.
 
 Plus the semi-infinite driver of the transform layer: one interval in
 v = log1p(t/split), linear near 0 and logarithmic past split, on either
@@ -46,7 +47,7 @@ _MIN_LEVEL = 3  # tanh-sinh starts at mesh 2^-3
 _MAX_LEVEL = 12  # tanh-sinh levels of the semi-infinite driver
 _NOISE = 16.0 * 2.0**-52  # rounding charged to each node, relative to its |f|
 _CC_FIRST = 64  # m of the nested Clenshaw-Curtis driver's first call, 65 points
-_CC_MAX = 2**12  # its last rule, 4097 points
+_CC_MAX = 2**13  # its last rule, 8193 points
 
 
 def _read_only(*arrays):
@@ -65,7 +66,8 @@ def clenshaw_curtis(m: int):
     h = 1/2 at both ends and mu_k = 2/(1 - k^2) (even k; 0 for odd k) the
     integral of T_k: one DCT-I of the moments, done as a real FFT of
     their even extension. t_m is t_2m[::2] exactly, so a caller that
-    doubles m keeps every value it has.
+    doubles m keeps every value it has, and the m/2 and m/4 rules sit on
+    every other and every fourth point.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -202,7 +204,9 @@ def _level_sums(f: Callable, levels, a: float, b: float, r: float) -> list:
         inside = slice(np.searchsorted(t, a, "right"), np.searchsorted(t, b))
         nodes.append(t[inside])
         weights.append(weight[inside])
-    vals, rounding = _values_rounding(f(np.concatenate(nodes)))
+    vals, modulus, rounding = _values_rounding(f(np.concatenate(nodes)))
+    rounding = _NOISE * modulus if rounding is None else rounding
+    vals = vals.astype(complex, copy=False)  # one summation for real and complex f: numpy orders the two apart
     sums, lo = [], 0
     for w in weights:
         part = slice(lo, lo := lo + w.size)
@@ -217,53 +221,76 @@ def _values_errs(out):
 
 
 def _values_rounding(out):
-    """An integrand's complex values and each node's 16 eps |f| + errs; a
-    non-finite value counts as 0, and so does its rounding."""
+    """An integrand's values, their moduli and, where it returns errs, each
+    node's 16 eps |f| + errs (None where it does not: the rule of 16 eps |f|
+    is 16 eps times the rule of |f|). A non-finite value counts as 0, and so
+    do its modulus and its rounding; real values stay real."""
     vals, errs = _values_errs(out)
-    vals = np.asarray(vals, dtype=complex)
-    rounding = _NOISE * np.abs(vals) + (0.0 if errs is None else errs)
+    vals = np.asarray(vals)
+    modulus = np.abs(vals)
+    rounding = None if errs is None else _NOISE * modulus + errs
     if not (finite := np.isfinite(vals)).all():
-        vals, rounding = np.where(finite, vals, 0.0), np.where(finite, rounding, 0.0)
-    return vals, rounding
+        vals, modulus = np.where(finite, vals, 0.0), np.where(finite, modulus, 0.0)
+        rounding = None if errs is None else np.where(finite, rounding, 0.0)
+    return vals, modulus, rounding
 
 
 def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12):
-    """Integrate f over [a, b] on the nested points of `clenshaw_curtis(m)`,
-    m doubling from `_CC_FIRST` to `_CC_MAX`: the rule for an integrand
-    analytic on [a, b], endpoints included, where it converges
-    geometrically and needs none of tanh-sinh's endpoint clusters.
+    """Integrate f over [a, b] on the nested points a + r (1 - t) of
+    `clenshaw_curtis(m)`, r = (b - a)/2, m doubling from `_CC_FIRST` to
+    `_CC_MAX`: the rule for an integrand analytic on [a, b], endpoints
+    included, where it converges geometrically.
 
     f is called as in `tanh_sinh`, and the result has its form (value,
     err_estimate, nevals, converged). The first call of f takes the m + 1
-    points of m = `_CC_FIRST`, judged against the m/2 rule on the even
-    ones; each later call takes the m new odd points of the doubled rule,
-    so no point is evaluated twice. Converged once |I_2m - I_m| <=
-    max(tol, tol |I_2m|); err is that difference plus the rule applied to
-    16 eps |f| + errs. Both endpoints are nodes.
+    points of m = `_CC_FIRST`, judged against the m/2 and m/4 rules on its
+    even and every-fourth points; each later call takes the m new odd points
+    of the doubled rule, so no point is evaluated twice. Settled once
+    |I_2m - I_m| <= max(tol, tol |I_2m|) and either that difference is
+    under the noise, the rule applied to 16 eps |f| + errs, or the integrals
+    of |f| agree to 1 % and the difference shrank tenfold: two rules that
+    both miss a narrow peak, or alias one oscillation, agree as well, but
+    fail the last two tests. Unsettled once the difference falls under
+    16 eps times the integral of |f|, where rounding leaves the sum (not
+    under the noise: a kernel's errs bound more than its rounding, and the
+    Laplace integrals converge through them), or at m = `_CC_MAX`. err is
+    the last difference plus the noise.
     """
     if b == a:
         return 0.0 + 0.0j, 0.0, 0, True
     r = 0.5 * (b - a)
     m = _CC_FIRST
     t, weights = clenshaw_curtis(m)
-    vals, rounding = _values_rounding(f(a + r * (1.0 - t)))
-    prev = r * complex(vals[::2] @ clenshaw_curtis(m // 2)[1])
+    vals, modulus, rounding = _values_rounding(f(a + r * (1.0 - t)))
+    half, quarter = clenshaw_curtis(m // 2)[1], clenshaw_curtis(m // 4)[1]
+    prev, prev_size = r * complex(vals[::2] @ half), abs(r) * float(modulus[::2] @ half)
+    diff = abs(prev - r * complex(vals[::4] @ quarter))
     while True:
-        total, noise = r * complex(vals @ weights), abs(r) * float(rounding @ weights)
-        diff = abs(total - prev)
-        if (converged := diff <= tol * max(1.0, abs(total))) or m >= _CC_MAX:
-            return total, diff + noise, vals.size, converged
-        m, prev = 2 * m, total
+        total, size = r * complex(vals @ weights), abs(r) * float(modulus @ weights)
+        noise = _NOISE * size if rounding is None else abs(r) * float(rounding @ weights)
+        prev_diff, diff = diff, abs(total - prev)
+        if diff <= tol * max(1.0, abs(total)) and (
+                diff <= noise or (abs(size - prev_size) <= 0.01 * size and diff <= 0.1 * prev_diff)):
+            return total, diff + noise, vals.size, True
+        if diff <= _NOISE * size or m >= _CC_MAX:
+            return total, diff + noise, vals.size, False
+        m, prev, prev_size = 2 * m, total, size
         t, weights = clenshaw_curtis(m)
-        new_vals, new_rounding = _values_rounding(f(a + r * (1.0 - t[1::2])))
-        vals, rounding = _interleave(vals, new_vals), _interleave(rounding, new_rounding)
+        new = _values_rounding(f(a + r * (1.0 - t[1::2])))
+        vals, modulus = _interleave(vals, new[0]), _interleave(modulus, new[1])
+        rounding = None if rounding is None else _interleave(rounding, new[2])
 
 
 def _interleave(old, new):
     """The values at the points of the doubled rule: old at the even ones."""
-    out = np.empty(old.size + new.size, dtype=old.dtype)
+    out = np.empty(old.size + new.size, dtype=np.result_type(old, new))
     out[::2], out[1::2] = old, new
     return out
+
+
+def _exp_bound(log_bound: float) -> float:
+    """e^log_bound, inf past binary64."""
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
@@ -275,7 +302,7 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
     if slack <= 0.1:
         return math.inf
     log_bound = math.log(c) + power * math.log(T) - rate * T - math.log(rate * slack)
-    return math.exp(log_bound) if log_bound < 709.0 else math.inf
+    return _exp_bound(log_bound)
 
 
 def _integrate_to(f: Callable, split: float, T: float, tol: float, analytic: bool = False):

@@ -738,9 +738,30 @@ def test_hankel_doubling_evaluates_new_points_only():
 
     rays, circle = _contour_pieces(2.7)
     T = default_contour(2.5, 1, 2.7, 1e-9)
-    work = _hankel_raw(counted(rays), 1.0, T, counted(circle), 1.0, 1e-9)[3]
+    work = _hankel_raw(counted(rays), 1.0, T, counted(circle), 1.0, 1e-9)[2]
     assert calls == [65, 65, 64, 64, 128, 128]
     assert work == sum(calls) == 2 * (256 + 1)
+
+
+def test_hankel_noise_counts_each_piece():
+    # rays and circle are summed per node, each piece's 16 eps |value| charged
+    # as errs: the noise is 16 eps times the integral of |rays| + |circle|
+    # over [-1, 1], 16 eps (3 + 1) 2, not of |rays + circle|, 16 eps (3 - 1) 2
+    rays = lambda w: np.full(w.shape, 3.0)  # the ray piece is 3 log(T / lo) / 2 = 3
+    circle = lambda z, log_z: -2.0 / z  # the circle piece z circle / 2 is -1
+    value, estimate, work = _hankel_raw(rays, 1.0, math.exp(2.0), circle, 1.0, 1e-12)
+    noise = 16 * 2.0**-52 * (3.0 + 1.0) * 2.0
+    assert abs(value - 4.0) <= 1e-14 and work == 130  # 65 points a piece
+    assert noise * (1.0 - 1e-9) <= estimate <= 1.05 * noise  # the rules' difference is at rounding
+
+
+def test_hankel_takes_the_rules_own_points():
+    # at x = 1000i the rays cancel 300-fold: at the rule's points t_j the
+    # m = 4096 difference (8.0e-11) meets tol |I| (8.6e-11); at the quadrature's
+    # points -1 + (1 - t_j) the rounding of 1 - t_j, magnified 1000-fold,
+    # leaves 1.6e-10 and then 1.0e-10, and the refinement stalls at m = 8192
+    res = evaluate(1.5, 1, 1000j, tol=1e-12)
+    assert res.work == 2 * (4096 + 1) and abs(res.value - _mp_polyexp(1.5, 1, 1000j)) <= res.abs_err_estimate
 
 
 def _contour_pieces(x):
@@ -765,16 +786,16 @@ def test_hankel_large_x_ends_promptly(x):
 
 def test_hankel_stops_at_rounding_floor():
     # on the unit circle e^(8 e^z) reaches e^(8 e): at m = 512 the difference
-    # (3.5e-7) is under the rounding floor (1.6e-6), so no rule past 512
-    # points is built only to raise
+    # (3.5e-7) is under the rounding floor 16 eps |f| (1.6e-6), so no rule
+    # past 512 points is built only to raise
     clenshaw_curtis.cache_clear()
     T = default_contour(2.5, 1, 8, 1e-9)
     rays, circle = _contour_pieces(8.0)
     with pytest.raises(ContourResolutionError, match="m = 512 ") as info:
         _hankel_raw(rays, 1.0, T, circle, 1.0, 1e-9)
-    last = re.search(r"last difference ([^,]+), rounding floor ([^ ]+) ", str(info.value))
-    assert 0.0 < float(last.group(1)) <= float(last.group(2))
-    assert clenshaw_curtis.cache_info().currsize <= 5  # 32 (for the first difference) to 512
+    estimate = re.search(r"error estimate ([^ ]+) ", str(info.value))
+    assert float(estimate.group(1)) > 1e-9
+    assert clenshaw_curtis.cache_info().currsize <= 6  # 16 and 32 (for the first call) to 512
 
 
 @pytest.mark.parametrize("s, lam", ((0.5, 1.0), (2, 1.0), (1.5, 2.5)))

@@ -349,13 +349,25 @@ def test_clenshaw_curtis_quad_integrates_polynomials_exactly(degree, nodes):
 
 def test_clenshaw_curtis_quad_reports_its_numbers_when_it_does_not_converge():
     # sqrt|t| has a kink at 0: the error falls only like m^-1.5, so the
-    # last rule, 4097 points, stops short of tol and says so
+    # last rule, 8193 points, stops short of tol and says so
     f = lambda t: np.sqrt(np.abs(t))
     val, err, n, ok = clenshaw_curtis_quad(f, -1.0, 1.0, 1e-12)
     assert not ok and n == quadrature._CC_MAX + 1 and abs(val - 4.0 / 3.0) <= err
     with pytest.raises(QuadratureError, match=r"integration over \(0, 20\) did not converge: "
                        r"last estimate \S+, last difference \S+ \(target 5e-13\)"):
         quadrature._integrate_to(lambda t: np.sqrt(np.abs(t - 5.0)), 10.0, 20.0, 1e-12, analytic=True)
+
+
+def test_clenshaw_curtis_quad_refines_through_the_integrands_errs():
+    # errs far above tol do not stop the refinement: at m = 128 the Runge
+    # integrand's difference (2.9e-11) is under the noise (2e-6) but above
+    # tol, and m = 256 meets tol, as it does without errs. A kernel's errs
+    # bound more than its rounding, and the Laplace integrals converge
+    # through them
+    f = lambda t: 1.0 / (1.0 + 25.0 * t * t)
+    for g in (f, lambda t: (f(t), np.full(t.shape, 1e-6))):
+        val, err, n, ok = clenshaw_curtis_quad(g, -1.0, 1.0, 1e-12)
+        assert ok and n == 257 and abs(val - 0.4 * math.atan(5.0)) <= 1e-15
 
 
 def test_clenshaw_curtis_quad_matches_the_tanh_sinh_contract():

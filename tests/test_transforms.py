@@ -155,6 +155,18 @@ def test_one_clenshaw_curtis_call_per_integral(monkeypatch, transform, args):
     assert len(nodes) == 1 and not endpoint_rule
 
 
+def test_laplace_rule_refines_while_the_modulus_moves(monkeypatch):
+    # the first 65 points meet tol, but the integral of |f| moves 3.9 %
+    # between the m = 32 and m = 64 rules (4.000 to 4.156): the rule takes
+    # the 64 new points of m = 128 before it settles
+    mp = pytest.importorskip("mpmath")
+    nodes = _rule_nodes(monkeypatch)
+    res = transforms.eta(-4.0, 2.139763048720196, tol=1e-10)
+    with mp.workdps(30):
+        truth = complex(mp.lerchphi(-1, -4.0, 2.139763048720196))
+    assert nodes == [129] and abs(res.value - truth) <= 1e-10
+
+
 @pytest.mark.parametrize("transform, args", [("mellin_s_representation", (3 + 2j, 2 + 1j, 2.0)),
                                              ("h_mellin_representation", (2.5, 1.0, 1.5)),
                                              ("mellin_s_representation", (0.5, 2 + 1j, 1j)),
