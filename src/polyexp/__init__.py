@@ -37,7 +37,7 @@ from .core import (
     lower_inc_gamma,
     taylor_shift,
 )
-from .quadrature import quad_semiinfinite, tanh_sinh
+from .quadrature import quad_semiinfinite
 from .transforms import (
     eta,
     h_mellin_representation,
@@ -94,7 +94,7 @@ __all__ = [
     "evaluate", "eval_series", "eval_negint", "eval_via_recursion", "eval_hankel",
     "taylor_shift", "generating_sum", "asymptotic_lambda", "asymptotic_x_leading",
     # quadrature + transforms
-    "quad_semiinfinite", "tanh_sinh",
+    "quad_semiinfinite",
     "lerch_phi", "hurwitz_zeta", "eta", "riemann_zeta",
     "mellin_transform_polyexp", "vanishing_moment", "mellin_s_representation",
     "h_mellin_representation",

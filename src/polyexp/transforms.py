@@ -10,7 +10,7 @@ The Laplace-type identities evaluated here:
 
 plus the Mellin-transform identities: the transform of e_p(-x, lam) equals
 Gamma(s)/(lam-s)^p on the strip 0 < Re s < Re lam (a series for x <= 1,
-then the recursion route's grid, no tanh-sinh), the vanishing moments of
+then the recursion route's grid), the vanishing moments of
 e^(-x) Q_p(-x, lam) at s = lam, Gamma(s) e_s(x, lam) as a Mellin
 integral in s, and the corresponding representation of Gamma(s) h_s.
 
@@ -19,9 +19,9 @@ log-scaled series (core.exp_weighted_series) at one-hundredth of the outer
 tolerance, so neither e^t overflow nor alternating-series cancellation can
 contaminate quadrature nodes. These integrands are entire in t (e_s(x,
 lam) is entire in x), so they run on nested Clenshaw-Curtis points
-(`quadrature.clenshaw_curtis_quad`), not on tanh-sinh, whose endpoint
-clusters serve singularities they do not have; the Mellin representations
-and the vanishing moments, with their t^alpha at t = 0, keep tanh-sinh.
+(`quadrature.clenshaw_curtis_quad`), and so do the Mellin representations
+and the vanishing moments, whose t^alpha at t = 0 `quad_semiinfinite`
+puts in product weights (its alpha).
 Each integrand takes the new points of a whole rule as one array (the 65
 of m = 64 first, then those of each doubling; `quad_semiinfinite` reads
 its envelope constant off these calls, so no node is evaluated for it
@@ -115,7 +115,7 @@ def _laplace_weighted(s, lam, z, tol):
 
     split = _split_point(abs(z), lam)
     if abs(z - 1.0) > 1e-14:
-        res = quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split, analytic=True)
+        res = quad_semiinfinite(f, 1.0 - max(z.real, 0.0), max(0.0, -s.real), tol, split)
         return EvalResult(res.value, res.abs_err_estimate, res.work + terms, res.method)
     log_first = core._log_coefficient_bound(s, lam, 0.0)
     start = max(2.0 * split, (log_first - math.log(_CHERNOFF_HALF * tol / 8.0)) / _CHERNOFF_HALF)
@@ -124,7 +124,7 @@ def _laplace_weighted(s, lam, z, tol):
             break
     else:
         raise _not_converged(f"Hurwitz tail expansion at T = {T:g}", *tail, tol / 8.0)
-    value, err, nodes = _integrate_to(f, split, T, tol, analytic=True)
+    value, err, nodes = _integrate_to(f, split, 0.0, T, tol)
     missed = math.exp(log_first - _CHERNOFF_HALF * T) / _CHERNOFF_HALF
     return EvalResult(value + tail[0], err + tail[1] + missed, nodes + terms, "quadrature")
 
@@ -210,7 +210,7 @@ _HEAD_TERMS = 30  # of the x <= 1 series of mellin_transform_polyexp: 1/30! < 4e
 
 def mellin_transform_polyexp(s, p: int, lam, tol: float = 1e-9) -> EvalResult:
     """integral_0^inf x^(s-1) e_p(-x, lam) dx = Gamma(s)/(lam - s)^p, on the
-    strip 0 < Re s < Re lam, with no tanh-sinh and no `evaluate` call.
+    strip 0 < Re s < Re lam, with no quadrature driver and no `evaluate` call.
 
     With x = e^-tau the integrand is e^(c tau) g_p(tau), c = lam - s, for
     the tail integrations g_(q+1) = int_tau^inf g_q of g_0(tau) =
@@ -265,31 +265,32 @@ def vanishing_moment(p: int, lam, tol: float = 1e-9) -> EvalResult:
         raise DomainError("vanishing moments are stated for p >= 1")
     core._require_lam(lam)
 
-    def f(x):  # values and their rounding bound
-        return core._closed_form(p, lam, -x, (lam - 1.0) * np.log(x) - x)
+    def f(x):  # over x^(lam-1): values and their rounding bound
+        return core._closed_form(p, lam, -x, -x)
 
-    return quad_semiinfinite(f, 1.0, float(p) + lam.real - 1.0, tol, _split_point(1.0, lam))
+    return quad_semiinfinite(f, 1.0, float(p) + lam.real - 1.0, tol, _split_point(1.0, lam), lam - 1.0)
 
 
 def _gamma_weighted(g, s, lam, x, tol):
     """integral_0^inf t^(s-1) e^(-lam t) g(t) dt for g bounded at large t:
     the form of both Mellin representations below, whose g reaches e^x at
-    t = 0. g(t) returns (log part, factor) of g, and the integrand is the
-    one exponent (s-1) log t - lam t + log part, times the factor. The part
-    of e^x past e^300 (`_LOG_KEPT`) comes out of the integral: t^(s-1)
-    reaches ~1e167 at the nodes next to 0, so the integrand stays inside
-    binary64, while the value left inside stays far above 1, so the rule's
-    test max(tol, tol |value|) stays relative.
+    t = 0. g(t) returns (log part, factor) of g, and the integrand over
+    t^(s-1), which `quad_semiinfinite` takes as its alpha, is the one
+    exponent -lam t + log part, times the factor. The part of e^x past
+    e^300 (`_LOG_KEPT`) comes out of the integral, so the rule's sums stay
+    inside binary64, while the value left inside stays far above 1, so the
+    rule's test max(tol, tol |value|) stays relative.
     """
     if x.real > core._LOG_MAX:
         raise core._Overflow(f"the integrand's e^x overflows binary64 at x = {x}")
     scale = max(x.real - _LOG_KEPT, 0.0)
 
-    def f(t):
+    def f(t):  # over t^(s-1): values and the rounding of their exponent
         log_part, factor = g(t)
-        return np.exp((s - 1.0) * np.log(t) - lam * t + (log_part - scale)) * factor
+        values = np.exp(-lam * t + (log_part - scale)) * factor
+        return values, core._EPS * (abs(lam) * t + np.abs(log_part) + scale) * np.abs(values)
 
-    res = quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam))
+    res = quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam), s - 1.0)
     value, err = res.value * math.exp(scale), res.abs_err_estimate * math.exp(scale)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise core._Overflow(f"the Mellin integral overflows binary64 at x = {x}: its value is "
@@ -315,7 +316,8 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
     The bracket over 1 - e^(-t) is e^max(x, x e^-t) times sign(x)
     expm1(|x| u)/u, u = expm1(-t): the t -> 0 singularity of the pair is
     removable, and expm1 keeps the quotient fully accurate down to t = 0
-    (|quotient| <= |x|), so no series switch is needed.
+    (|quotient| <= |x|), so no series switch is needed; at t = 0 itself,
+    which the rule samples, the quotient is its limit |x|.
     """
     s, lam = complex(s), complex(lam)
     x = float(x)
@@ -326,7 +328,8 @@ def h_mellin_representation(s, lam, x, tol: float = 1e-10) -> EvalResult:
 
     def g(t):
         u = np.expm1(-t)
-        return np.maximum(x, x * np.exp(-t)), math.copysign(1.0, x) * np.expm1(abs(x) * u) / u
+        quotient = np.divide(np.expm1(abs(x) * u), u, out=np.full(t.shape, abs(x)), where=u != 0.0)
+        return np.maximum(x, x * np.exp(-t)), math.copysign(1.0, x) * quotient
 
     return _gamma_weighted(g, s, lam, x, tol)
 

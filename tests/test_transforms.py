@@ -149,10 +149,10 @@ def test_hurwitz_node_budget(monkeypatch):
 @pytest.mark.parametrize("transform, args", [("hurwitz_zeta", (3.5, 1.5)), ("eta", (-1.5 + 2j, 1.0)),
                                              ("lerch_phi", (0.5, 2.5, 1.0))])
 def test_one_clenshaw_curtis_call_per_integral(monkeypatch, transform, args):
-    # the Laplace integrands are entire in t: no tanh-sinh
-    nodes, endpoint_rule = _rule_nodes(monkeypatch), _rule_nodes(monkeypatch, "tanh_sinh")
+    # the Laplace integrands are entire in t: one interval, no head
+    nodes = _rule_nodes(monkeypatch)
     getattr(transforms, transform)(*args)
-    assert len(nodes) == 1 and not endpoint_rule
+    assert len(nodes) == 1
 
 
 def test_laplace_rule_refines_while_the_modulus_moves(monkeypatch):
@@ -171,11 +171,12 @@ def test_laplace_rule_refines_while_the_modulus_moves(monkeypatch):
                                              ("h_mellin_representation", (2.5, 1.0, 1.5)),
                                              ("mellin_s_representation", (0.5, 2 + 1j, 1j)),
                                              ("vanishing_moment", (2, 1.5))])
-def test_one_tanh_sinh_call_per_integral(monkeypatch, transform, args):
-    # t^(s-1) and x^(lam-1) at t = 0 need tanh-sinh's endpoint clusters
-    nodes, entire_rule = _rule_nodes(monkeypatch, "tanh_sinh"), _rule_nodes(monkeypatch)
+def test_a_head_and_a_tail_call_per_integral(monkeypatch, transform, args):
+    # t^(s-1) and x^(lam-1) at t = 0 sit in the product weights of the head
+    # (0, h]: one interval past h, then the head, and no tanh-sinh
+    nodes = _rule_nodes(monkeypatch)
     getattr(transforms, transform)(*args)
-    assert len(nodes) == 1 and not entire_rule
+    assert len(nodes) == 2 and not hasattr(quadrature, "tanh_sinh")
 
 
 def test_hurwitz_tail_expansion_refuses_huge_imaginary_s():
@@ -302,7 +303,7 @@ def test_mellin_transform_runs_no_evaluate_and_no_tanh_sinh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for module, name in ((core, "evaluate"), (quadrature, "tanh_sinh"), (quadrature, "clenshaw_curtis_quad")):
+    for module, name in ((core, "evaluate"), (quadrature, "clenshaw_curtis_quad")):
         monkeypatch.setattr(module, name, refuse)
     for s, p, lam in ((1.505, 1, 1.756), (0.5, 3, 1.0), (0.5, 0, 1.0), (4.187, 5, 4.311)):
         res = transforms.mellin_transform_polyexp(s, p, lam)
@@ -349,10 +350,10 @@ def test_integral_past_the_first_interval_meets_its_estimate(monkeypatch, x, s, 
     nodes, ends, terms = _rule_nodes(monkeypatch), [], []
     integrate_to, kernel = quadrature._integrate_to, core.exp_weighted_series
 
-    def spied(f, split, T, tol, analytic):
-        assert analytic
+    def spied(f, split, a, T, tol, alpha=0):
+        assert a == 0 and alpha == 0
         ends.append(T / split)
-        return integrate_to(f, split, T, tol, analytic)
+        return integrate_to(f, split, a, T, tol, alpha)
 
     def counted_kernel(*args):
         out = kernel(*args)
@@ -380,11 +381,13 @@ def test_mellin_transform_strip_enforced():
 
 @pytest.mark.parametrize(
     "p,lam,tol",
-    [(1, 1.0, 1e-9), (2, 1.5, 1e-9), (4, 2.3, 1e-8)],
+    [(1, 1.0, 1e-9), (2, 1.5, 1e-9), (4, 2.3, 1e-8),
+     # x^-0.95 at 0: on tanh-sinh these were up to 13x their estimate (4.8e-9 at p = 1)
+     (1, 0.05, 1e-9), (2, 0.05, 1e-9), (3, 0.05, 1e-9), (4, 0.05, 1e-9)],
 )
 def test_vanishing_moment(p, lam, tol):
     res = transforms.vanishing_moment(p, lam, tol=tol)
-    assert abs(res.value) < 10 * tol
+    assert abs(res.value) < 10 * tol and abs(res.value) <= res.abs_err_estimate
 
 
 def test_vanishing_moment_termwise_gamma_oracle():
@@ -437,10 +440,9 @@ def _gamma_weighted_truth(s, lam, x, h):
     ("h_mellin_representation", (1.5, 0.2, 706.0)), ("h_mellin_representation", (1.5, 0.2, -800.0)),
 ])
 def test_mellin_representations_near_binary64_limit(transform, args):
-    # Gamma(s) e_s and Gamma(s) h_s fit binary64 here, while e^x times
-    # t^(s-1) at the nodes next to t = 0 does not: e^x past e^300 comes out
-    # of the integral; at x = -800 the h quotient must not overflow either.
-    # No step may warn
+    # Gamma(s) e_s and Gamma(s) h_s fit binary64 here, while the rule's sums
+    # of e^x would not: e^x past e^300 comes out of the integral; at
+    # x = -800 the h quotient must not overflow either. No step may warn
     truth = _gamma_weighted_truth(*args, h=transform.startswith("h_"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -470,6 +472,22 @@ def test_mellin_s_representation_cross_route():
         res = transforms.mellin_s_representation(s, lam, x, tol=1e-10)
         expect = core.gamma_fn(s) * core.eval_series(s, lam, x, tol=1e-13).value
         assert abs(res.value - expect) < 1e-8
+
+
+@pytest.mark.parametrize("s, lam, x", [(0.01, 0.3, 5.0), (0.01, 0.3, 50.0), (0.01, 0.3, 200.0),
+                                       (0.05, 0.3, 50.0), (0.05, 0.3, -1.0), (0.5 + 5j, 2 + 1j, 200.0),
+                                       (140.0, 1.0, 1.0), (170.0, 1.0, 1.0)])
+def test_mellin_s_representation_against_mpmath(s, lam, x):
+    # t^(s-1) next to t^-1: tanh-sinh raised at Re s = 0.01 and missed its
+    # estimate 200-fold at (0.05, 0.3, 50); the product weights take it
+    # exactly. At 0.5+5i the head and the interval cancel 7-fold, and at
+    # Re s = 140 and 170 t^(s-1) passes binary64 at t ~ 1000, where e^-t
+    # brings the integrand back. No step may warn
+    truth = _gamma_weighted_truth(s, lam, x, h=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = transforms.mellin_s_representation(s, lam, x, tol=1e-10)
+    assert abs(res.value - truth) <= res.abs_err_estimate <= 1e-10 * abs(truth)
 
 
 # -- h-series Mellin representation ----------------------------------------------------------

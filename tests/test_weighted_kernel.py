@@ -117,13 +117,14 @@ def test_integer_order_uses_closed_form():
 
 
 def test_level_nodes_read_only_and_reused():
-    first = quadrature._level_nodes(6)
-    assert first is quadrature._level_nodes(6)
+    # the product weights of each level m: one read-only table per (m, alpha)
+    first = quadrature._product_weights(128, -0.25)
+    assert first is quadrature._product_weights(128, -0.25)
     assert all(not a.flags.writeable for a in first)
-    before = quadrature._level_nodes.cache_info().hits
-    quadrature.tanh_sinh(np.exp, 0.0, 1.0, 1e-12)
-    quadrature.tanh_sinh(np.exp, 0.0, 2.0, 1e-12)
-    assert quadrature._level_nodes.cache_info().hits > before
+    before = quadrature._product_weights.cache_info().hits
+    quadrature.clenshaw_curtis_quad(np.exp, 0.0, 1.0, 1e-12, alpha=-0.25)
+    quadrature.clenshaw_curtis_quad(np.exp, 0.0, 2.0, 1e-12, alpha=-0.25)
+    assert quadrature._product_weights.cache_info().hits > before
 
 
 def test_exact_families_memoized():
