@@ -315,7 +315,7 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
     falls under tol/4, joining the estimate; a T past the interval
     integrates (h, T] afresh, whose nodes near T check C again. Where the
     head and the interval cancel past tol, both run once more to tol of
-    their sum. The work counts every integration.
+    their sum. The work counts every node f is called on.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -325,7 +325,7 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
     if alpha.real <= -1:
         raise ValueError(f"t^alpha is integrable at 0 only for Re alpha > -1, got {alpha}")
-    c, end = None, 4.5 * split  # end: of the interval being integrated, first (0, 4.5 split]
+    c, end, work = None, 4.5 * split, 0  # end: of the interval being integrated, first (h, 4.5 split]
 
     def envelope(t, out, lo, hi, resolved):
         """Twice the largest |t^alpha f(t)| / (t^power e^(-rate t)) over the
@@ -344,9 +344,14 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         with np.errstate(over="ignore"):
             return 2.0 * float(np.max(size / ref[seen], initial=0.0))  # safety factor
 
+    def counted(t):  # f, counting its nodes
+        nonlocal work
+        work += t.size
+        return f(t)
+
     def sampled(t):  # f, raising C to its first call's envelope and every call's near the end
         nonlocal c
-        out = f(t)
+        out = counted(t)
         if c is None:
             c = envelope(t, out, split, 4.0 * split, False)
             if not math.isfinite(c):
@@ -356,12 +361,11 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         return out
 
     head = min(1.0, 20.0 / split) if alpha != 0 else 0.0
-    value, err, work = _integrate_to(sampled, split, head, end, tol, alpha)
+    value, err, _ = _integrate_to(sampled, split, head, end, tol, alpha)
     for T in (split * 2.0 * 1.5**hops for hops in range(2, 60)):
         if (remainder := _exp_tail_bound(c, rate, power, T)) <= tol / 4 and T > end:
             end = T  # integrate (h, T] afresh, and check its nodes near T
-            value, err, more = _integrate_to(sampled, split, head, end, tol, alpha)
-            work += more
+            value, err, _ = _integrate_to(sampled, split, head, end, tol, alpha)
             remainder = _exp_tail_bound(c, rate, power, T)
         if remainder <= tol / 4:
             break
@@ -369,16 +373,14 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         raise QuadratureError(f"could not place the tail truncation point: last T {T:g}, "
                               f"its bound {remainder:g} (target {tol / 4:g})")
     if head:
-        near, near_err, nodes = _integrate_to(f, split, 0.0, head, tol / 2, alpha)
-        work += nodes
+        near, near_err, _ = _integrate_to(counted, split, 0.0, head, tol / 2, alpha)
         scale, size = max(1.0, abs(value + near)), abs(value) + abs(near)
-        if err + near_err + remainder > tol * scale and size > 2.0 * scale:  # they cancel
-            tighter = tol * scale / size
+        if err + near_err + remainder > tol * scale and size > 2.0 * scale:
+            tighter = tol * scale / size  # the head and the interval cancel: both again, to tol of their sum
             try:
-                again = _integrate_to(sampled, split, head, end, tighter, alpha), _integrate_to(
-                    f, split, 0.0, head, tighter / 2, alpha)
-                (value, err, more), (near, near_err, nodes) = again
-                work += more + nodes
+                (value, err, _), (near, near_err, _) = (
+                    _integrate_to(sampled, split, head, end, tighter, alpha),
+                    _integrate_to(counted, split, 0.0, head, tighter / 2, alpha))
             except QuadratureError:
                 pass  # rounding allows no better: the first pass stands, its estimate above tol
             remainder = _exp_tail_bound(c, rate, power, end)

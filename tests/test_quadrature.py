@@ -191,8 +191,7 @@ def test_semiinfinite_head_and_interval_that_cancel(monkeypatch):
 @pytest.mark.parametrize("integral", ("t e^-2t", "eta(0.5, 1)"))
 def test_semiinfinite_evaluates_no_node_for_the_envelope(monkeypatch, integral):
     # C comes from the rule's own first call: the integrand runs once per
-    # call the rule sums (tanh-sinh for t e^-2t, Clenshaw-Curtis for eta),
-    # on that call's nodes only
+    # call the rule sums, on that call's nodes only
     summed_calls, f_nodes, rule_nodes = [], [], []
     values_rounding, kernel = quadrature._values_rounding, core.exp_weighted_series
 
@@ -209,7 +208,8 @@ def test_semiinfinite_evaluates_no_node_for_the_envelope(monkeypatch, integral):
         return t * np.exp(-2 * t)
 
     monkeypatch.setattr(quadrature, "_values_rounding", counted_sums)
-    monkeypatch.setattr(quadrature, "clenshaw_curtis_quad", _counted(quadrature.clenshaw_curtis_quad, rule_nodes))
+    rule = _counted(quadrature.clenshaw_curtis_quad, rule_nodes)
+    monkeypatch.setattr(quadrature, "clenshaw_curtis_quad", rule)
     monkeypatch.setattr(core, "exp_weighted_series", counted_kernel)
     if integral == "t e^-2t":
         assert abs(quad_semiinfinite(f, 2.0, 1.0, 1e-11, 10.0).value - 0.25) < 1e-10
