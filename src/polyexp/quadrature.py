@@ -104,16 +104,19 @@ def _moments(m: int, alpha):
 @functools.lru_cache(maxsize=64)
 def _product_weights(m: int, alpha):
     """The product weights W_j of ((1 - t)/2)^alpha on the points t_j of
-    `clenshaw_curtis(m)`, and their moduli: sum W_j g(t_j) integrates
-    ((1 - t)/2)^alpha times the degree-m interpolant of g over [-1, 1]. The
-    DCT-I of the moments (-1)^k G_k of `_moments` (t = -x); at alpha = 0
-    both are the `clenshaw_curtis(m)` weights themselves."""
+    `clenshaw_curtis(m)`, their moduli, and a bound on each weight's own
+    rounding: sum W_j g(t_j) integrates ((1 - t)/2)^alpha times the
+    degree-m interpolant of g over [-1, 1]. The DCT-I of the moments
+    (-1)^k G_k of `_moments` (t = -x), each weight a sum of terms (2/m) G_k:
+    as alpha nears -1 every G_k nears G_0 = 2/(alpha + 1), and the small
+    interior weights carry its rounding, eps (2/m) sum |G_k| bounding it.
+    At alpha = 0, the `clenshaw_curtis(m)` weights themselves and 0."""
     if alpha == 0:
         w = clenshaw_curtis(m)[1]
-        return w, w
+        return w, w, 0.0
     moments = _moments(m, alpha) * (-1.0) ** np.arange(m + 1)
     w = _dct1(moments.real) + 1j * _dct1(moments.imag) if np.iscomplexobj(moments) else _dct1(moments)
-    return _read_only(w, np.abs(w))
+    return (*_read_only(w, np.abs(w)), 2.0**-51 * float(np.abs(moments).sum()) / m)
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,11 +205,12 @@ def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12, al
     even and every-fourth points; each later call takes the m new odd points
     of the doubled rule, so no point is evaluated twice. Settled once
     |I_2m - I_m| <= max(tol, tol |I_2m|) and either that difference is
-    under the noise, the rule with weights |W| applied to 16 eps |f| + errs,
-    or the integrals of |f| (weights |W|) agree to 1 % and the difference
-    shrank tenfold: two rules that both miss a narrow peak, or alias one
-    oscillation, agree as well, but fail the last two tests. Unsettled once
-    the difference falls under 16 eps times the integral of |f|, where
+    under the noise, the rule with weights |W| applied to 16 eps |f| + errs
+    plus the weights' own rounding applied to |f|, or the integrals of |f|
+    (weights |W|) agree to 1 % and the difference shrank tenfold: two rules
+    that both miss a narrow peak, or alias one oscillation, agree as well,
+    but fail the last two tests. Unsettled once the difference falls under
+    16 eps times the integral of |f| plus the weights' rounding, where
     rounding leaves the sum (not under the noise: a kernel's errs bound more
     than its rounding, and the Laplace integrals converge through them), or
     at m = `_CC_MAX`. err is the last difference plus the noise.
@@ -219,22 +223,23 @@ def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12, al
     scale = r * abs(b - a) ** alpha
     m = _CC_FIRST
     t = clenshaw_curtis(m)[0]
-    weights, moduli = _product_weights(m, alpha)
+    weights, moduli, floor = _product_weights(m, alpha)
     vals, modulus, rounding = _values_rounding(f(a + r * (1.0 - t)))
     half, quarter = _product_weights(m // 2, alpha), _product_weights(m // 4, alpha)[0]
     prev, prev_size = scale * complex(vals[::2] @ half[0]), abs(scale) * float(modulus[::2] @ half[1])
     diff = abs(prev - scale * complex(vals[::4] @ quarter))
     while True:
         total, size = scale * complex(vals @ weights), abs(scale) * float(modulus @ moduli)
-        noise = _NOISE * size if rounding is None else abs(scale) * float(rounding @ moduli)
+        rounded = abs(scale) * floor * float(modulus.sum()) if floor else 0.0  # the weights' own
+        noise = (_NOISE * size if rounding is None else abs(scale) * float(rounding @ moduli)) + rounded
         prev_diff, diff = diff, abs(total - prev)
         if diff <= tol * max(1.0, abs(total)) and (
                 diff <= noise or (abs(size - prev_size) <= 0.01 * size and diff <= 0.1 * prev_diff)):
             return total, diff + noise, vals.size, True
-        if diff <= _NOISE * size or m >= _CC_MAX:
+        if diff <= _NOISE * size + rounded or m >= _CC_MAX:
             return total, diff + noise, vals.size, False
         m, prev, prev_size = 2 * m, total, size
-        t, (weights, moduli) = clenshaw_curtis(m)[0], _product_weights(m, alpha)
+        t, (weights, moduli, floor) = clenshaw_curtis(m)[0], _product_weights(m, alpha)
         new = _values_rounding(f(a + r * (1.0 - t[1::2])))
         vals, modulus = _interleave(vals, new[0]), _interleave(modulus, new[1])
         rounding = None if rounding is None else _interleave(rounding, new[2])

@@ -291,7 +291,10 @@ def _gamma_weighted(g, s, lam, x, tol):
         return values, core._EPS * (abs(lam) * t + np.abs(log_part) + scale) * np.abs(values)
 
     res = quad_semiinfinite(f, lam.real, max(s.real - 1.0, 0.0), tol, _split_point(abs(x), lam), s - 1.0)
-    value, err = res.value * math.exp(scale), res.abs_err_estimate * math.exp(scale)
+    # alpha = s - 1 carries the rounding of s - 1, which moves the integral
+    # by up to eps |s - 1| / |s| of itself near s = 0 (the pole of Gamma)
+    err = res.abs_err_estimate + core._EPS * abs(s - 1.0) / abs(s) * abs(res.value)
+    value, err = res.value * math.exp(scale), err * math.exp(scale)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise core._Overflow(f"the Mellin integral overflows binary64 at x = {x}: its value is "
                              f"{res.value:.6g} times e^{scale:.6g}")

@@ -383,7 +383,9 @@ def test_mellin_transform_strip_enforced():
     "p,lam,tol",
     [(1, 1.0, 1e-9), (2, 1.5, 1e-9), (4, 2.3, 1e-8),
      # x^-0.95 at 0: on tanh-sinh these were up to 13x their estimate (4.8e-9 at p = 1)
-     (1, 0.05, 1e-9), (2, 0.05, 1e-9), (3, 0.05, 1e-9), (4, 0.05, 1e-9)],
+     (1, 0.05, 1e-9), (2, 0.05, 1e-9), (3, 0.05, 1e-9), (4, 0.05, 1e-9),
+     # x^-0.999: the interior weights carry the rounding of G_0 = 2000
+     (1, 0.001, 1e-9)],
 )
 def test_vanishing_moment(p, lam, tol):
     res = transforms.vanishing_moment(p, lam, tol=tol)
@@ -476,13 +478,14 @@ def test_mellin_s_representation_cross_route():
 
 @pytest.mark.parametrize("s, lam, x", [(0.01, 0.3, 5.0), (0.01, 0.3, 50.0), (0.01, 0.3, 200.0),
                                        (0.05, 0.3, 50.0), (0.05, 0.3, -1.0), (0.5 + 5j, 2 + 1j, 200.0),
-                                       (140.0, 1.0, 1.0), (170.0, 1.0, 1.0)])
+                                       (140.0, 1.0, 1.0), (170.0, 1.0, 1.0), (1e-4, 1.0, 1.0)])
 def test_mellin_s_representation_against_mpmath(s, lam, x):
     # t^(s-1) next to t^-1: tanh-sinh raised at Re s = 0.01 and missed its
     # estimate 200-fold at (0.05, 0.3, 50); the product weights take it
     # exactly. At 0.5+5i the head and the interval cancel 7-fold, and at
     # Re s = 140 and 170 t^(s-1) passes binary64 at t ~ 1000, where e^-t
-    # brings the integrand back. No step may warn
+    # brings the integrand back. At s = 1e-4 the rounding of s - 1 moves
+    # the value 1e-13 of itself, the estimate's share. No step may warn
     truth = _gamma_weighted_truth(s, lam, x, h=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
