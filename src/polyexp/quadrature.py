@@ -230,7 +230,7 @@ def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12, al
     diff = abs(prev - scale * complex(vals[::4] @ quarter))
     while True:
         total, size = scale * complex(vals @ weights), abs(scale) * float(modulus @ moduli)
-        rounded = abs(scale) * floor * float(modulus.sum()) if floor else 0.0  # the weights' own
+        rounded = abs(scale) * floor * float(modulus.sum()) if floor else 0.0  # the weights' rounding
         noise = (_NOISE * size if rounding is None else abs(scale) * float(rounding @ moduli)) + rounded
         prev_diff, diff = diff, abs(total - prev)
         if diff <= tol * max(1.0, abs(total)) and (
