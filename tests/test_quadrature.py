@@ -406,6 +406,21 @@ def test_product_weights_integrate_polynomials(alpha):
     assert abs(weights @ t - (2.0 / (alpha + 1) - 4.0 / (alpha + 2))) <= 1e-14 * abs(2.0 / (alpha + 1))
 
 
+@pytest.mark.parametrize("alpha", (-0.999999, -0.999, -0.9, 0.5 + 3j))
+def test_product_weights_rounding_bound(alpha):
+    # as alpha nears -1 every moment nears G_0 = 2/(alpha + 1), and the small
+    # interior weights carry its rounding: against ((1 - t)/2)^k, 0 at the
+    # singular end, 16 eps sum |W| |f| misses the error up to 2e4-fold at
+    # alpha = -0.999999, and the weights' own bound, applied to |f|, holds
+    for m in (64, 256, 1024):
+        t = clenshaw_curtis(m)[0]
+        weights, moduli, floor = quadrature._product_weights(m, alpha)
+        for k in (1, 2, 3):
+            f = (0.5 * (1.0 - t)) ** k
+            err = abs(weights @ f - 2.0 / (alpha + k + 1))
+            assert err <= 16 * _EPS * float(moduli @ f) + floor * float(f.sum())
+
+
 # -- nested Clenshaw-Curtis driver ----------------------------------------------------
 
 
