@@ -219,6 +219,8 @@ def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12, al
         return 0.0 + 0.0j, 0.0, 0, True
     alpha = complex(alpha)
     alpha = alpha if alpha.imag else alpha.real  # real weights for a real alpha
+    if alpha.real <= -1:
+        raise ValueError(f"|x - a|^alpha is integrable at a only for Re alpha > -1, got {alpha}")
     r = 0.5 * (b - a)
     scale = r * abs(b - a) ** alpha
     m = _CC_FIRST

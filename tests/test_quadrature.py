@@ -313,6 +313,8 @@ def test_handle_validation():
     # t^alpha must be integrable at 0
     with pytest.raises(ValueError, match="Re alpha > -1"):
         quad_semiinfinite(f, 1.0, 0.0, 1e-10, 10.0, alpha=-1.0 + 2j)
+    with pytest.raises(ValueError, match="Re alpha > -1"):
+        clenshaw_curtis_quad(f, 0.0, 1.0, 1e-10, alpha=-1.5)
 
 
 # -- memoized rule tables -----------------------------------------------------------
