@@ -103,14 +103,12 @@ def _moments(m: int, alpha):
 
 @functools.lru_cache(maxsize=64)
 def _product_weights(m: int, alpha):
-    """The product weights W_j of ((1 - t)/2)^alpha on the points t_j of
-    `clenshaw_curtis(m)`, their moduli, and a bound on each weight's own
-    rounding: sum W_j g(t_j) integrates ((1 - t)/2)^alpha times the
-    degree-m interpolant of g over [-1, 1]. The DCT-I of the moments
-    (-1)^k G_k of `_moments` (t = -x), each weight a sum of terms (2/m) G_k:
-    as alpha nears -1 every G_k nears G_0 = 2/(alpha + 1), and the small
-    interior weights carry its rounding, eps (2/m) sum |G_k| bounding it.
-    At alpha = 0, the `clenshaw_curtis(m)` weights themselves and 0."""
+    """Weights W_j of ((1 - t)/2)^alpha at the points of `clenshaw_curtis(m)`,
+    their moduli and a bound on each one's rounding: the DCT-I of the
+    moments (-1)^k G_k of `_moments`, sums of terms (2/m) G_k. As alpha
+    nears -1 every G_k nears 2/(alpha + 1), and the small interior weights
+    carry its rounding, eps (2/m) sum |G_k|. At alpha = 0: the
+    `clenshaw_curtis(m)` weights themselves and 0."""
     if alpha == 0:
         w = clenshaw_curtis(m)[1]
         return w, w, 0.0
@@ -191,11 +189,9 @@ def _values_rounding(out):
 def clenshaw_curtis_quad(f: Callable, a: float, b: float, tol: float = 1e-12, alpha=0):
     """Integrate |x - a|^alpha f(x) over [a, b], Re alpha > -1, on the
     nested points x = a + r (1 - t) of `clenshaw_curtis(m)`, r = (b - a)/2,
-    m doubling from `_CC_FIRST` to `_CC_MAX`: the rule for an f analytic on
-    [a, b], endpoints included, where it converges geometrically. The
-    factor |x - a|^alpha sits in the weights: at alpha != 0 they are the
-    product weights W of `_product_weights`, scaled by r |b - a|^alpha, so f
-    stays finite at a, which it is sampled at.
+    m doubling from `_CC_FIRST` to `_CC_MAX`: geometric convergence for an f
+    analytic on [a, b], endpoints included, a among them. |x - a|^alpha sits
+    in the weights W (`_product_weights`), scaled by r |b - a|^alpha.
 
     f maps a numpy array of nodes to an array of values, or to (values,
     errs) with errs bounding each value's own error; it may be complex, and
@@ -272,12 +268,10 @@ def _exp_tail_bound(c: float, rate: float, power: float, T: float) -> float:
 
 
 def _integrate_to(f: Callable, split: float, a: float, T: float, tol: float, alpha=0):
-    """(value, err, nodes) of t^alpha f(t) over (a, T) by one nested
-    Clenshaw-Curtis call (`clenshaw_curtis_quad`) to tol/2: from a > 0 in v
-    with t = a e^v, on which t^alpha = a^alpha e^(alpha v) is entire; from
-    a = 0 at alpha = 0 in v with t = split expm1(v), linear in t near 0 and
-    logarithmic past split; from a = 0 at alpha != 0 (the head) in t, on the
-    product weights of t^alpha."""
+    """(value, err, nodes) of t^alpha f(t) over (a, T) by one
+    `clenshaw_curtis_quad` call to tol/2: from a > 0 in v, t = a e^v, where
+    t^alpha is entire; from a = 0 at alpha = 0 in v, t = split expm1(v),
+    linear near 0 and logarithmic past split; else (the head) in t."""
     if a > 0:
         def g(v):  # t^alpha dt = t^(1 + alpha) dv, as root^2: root stays in binary64 where
             # t^(1 + alpha) need not (Re alpha ~ 140 at t ~ 1000), and f brings the product back
@@ -330,8 +324,6 @@ def quad_semiinfinite(f: Callable, rate: float, power: float, tol: float, split:
         raise ValueError("split must be positive")
     if rate <= 0 or isinstance(power, complex):
         raise ValueError(f"the envelope needs rate > 0 and a real power, got {rate}, {power}")
-    if alpha.real <= -1:
-        raise ValueError(f"t^alpha is integrable at 0 only for Re alpha > -1, got {alpha}")
     c, end, work = None, 4.5 * split, 0  # end: of the interval being integrated, first (h, 4.5 split]
 
     def envelope(t, out, lo, hi, resolved):
