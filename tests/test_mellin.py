@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyexp import core, mellin
+from polyexp import mellin
 from polyexp.mellin import (
     MellinExpression,
     PartialFractions,
