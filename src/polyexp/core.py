@@ -205,8 +205,8 @@ def series_tail_bound(s: complex, lam: complex, x: complex, n: int) -> float:
     return _tail_bound(complex(s), complex(lam), complex(x), n, 0.0)
 
 
-# The stop rule's arithmetic, shared by the scalar loops and the array sum:
-# each helper takes numbers, or numpy arrays that broadcast (x then |x|).
+# The stop rule's arithmetic, shared by both paths of `_direct_sum`: each
+# helper takes numbers, or numpy arrays that broadcast (x then |x|).
 
 
 def _tail_bound(s: complex, lam: complex, x, n, prefix):
@@ -244,28 +244,6 @@ def _rounding_level(s: complex, lam: complex, n):
     step) and of (k+lam)^-s."""
     log = np.log if isinstance(n, np.ndarray) else math.log
     return _EPS * (2.0 + 2.0 * n + abs(s) * log(2.0 + n + abs(lam)))
-
-
-def _series_stop(s, lam, x, n, sum_abs, tol, prefix=0.0):
-    """Stop rule of `eval_series` (coefficients (k+lam)^-s) and
-    `series.h_direct` (P_k = sum_{j<k} w^j (j+lam)^-s, prefix = P_(n+1))
-    after the term k = n: None to go on, else the tail bound plus the
-    rounding level times sum |terms|. Raises ConvergenceError past binary64
-    or past `_MAX_TERMS` terms; below n = 2|x| and `_MAX_TERMS` it is
-    always None. `h_direct` asks it after every term from there on;
-    `eval_series` finds its last term before summing, and `_series_sum`
-    applies the rule to a whole array of x.
-    """
-    if n >= 2.0 * abs(x):
-        if not math.isfinite(sum_abs):
-            raise _Overflow(f"series terms overflow binary64 at x = {x}")
-        # |P_(n+1)| enters every later term, and the bound at s covers the rest
-        tail = _tail_bound(s, lam, x, n, abs(prefix))
-        if tail <= tol:  # False for the NaN of a term ratio above 1/2
-            return tail + _rounding_level(s, lam, n) * sum_abs
-    if n >= _MAX_TERMS:
-        raise ConvergenceError(f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={x}")
-    return None
 
 
 def _is_nodes(x) -> bool:
@@ -322,21 +300,20 @@ def _pairs(s, lam):
 _SUM_BLOCK = 1 << 13  # nodes x terms per block of `_series_sum`, so memory stays flat
 
 
-def _series_sum(s, lam, x: np.ndarray, tol: float, table):
-    """sum_n x^n/n! a_n at every node of the 1-D array x, each node stopped
-    after the term where `_series_stop` stops the scalar loop, with the
-    same error estimate (up to the order of summation) and the same
-    ConvergenceError past binary64 or `_MAX_TERMS`. s and lam are numbers
-    or arrays of x's shape (`_grid_args`). table(s_pairs, lam_pairs, lo,
-    hi) returns a_n and |b_n| for lo <= n < hi as one row per distinct
-    pair (`_pairs`), b_n the rule's prefix after term n (a number 0 when
-    there is none); each node reads its pair's row, and its own s and lam
+def _series_sum(s, lam, x: np.ndarray, tol: float, w=None):
+    """`_direct_sum` at every node of the 1-D array x, each node stopped
+    after the term where the scalar loop stops, with the same error
+    estimate (up to the order of summation) and the same ConvergenceError
+    past binary64 or `_MAX_TERMS`. s and lam are numbers or arrays of x's
+    shape (`_grid_args`). The coefficients a_n, (n+lam)^-s or with w the
+    prefix sums P_n (`_prefix_rows`), come as one row per distinct pair
+    (`_pairs`); each node reads its pair's row, and its own s and lam
     enter the tail bound and the rounding level.
 
     Nodes go in passes whose first block of terms is 2 max|x| + 24 long,
     each next one twice as long, every block under `_SUM_BLOCK` nodes x
     terms; x^n/n! is built in the scalar loop's order, the sums are
-    numpy's. Returns (values, errs, stop indices).
+    numpy's. Returns (values, errs, the total of the nodes' last n).
     """
     s_pairs, lam_pairs, pair = _pairs(s, lam)
     ax = np.array([abs(v) for v in x.tolist()])  # as the scalar rule takes |x|
@@ -357,7 +334,11 @@ def _series_sum(s, lam, x: np.ndarray, tol: float, table):
             xl, al = x[live, None], ax[live, None]
             sl, ll = (s, lam) if pair is None else (s[live, None], lam[live, None])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                a, b = table(s_pairs, lam_pairs, lo, hi)
+                if w is None:
+                    a, b = _coefficient_rows(s_pairs, lam_pairs, 0.0, lo, hi), 0.0
+                else:  # |P_(n+1)| enters the tail bound
+                    prefix = _prefix_rows(s_pairs, lam_pairs, w, hi)
+                    a, b = prefix[:, lo:hi], np.abs(prefix[:, lo + 1:hi + 1])
                 if pair is not None:  # each live node's row
                     a = a[pair[live]]
                     b = b[pair[live]] if np.ndim(b) else b
@@ -395,7 +376,54 @@ def _series_sum(s, lam, x: np.ndarray, tol: float, table):
             going = ~done
             live, xpow, acc, sum_abs = live[going], xpows[going, -1], acc[going], sum_abs[going]
             lo, length = hi, 2 * length
-    return values, errs, stops
+    return values, errs, int(stops.sum())
+
+
+def _direct_sum(s, lam, x, tol: float, w=None):
+    """sum_n x^n/n! a_n, a_n = (n+lam)^-s, or given h's w the prefix sum P_n =
+    sum_{j<n} w^j (j+lam)^-s, to the first n >= 2|x| whose tail bound (plus
+    |P_(n+1)| times its value at s = 0) meets tol; estimate: that bound plus
+    the rounding level times sum |terms|. Returns (value, estimate, last n),
+    for an array x (`_series_sum`) arrays and the total of the nodes' last n.
+    ConvergenceError past binary64 or `_MAX_TERMS` terms."""
+    if isinstance(x, np.ndarray):
+        return _series_sum(s, lam, x, tol, w)
+    # the bound at n needs the coefficients up to n+1, not the running sum,
+    # so the last term is found before summing: the first n >= 2|x| whose
+    # bound meets tol (NaN before the ratio gate), else term _MAX_TERMS,
+    # past which the rule raises
+    neg_s = -s
+    acc = 0.0 + 0.0j
+    sum_abs = 0.0
+    power_term = 1.0 + 0.0j  # x^n / n!
+    last = None
+    try:
+        if w is None:
+            for n in range(math.ceil(2.0 * abs(x)), _MAX_TERMS + 1):
+                if (tail := _tail_bound(s, lam, x, n, 0.0)) <= tol:
+                    last = n
+                    break
+        else:
+            prefix, wpow, first = [0.0 + 0.0j], 1.0 + 0.0j, math.ceil(2.0 * abs(x))
+            for n in range(_MAX_TERMS + 1):
+                prefix.append(prefix[n] + wpow * cmath.exp(neg_s * cmath.log(lam + n)))
+                wpow *= w
+                if n >= first and (tail := _tail_bound(s, lam, x, n, abs(prefix[n + 1]))) <= tol:
+                    last = n
+                    break
+        for n in range(_MAX_TERMS + 1 if last is None else last + 1):
+            if n:
+                power_term *= x / n
+            term = power_term * (cmath.exp(neg_s * cmath.log(n + lam)) if w is None else prefix[n])
+            acc += term
+            sum_abs += abs(term)
+    except OverflowError as exc:  # |term| or the tail bound past binary64
+        raise _Overflow(f"series terms overflow binary64 at x = {x}") from exc
+    if n >= 2.0 * abs(x) and not math.isfinite(sum_abs):
+        raise _Overflow(f"series terms overflow binary64 at x = {x}")
+    if last is None:
+        raise ConvergenceError(f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={x}")
+    return acc, tail + _rounding_level(s, lam, last) * sum_abs, last
 
 
 def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -403,7 +431,7 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
 
     (n+lam)^s uses the principal branch of log(n+lam); well defined since
     Re(n+lam) > 0. The error estimate adds a rounding level growing with
-    the number of terms (`_series_stop`); past binary64, ConvergenceError.
+    the number of terms (`_direct_sum`); past binary64, ConvergenceError.
 
     x is a number, or a 1-D numpy array summed in one pass (`_series_sum`)
     over the rows of (n+lam)^-s: s and lam are then numbers or arrays of
@@ -414,38 +442,8 @@ def eval_series(s, lam, x, tol: float = DEFAULT_TOL) -> EvalResult:
     s, lam, x, nodes = _grid_args(s, lam, x)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if nodes:
-        table = lambda s_pairs, lam_pairs, lo, hi: (_coefficient_rows(s_pairs, lam_pairs, 0.0, lo, hi), 0.0)
-        values, errs, stops = _series_sum(s, lam, x, tol, table)
-        return EvalResult(values, errs, int(stops.sum()) + x.size, "series")
-
-    # without a prefix, `_series_stop`'s tail bound depends on n alone, so
-    # the last term is found before summing: the first n >= 2|x| whose bound
-    # meets tol (NaN before the ratio gate), else term _MAX_TERMS, past
-    # which the rule raises
-    neg_s = -s
-    acc = 0.0 + 0.0j
-    sum_abs = 0.0
-    power_term = 1.0 + 0.0j  # x^n / n!
-    last = None
-    try:
-        for n in range(math.ceil(2.0 * abs(x)), _MAX_TERMS + 1):
-            if (tail := _tail_bound(s, lam, x, n, 0.0)) <= tol:
-                last = n
-                break
-        for n in range(_MAX_TERMS + 1 if last is None else last + 1):
-            if n:
-                power_term *= x / n
-            term = power_term * cmath.exp(neg_s * cmath.log(n + lam))
-            acc += term
-            sum_abs += abs(term)
-    except OverflowError as exc:  # |term| or the tail bound past binary64
-        raise _Overflow(f"series terms overflow binary64 at x = {x}") from exc
-    if n >= 2.0 * abs(x) and not math.isfinite(sum_abs):
-        raise _Overflow(f"series terms overflow binary64 at x = {x}")
-    if last is None:
-        raise ConvergenceError(f"series needs more than {_MAX_TERMS} terms for tol={tol:g} at x={x}")
-    return EvalResult(acc, tail + _rounding_level(s, lam, last) * sum_abs, last + 1, "series")
+    value, err, last = _direct_sum(s, lam, x, tol)
+    return EvalResult(value, err, last + (x.size if nodes else 1), "series")
 
 
 class _GrowingTable:
@@ -534,6 +532,13 @@ def _coefficient_rows(s_pairs, lam_pairs, theta: float, lo: int, hi: int):
     if len(s_pairs) == 1:
         return _coefficients(complex(s_pairs[0]), complex(lam_pairs[0]), theta).upto(hi)[0][None, lo:hi]
     return _coefficient_values(s_pairs[:, None], lam_pairs[:, None], theta, np.arange(lo, hi))
+
+
+def _prefix_rows(s_pairs, lam_pairs, w: complex, hi: int):
+    """P_n = sum_{j<n} w^j (j+lam)^-s for 0 <= n <= hi, one row per pair as
+    in `_coefficient_rows`: the coefficients of the h_s series."""
+    c = _coefficient_rows(s_pairs, lam_pairs, cmath.phase(w), 0, hi) * abs(w) ** np.arange(hi)
+    return np.concatenate((np.zeros((len(s_pairs), 1)), np.cumsum(c, axis=1)), axis=1)
 
 
 _CHUNK = 4096  # terms per pass of the windowed kernel, so memory stays flat

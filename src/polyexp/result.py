@@ -16,6 +16,8 @@ class EvalResult:
     evaluations of e_0 on the shared grid, summed over the resolutions
     tried, and for "hankel" the distinct contour points, 2(m+1) at the
     last count m (m+1 when the circle is left out).
+    "series" counts the n + 1 terms up to its last index n, "h_series"
+    counts n itself (its n = 0 term, P_0, is 0).
     `method` is the route tag: {series, closed_form, recursion, hankel,
     taylor_shift, asymptotic} in core, {h_series, h_quadrature} for the
     h family, quadrature in the transforms but for

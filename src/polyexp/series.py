@@ -2,8 +2,8 @@
 
 h_s(x, lam, w) = sum_{n>=1} x^n/n! * sum_{j<n} w^j/(lam+j)^s, the
 exponential generating function of generalized-harmonic-type prefix sums
-(|w| <= 1, Re lam > 0). Routes: the direct double sum with a running
-prefix (stop rule and growing rounding estimate of core.eval_series), the
+(|w| <= 1, Re lam > 0). Routes: the direct sum of core.eval_series with
+the prefix sums P_n as its coefficients (core._direct_sum), the
 quadrature representation h_s = e^x int_0^x e^(-t) e_s(t w, lam) dt, the
 Ein-based closed form at s = lam = 1, and exact closed forms at negative
 integer s. The quadrature's integrand e^(-t) e_s(t w, lam) and the Borel
@@ -66,48 +66,17 @@ class HSeriesParams:
 
 
 def h_direct(params: HSeriesParams, tol: float = 1e-12) -> EvalResult:
-    """Direct sum with a running prefix, stopped by the rule of
-    `core.eval_series` (`core._series_stop`): the prefix enters the tail
-    bound, and the rounding level grows with the number of terms.
+    """The direct sum of `core.eval_series` with the prefix sums P_n in place
+    of (n+lam)^-s (`core._direct_sum`): |P_(n+1)| enters the tail bound,
+    and the rounding level grows with the number of terms. work is the
+    last index n (its n = 0 term, P_0, is 0).
 
     An array x (1-D) sums every node in one pass (`core._series_sum`) over
-    the rows of prefix sums P_n of each (s, lam) pair, s and lam numbers or
-    per node; each node stops where the number would, value and
-    abs_err_estimate are arrays, and work is the total."""
-    s, lam, w, x = params.s, params.lam, params.w, params.x
-    if isinstance(x, np.ndarray):
-        theta = cmath.phase(w)
-
-        def table(s_pairs, lam_pairs, lo, hi):  # P_n for lo <= n < hi, |P_(n+1)| for the stop rule
-            c = core._coefficient_rows(s_pairs, lam_pairs, theta, 0, hi)
-            partial = np.cumsum(c * abs(w) ** np.arange(hi), axis=1)
-            prefix = np.concatenate((np.zeros((len(s_pairs), 1)), partial), axis=1)
-            return prefix[:, lo:hi], np.abs(prefix[:, lo + 1:hi + 1])
-
-        values, errs, stops = core._series_sum(s, lam, x, tol, table)
-        return EvalResult(values, errs, int(stops.sum()), "h_series")
-
-    neg_s = -s
-    acc = 0.0 + 0.0j
-    sum_abs = 0.0
-    prefix = 0.0 + 0.0j  # P_n = sum_{j<n} w^j (j+lam)^-s
-    wpow = 1.0 + 0.0j
-    xterm = 1.0 + 0.0j  # x^n / n!
-    n = 0
-    first_stop = min(math.ceil(2.0 * abs(x)), core._MAX_TERMS)  # below it `_series_stop` can only go on
-    try:
-        while True:
-            term = xterm * prefix
-            acc += term
-            sum_abs += abs(term)
-            prefix += wpow * cmath.exp(neg_s * cmath.log(lam + n))
-            if n >= first_stop and (err := core._series_stop(s, lam, x, n, sum_abs, tol, prefix)) is not None:
-                return EvalResult(acc, err, n, "h_series")
-            n += 1
-            wpow *= w
-            xterm *= x / n
-    except OverflowError as exc:  # |term| or the tail bound past binary64
-        raise core._Overflow(f"series terms overflow binary64 at x = {x}") from exc
+    the rows of P_n of each (s, lam) pair, s and lam numbers or per node;
+    each node stops where the number would, value and abs_err_estimate are
+    arrays, and work is the total."""
+    value, err, last = core._direct_sum(params.s, params.lam, params.x, tol, params.w)
+    return EvalResult(value, err, last, "h_series")
 
 
 def h_quadrature(params: HSeriesParams, tol: float = 1e-10) -> EvalResult:
@@ -215,8 +184,8 @@ def borel_probe(s, lam, w, x_grid: Sequence[float], tol: float = 1e-9) -> list[B
 
     e^(-x) h_s = sum_n P(n; x) P_n, Poisson weights P(n; x) times the prefix
     sums P_n = sum_{j<n} w^j (j+lam)^-s, goes through the Poisson-window
-    kernel of `core.exp_weighted_series` at its tol 1e-14, the P_n being
-    one cumulative sum of the kernel's coefficient table.
+    kernel of `core.exp_weighted_series` at its tol 1e-14, the P_n those
+    of `h_direct`'s array path (`core._prefix_rows`).
     """
     s, lam, w = complex(s), complex(lam), complex(w)
     grid = [float(x) for x in x_grid]
@@ -238,9 +207,7 @@ def borel_probe(s, lam, w, x_grid: Sequence[float], tol: float = 1e-9) -> list[B
 
     x = np.array(grid)
     n_lo, n_hi, _ = core._poisson_window(x, np.zeros_like(x), log_env, 1.0 + max(0.0, -s.real), 1e-14)
-    size = int(n_hi.max()) + 1
-    c = core._coefficients(s, lam, cmath.phase(w)).upto(size)[0][: size - 1]
-    prefix = np.concatenate(([0.0], np.cumsum(c * abs(w) ** np.arange(size - 1))))
+    prefix = core._prefix_rows((s,), (lam,), w, int(n_hi.max()))[0]
     values = core._poisson_sum(x, np.zeros_like(x), n_lo, n_hi, prefix, np.abs(prefix))[0]
     return [BorelPoint(x=xi, scaled_value=complex(v), target=target) for xi, v in zip(grid, values)]
 

@@ -439,9 +439,9 @@ def test_table_of_series_nodes_makes_one_series_call(capsys, monkeypatch, functi
     sizes = []
     original = core._series_sum
 
-    def counted(s, lam, x, tol, table):
+    def counted(s, lam, x, tol, w=None):
         sizes.append(x.size)
-        return original(s, lam, x, tol, table)
+        return original(s, lam, x, tol, w)
 
     monkeypatch.setattr(core, "_series_sum", counted)
     code, _, _ = invoke(

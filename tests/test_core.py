@@ -13,7 +13,6 @@ import pytest
 from polyexp.core import (
     _Overflow,
     _hankel_raw,
-    _series_stop,
     _ray_tail_bound,
     asymptotic_lambda,
     asymptotic_x_leading,
@@ -372,23 +371,6 @@ def test_series_overflow_is_typed(call):
             call()
 
 
-def _per_term_series(s, lam, x, tol):
-    """`eval_series` on a number as a loop that asks `_series_stop` after every term."""
-    s, lam, x = complex(s), complex(lam), complex(x)
-    acc, sum_abs, power_term, n = 0j, 0.0, 1.0 + 0j, 0
-    try:
-        while True:
-            term = power_term * cmath.exp(-s * cmath.log(n + lam))
-            acc += term
-            sum_abs += abs(term)
-            if (err := _series_stop(s, lam, x, n, sum_abs, tol)) is not None:
-                return EvalResult(acc, err, n + 1, "series")
-            n += 1
-            power_term *= x / n
-    except OverflowError as exc:
-        raise _Overflow(f"series terms overflow binary64 at x = {x}") from exc
-
-
 def _outcome(call, *args):
     try:
         res = call(*args)
@@ -397,10 +379,15 @@ def _outcome(call, *args):
     return res.value, res.abs_err_estimate, res.work
 
 
-def test_series_stop_found_before_summing_matches_per_term_loop():
+def test_series_stop_found_before_summing_matches_per_term_loop(per_term_sum):
     """The scalar loop finds its last term before it sums: bit for bit the
     value, estimate, work and error type of asking after every term, on
     seeded random points and at the term cap and the overflows."""
+
+    def per_term_series(s, lam, x, tol):
+        value, err, last = per_term_sum(complex(s), complex(lam), complex(x), tol)
+        return EvalResult(value, err, last + 1, "series")
+
     rng = random.Random(2026)
     points = [(0.5 + 460j, 1.0, 2.0, 1e-10), (-300, 1.0, 1.0, 1e-10), (-300, 1.0, 1e-13, 1e-10),
               (-1.5, 1.0, 700 + 100j, 1e-10), (2.0, 1.0, 0.0, 1e-10), (1.0, 1.0, 30000.0, 1e-10)]
@@ -413,7 +400,7 @@ def test_series_stop_found_before_summing_matches_per_term_loop():
     kinds = set()
     for args in points:
         out = _outcome(eval_series, *args)
-        assert out == _outcome(_per_term_series, *args), args
+        assert out == _outcome(per_term_series, *args), args
         kinds.add(out[0] if isinstance(out[0], type) else EvalResult)
     assert kinds == {EvalResult, _Overflow, ConvergenceError}
 

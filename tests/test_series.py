@@ -60,27 +60,6 @@ def test_h_direct_spec_value_27e4():
     assert abs(res.value - 27.0 * E / 4.0) < 1e-12
 
 
-def _h_direct_per_term(params, tol):
-    """h_direct's scalar loop asking `core._series_stop` after every term,
-    as (value, estimate, work)."""
-    s, lam, w, x = params.s, params.lam, params.w, params.x
-    acc, sum_abs, prefix, wpow, xterm, n = 0j, 0.0, 0j, 1 + 0j, 1 + 0j, 0
-    try:
-        while True:
-            term = xterm * prefix
-            acc += term
-            sum_abs += abs(term)
-            prefix += wpow * cmath.exp(-s * cmath.log(lam + n))
-            err = core._series_stop(s, lam, x, n, sum_abs, tol, prefix)
-            if err is not None:
-                return acc, err, n
-            n += 1
-            wpow *= w
-            xterm *= x / n
-    except OverflowError as exc:
-        raise core._Overflow(f"series terms overflow binary64 at x = {x}") from exc
-
-
 def _h_direct_numbers(params, tol):
     res = h_direct(params, tol)
     return res.value, res.abs_err_estimate, res.work
@@ -94,9 +73,9 @@ def _outcome(call, *args):
         return type(exc)
 
 
-def test_h_direct_matches_a_stop_test_after_every_term():
-    # below n = 2|x| the stop rule can only go on, so h_direct asks it from
-    # there on: value, estimate, work and error type stay bit for bit
+def test_h_direct_matches_a_stop_test_after_every_term(per_term_sum):
+    # h_direct finds its last term before it sums: value, estimate, work
+    # and error type stay those of asking the stop rule after every term
     rng = random.Random(23)
     points = [(-1.5, 1, 1, 700 + 100j), (2, 1, 1, 800.0), (-40, 0.5, 1, 30.0), (1, 1, 1, 0.0)]
     for _ in range(150):
@@ -110,9 +89,26 @@ def test_h_direct_matches_a_stop_test_after_every_term():
         params = HSeriesParams(*point)
         for tol in (1e-8, 1e-12):
             ours = _outcome(_h_direct_numbers, params, tol)
-            assert ours == _outcome(_h_direct_per_term, params, tol), (point, tol)
+            assert ours == _outcome(per_term_sum, params.s, params.lam, params.x, tol, params.w), (point, tol)
             kinds.add(ours if isinstance(ours, type) else str)
     assert kinds == {str, core._Overflow}  # values and typed overflows both met
+
+
+_W0_X = np.array([3 + 1j, -4.0, 0.5, 12j, 20.0, -7 + 2j, 0.0])
+
+
+@pytest.mark.parametrize("s, lam", [(1.5, 0.8), (-2.0, 1.3), (0.5 + 2j, 2 - 1j)])
+def test_h_direct_at_w0_is_lam_power_times_expm1(s, lam):
+    """At w = 0 every P_n with n >= 1 is lam^-s, so h_s = lam^-s (e^x - 1):
+    within the estimate on numbers and on one array, real and complex x."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        truth = np.array([complex(mp.power(mp.mpc(lam), -mp.mpc(s)) * mp.expm1(mp.mpc(x))) for x in _W0_X])
+    res = h_direct(HSeriesParams(s, lam, 0, _W0_X))
+    assert (np.abs(res.value - truth) <= res.abs_err_estimate).all()
+    for x, ref in zip(_W0_X, truth):
+        one = h_direct(HSeriesParams(s, lam, 0, x))
+        assert abs(one.value - ref) <= one.abs_err_estimate, x
 
 
 def test_h_direct_params_validated():
@@ -288,6 +284,18 @@ def test_borel_lerch_target():
     ref = transforms.lerch_phi(0.5, 2.0, 1.0, tol=1e-10).value
     assert abs(pts[0].target - ref) < 1e-12
     assert abs(pts[1].scaled_value - ref) < abs(pts[0].scaled_value - ref)
+
+
+@pytest.mark.parametrize("s, lam", [(2.5, 1.5), (0.5 + 1j, 0.7 - 0.4j)])
+def test_borel_at_w0_tends_to_lam_power(s, lam):
+    """At w = 0, e^(-x) h_s = lam^-s (1 - e^(-x)) closes in on its target lam^-s."""
+    limit = complex(lam) ** -complex(s)
+    pts = borel_probe(s, lam, 0.0, [2.0, 5.0, 10.0, 40.0])
+    errs = [abs(p.scaled_value - limit) for p in pts]
+    assert errs[0] > errs[1] > errs[2] and errs[3] < 1e-14 * abs(limit)
+    for p in pts:
+        assert abs(p.target - limit) < 1e-12 * abs(limit)
+        assert abs(p.scaled_value - limit * -math.expm1(-p.x)) < 1e-14 * abs(limit)
 
 
 def test_borel_domain_guards():
